@@ -10,7 +10,6 @@ Subpackages/modules:
     evaluation  -- splits, ROC-AUC, report aggregation
     io          -- file formats, manifests, checkpoints
     synth       -- synthetic dataset generator
-    cli         -- command-line interface
 """
 
 __version__ = "0.1.0"

@@ -70,8 +70,10 @@ def make_split(objects, labels, adjective, ratio=0.9, seed=0) -> SplitPlan:
     """Seeded stratified 90/10 object split with both classes on both sides.
 
     ``labels`` maps object id -> AdjectiveLabelSet (or a plain dict of
-    adjective -> bool).  Retries derived shuffles (up to 100) and a +/-1
-    test-count adjustment before declaring the constraint unsatisfiable.
+    adjective -> bool).  The test size is the rounded share, else one more
+    or one fewer; failing those, it keeps the rounded share (at least 2) and
+    caps the test positives at one below it.  The counts do not depend on
+    the seed, which only picks the objects.
     """
     objects = list(objects)
     if adjective not in ADJECTIVES:
@@ -91,21 +93,28 @@ def make_split(objects, labels, adjective, ratio=0.9, seed=0) -> SplitPlan:
         )
     n = len(objects)
     base_test = max(1, round((1.0 - ratio) * n))
-    for attempt in range(100):
-        rng = np.random.Generator(np.random.PCG64(
-            derive_seed(seed, f"split/{adjective}/{attempt}")))
-        for n_test in (base_test, base_test + 1, max(2, base_test - 1)):
-            n_test_pos = int(np.clip(round(n_test * len(pos) / n), 1, len(pos) - 1))
-            n_test_neg = n_test - n_test_pos
-            if not 1 <= n_test_neg <= len(neg) - 1:
-                continue
-            pos_order = [pos[i] for i in rng.permutation(len(pos))]
-            neg_order = [neg[i] for i in rng.permutation(len(neg))]
-            test = sorted(pos_order[:n_test_pos] + neg_order[:n_test_neg])
-            train = sorted(set(objects) - set(test))
-            return SplitPlan(adjective=adjective, seed=seed,
-                             train_ids=tuple(train), test_ids=tuple(test))
-    raise InfeasibleSplitError(f"{adjective}: no satisfying split found in 100 attempts")
+    last_test = max(2, base_test)
+    candidates = [(n_test, len(pos) - 1)
+                  for n_test in (base_test, base_test + 1, max(2, base_test - 1))]
+    candidates.append((last_test, min(len(pos), last_test) - 1))
+    for n_test, max_test_pos in candidates:
+        n_test_pos = int(np.clip(round(n_test * len(pos) / n), 1, max_test_pos))
+        n_test_neg = n_test - n_test_pos
+        if 1 <= n_test_neg <= len(neg) - 1:
+            break
+    else:
+        raise InfeasibleSplitError(
+            f"{adjective}: no test size near {base_test} of {n} objects leaves "
+            f"both classes on both sides ({len(pos)} positive, {len(neg)} negative)"
+        )
+    # the "/0" suffix keeps every seed's split what earlier versions returned
+    rng = np.random.Generator(np.random.PCG64(derive_seed(seed, f"split/{adjective}/0")))
+    pos_order = [pos[i] for i in rng.permutation(len(pos))]
+    neg_order = [neg[i] for i in rng.permutation(len(neg))]
+    test = sorted(pos_order[:n_test_pos] + neg_order[:n_test_neg])
+    train = sorted(set(objects) - set(test))
+    return SplitPlan(adjective=adjective, seed=seed,
+                     train_ids=tuple(train), test_ids=tuple(test))
 
 
 def roc_auc(scores, labels) -> float:

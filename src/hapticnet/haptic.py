@@ -5,6 +5,12 @@ pressure channel to the common rate, PCA-project the 19 electrode channels
 to 4 per time step, subsample every series to a fixed length, and stack in
 a fixed channel order.  Two fingers x five subsampling offsets turn each
 trial into 10 training instances.
+
+Only the subsampling depends on the offset, so each (finger, EP) block is
+normalized, decimated and projected once at full length and then indexed
+once per offset.  ``zscore_normalize`` and ``resample_fixed`` work along the
+last axis, so the 22 channels at the common rate go through them as one
+(22, T) array; row by row the result is bitwise what a 1-D call gives.
 """
 
 from dataclasses import dataclass
@@ -53,24 +59,31 @@ class HapticTrial:
             ) from None
 
     def validate(self) -> None:
-        for (finger, ep), chans in self.signals.items():
-            missing = [c for c in CHANNELS if c not in chans]
-            if missing:
+        for finger in FINGERS:
+            for ep in EPS:
+                self.checked_channels(finger, ep)
+
+    def checked_channels(self, finger: int, ep: str) -> dict:
+        """``channels(finger, ep)`` after checking that all channels are
+        present, the 100 Hz ones share a length and P_AC is ~22x as long."""
+        chans = self.channels(finger, ep)
+        where = f"trial {self.object_id}/{self.trial_index} finger {finger} ep {ep}"
+        missing = [c for c in CHANNELS if c not in chans]
+        if missing:
+            raise InvalidInputError(f"{where}: missing channels {missing}")
+        base_len = len(chans["P_DC"])
+        for c in CHANNELS[2:]:
+            if len(chans[c]) != base_len:
                 raise InvalidInputError(
-                    f"{self.object_id}/{self.trial_index} f{finger} {ep}: missing {missing}"
+                    f"{where}: channel {c} has length {len(chans[c])}, "
+                    f"expected {base_len} as P_DC"
                 )
-            base_len = len(chans["P_DC"])
-            for c in CHANNELS[1:]:
-                if len(chans[c]) != base_len:
-                    raise InvalidInputError(
-                        f"{self.object_id}/{self.trial_index} f{finger} {ep}: "
-                        f"{c} has length {len(chans[c])}, expected {base_len}"
-                    )
-            if abs(len(chans["P_AC"]) - DECIMATION * base_len) > DECIMATION:
-                raise InvalidInputError(
-                    f"{self.object_id}/{self.trial_index} f{finger} {ep}: P_AC length "
-                    f"{len(chans['P_AC'])} is not ~{DECIMATION}x the 100 Hz length {base_len}"
-                )
+        if abs(len(chans["P_AC"]) - DECIMATION * base_len) > DECIMATION:
+            raise InvalidInputError(
+                f"{where}: channel P_AC length {len(chans['P_AC'])} is not "
+                f"~{DECIMATION}x the 100 Hz length {base_len}"
+            )
+        return chans
 
 
 @dataclass
@@ -117,14 +130,19 @@ class InstanceMatrix:
 
 
 def zscore_normalize(series: np.ndarray) -> np.ndarray:
-    """(s - mean) / population std; constant series normalize to all zeros."""
+    """(s - mean) / population std along the last axis.
+
+    Each 1-D series (each row of a stack) is normalized on its own; a
+    constant one, or one whose std is zero, normalizes to all zeros.
+    """
     s = np.asarray(series, dtype=np.float64)
-    if s.size == 0:
-        raise InvalidInputError("cannot normalize an empty series")
-    std = s.std()
-    if std == 0.0:
-        return np.zeros_like(s)
-    return (s - s.mean()) / std
+    if s.ndim == 0 or s.size == 0:
+        raise InvalidInputError(f"cannot normalize an empty series (shape {s.shape})")
+    std = s.std(axis=-1, keepdims=True)
+    # the mean of a constant such as 0.1 can round off it, which leaves a
+    # std of ~1e-17 and would blow the rounding error up to +/-1
+    flat = (std == 0.0) | (s.max(axis=-1, keepdims=True) == s.min(axis=-1, keepdims=True))
+    return np.where(flat, 0.0, (s - s.mean(axis=-1, keepdims=True)) / np.where(flat, 1.0, std))
 
 
 def decimate_pac(series: np.ndarray) -> np.ndarray:
@@ -143,7 +161,7 @@ def decimate_pac(series: np.ndarray) -> np.ndarray:
 
 
 def resample_fixed(series: np.ndarray, length: int = RESAMPLE_LEN, offset: int = 0) -> np.ndarray:
-    """Uniform index subsampling to a fixed length, starting at ``offset``.
+    """Uniform index subsampling along the last axis to a fixed length, from ``offset``.
 
     Picks indices offset + round(j*(len-1-offset)/(length-1)); the last
     input sample is always included.  Rounding is half-to-even.
@@ -151,13 +169,14 @@ def resample_fixed(series: np.ndarray, length: int = RESAMPLE_LEN, offset: int =
     s = np.asarray(series, dtype=np.float64)
     if offset < 0:
         raise InvalidInputError(f"offset must be non-negative, got {offset}")
-    if s.size < length + offset:
+    n = s.shape[-1] if s.ndim else 0
+    if n < length + offset:
         raise InvalidInputError(
-            f"series of length {s.size} too short for length={length}, offset={offset}"
+            f"series of length {n} too short for length={length}, offset={offset}"
         )
     j = np.arange(length, dtype=np.float64)
-    idx = offset + np.rint(j * (s.size - 1 - offset) / (length - 1)).astype(np.int64)
-    return s[idx]
+    idx = offset + np.rint(j * (n - 1 - offset) / (length - 1)).astype(np.int64)
+    return s[..., idx]
 
 
 def pca_fit(samples: np.ndarray, k: int = PCA_COMPONENTS) -> PcaModel:
@@ -165,7 +184,8 @@ def pca_fit(samples: np.ndarray, k: int = PCA_COMPONENTS) -> PcaModel:
 
     Components are eigenvectors of the column-centered covariance in
     descending eigenvalue order, computed via SVD; the sign of each
-    component is fixed so its largest-magnitude entry is positive.
+    component is fixed so its largest-magnitude entry is positive.  Raises
+    InvalidInputError when the centered samples have rank below k.
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 2:
@@ -176,19 +196,21 @@ def pca_fit(samples: np.ndarray, k: int = PCA_COMPONENTS) -> PcaModel:
     mean = x.mean(axis=0)
     centered = x - mean
     _, svals, vt = np.linalg.svd(centered, full_matrices=False)
+    # numpy.linalg.matrix_rank's default tolerance: smaller singular values
+    # are rounding noise, and their directions are arbitrary
+    tol = svals.max(initial=0.0) * max(n, d) * np.finfo(np.float64).eps
+    rank = int(np.count_nonzero(svals > tol))
+    if rank < k:
+        raise InvalidInputError(
+            f"electrode samples have rank {rank}; cannot fit {k} components"
+        )
     comps = vt[:k].T.copy()
     for j in range(comps.shape[1]):
         i = np.argmax(np.abs(comps[:, j]))
         if comps[i, j] < 0:
             comps[:, j] = -comps[:, j]
     variances = svals ** 2
-    total = variances.sum()
-    if total == 0.0:
-        ratios = np.zeros(k)
-    else:
-        ratios = variances[:k] / total
-    if comps.shape[1] < k:  # fewer non-trivial directions than requested
-        raise InvalidInputError(f"rank deficit: only {comps.shape[1]} components available")
+    ratios = variances[:k] / variances.sum()
     return PcaModel(mean=mean, components=comps, explained_variance_ratio=ratios)
 
 
@@ -202,18 +224,40 @@ def pca_project(model: PcaModel, vec: np.ndarray) -> np.ndarray:
     return (v - model.mean) @ model.components
 
 
-def _processed_ep_block(chans: dict, pca: PcaModel, offset: int) -> np.ndarray:
-    """8x150 block for one (finger, ep): 4 base channels + 4 electrode PCs."""
+def _full_length_blocks(trial: HapticTrial, finger: int, pca: dict) -> list:
+    """The offset-independent work for one finger, done once per EP.
+
+    Returns, in EPS order, (P_AC, rows): the z-scored, decimated P_AC and the
+    (7, T) rows P_DC, T_AC, T_DC, E-pc1..E-pc4, none of them subsampled yet.
+    P_AC keeps its own length, which may be one sample off T.
+    """
+    missing = [ep for ep in EPS if ep not in pca]
+    if missing:
+        raise InvalidInputError(f"no PCA model for EPs: {missing}")
+    blocks = []
+    for ep in EPS:
+        chans = trial.checked_channels(finger, ep)
+        pac = decimate_pac(zscore_normalize(chans["P_AC"]))
+        z = zscore_normalize(np.stack([chans[c] for c in CHANNELS[1:]]))  # (22, T)
+        # a C-contiguous (T, 19) operand keeps the projection bitwise equal
+        # to projecting the per-channel stack
+        projected = pca_project(pca[ep], np.ascontiguousarray(z[3:].T))  # (T, k)
+        blocks.append((pac, np.concatenate((z[:3], projected.T))))
+    return blocks
+
+
+def _subsampled_instance(trial: HapticTrial, finger: int, offset: int, blocks: list) -> InstanceMatrix:
     rows = []
-    pac = zscore_normalize(np.asarray(chans["P_AC"], dtype=np.float64))
-    rows.append(resample_fixed(decimate_pac(pac), RESAMPLE_LEN, offset))
-    for name in BASE_CHANNELS[1:]:
-        rows.append(resample_fixed(zscore_normalize(chans[name]), RESAMPLE_LEN, offset))
-    elec = np.stack([zscore_normalize(chans[e]) for e in ELECTRODES], axis=1)  # (T, 19)
-    projected = pca_project(pca, elec)  # (T, k)
-    for j in range(projected.shape[1]):
-        rows.append(resample_fixed(projected[:, j], RESAMPLE_LEN, offset))
-    return np.stack(rows)
+    for pac, others in blocks:
+        rows.append(resample_fixed(pac, RESAMPLE_LEN, offset))
+        rows.append(resample_fixed(others, RESAMPLE_LEN, offset))
+    return InstanceMatrix(
+        values=np.vstack(rows),
+        object_id=trial.object_id,
+        trial_index=trial.trial_index,
+        finger=finger,
+        offset=offset,
+    )
 
 
 def assemble_instance(trial: HapticTrial, finger: int, offset: int, pca: dict) -> InstanceMatrix:
@@ -222,31 +266,16 @@ def assemble_instance(trial: HapticTrial, finger: int, offset: int, pca: dict) -
     ``pca`` maps EP name -> fitted PcaModel.  Channel order per EP is
     (P_AC, P_DC, T_AC, T_DC, E-pc1..E-pc4), EPs stacked in EPS order.
     """
-    missing = [ep for ep in EPS if ep not in pca]
-    if missing:
-        raise InvalidInputError(f"no PCA model for EPs: {missing}")
-    blocks = []
-    for ep in EPS:
-        chans = trial.channels(finger, ep)
-        absent = [c for c in CHANNELS if c not in chans]
-        if absent:
-            raise InvalidInputError(
-                f"{trial.object_id}/{trial.trial_index} f{finger} {ep}: missing channels {absent}"
-            )
-        blocks.append(_processed_ep_block(chans, pca[ep], offset))
-    return InstanceMatrix(
-        values=np.concatenate(blocks, axis=0),
-        object_id=trial.object_id,
-        trial_index=trial.trial_index,
-        finger=finger,
-        offset=offset,
-    )
+    return _subsampled_instance(trial, finger, offset, _full_length_blocks(trial, finger, pca))
 
 
 def augment(trial: HapticTrial, pca: dict) -> list:
-    """All 10 instances of a trial: 2 fingers x 5 subsampling offsets."""
-    return [
-        assemble_instance(trial, finger, offset, pca)
-        for finger in FINGERS
-        for offset in OFFSETS
-    ]
+    """All 10 instances of a trial: 2 fingers x 5 subsampling offsets.
+
+    Each finger's blocks are preprocessed once and subsampled at every offset.
+    """
+    instances = []
+    for finger in FINGERS:
+        blocks = _full_length_blocks(trial, finger, pca)
+        instances.extend(_subsampled_instance(trial, finger, offset, blocks) for offset in OFFSETS)
+    return instances

@@ -95,3 +95,31 @@ def eigh_pca(samples, k):
     total = eigvals.sum()
     ratios = eigvals[:k] / total
     return mean, comps, ratios
+
+
+def reference_instance(trial, finger, offset, pca):
+    """32x150 instance of one (finger, offset) view, built channel by channel.
+
+    Every series is z-scored, decimated, projected and subsampled on its own
+    with 1-D calls of hapticnet's primitives, nothing shared between
+    channels or offsets.  The primitives' own values are pinned by their
+    tests; this pins the composition, so the block path that normalizes
+    stacked channels once per (finger, EP) must match it bit for bit.
+    """
+    from hapticnet.haptic import (
+        BASE_CHANNELS, ELECTRODES, EPS, RESAMPLE_LEN,
+        decimate_pac, pca_project, resample_fixed, zscore_normalize,
+    )
+
+    rows = []
+    for ep in EPS:
+        chans = trial.signals[(finger, ep)]
+        pac = decimate_pac(zscore_normalize(chans["P_AC"]))
+        rows.append(resample_fixed(pac, RESAMPLE_LEN, offset))
+        for name in BASE_CHANNELS[1:]:
+            rows.append(resample_fixed(zscore_normalize(chans[name]), RESAMPLE_LEN, offset))
+        elec = np.stack([zscore_normalize(chans[e]) for e in ELECTRODES], axis=1)  # (T, 19)
+        projected = pca_project(pca[ep], elec)
+        for j in range(projected.shape[1]):
+            rows.append(resample_fixed(projected[:, j], RESAMPLE_LEN, offset))
+    return np.stack(rows)

@@ -88,6 +88,26 @@ class TestMakeSplit:
                 break
         assert seen == set(objects)
 
+    def test_every_label_count_feasible_at_default_ratio(self):
+        for n in range(8, 33):
+            objects = [f"o{i}" for i in range(n)]
+            for n_pos in range(2, n - 1):
+                labels = {o: {"bumpy": i < n_pos} for i, o in enumerate(objects)}
+                plan = make_split(objects, labels, "bumpy", seed=n_pos)
+                assert set(plan.train_ids) | set(plan.test_ids) == set(objects)
+                for side in (plan.train_ids, plan.test_ids):
+                    assert {labels[o]["bumpy"] for o in side} == {True, False}, (n, n_pos)
+
+    def test_seeded_splits_are_pinned(self):
+        # splits that were feasible before the last-resort test size existed
+        # keep the objects they were drawn with
+        def test_ids(n, n_pos, ratio, seed):
+            objects = [f"o{i}" for i in range(n)]
+            labels = {o: {"bumpy": i < n_pos} for i, o in enumerate(objects)}
+            return make_split(objects, labels, "bumpy", ratio=ratio, seed=seed).test_ids
+        assert test_ids(12, 5, 0.9, 2) == ("o1", "o10")
+        assert test_ids(10, 4, 0.7, 1) == ("o2", "o6", "o8")
+
     def test_split_plan_rejects_overlap(self):
         with pytest.raises(LeakageError):
             SplitPlan(adjective="soft", seed=0, train_ids=("a", "b"), test_ids=("b",))

@@ -1,14 +1,18 @@
 """Haptic preprocessing: normalization, decimation, resampling, PCA, assembly."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from hapticnet import synth
 from hapticnet.errors import InvalidInputError
 from hapticnet.haptic import (
     BASE_CHANNELS,
     DECIMATION,
     ELECTRODES,
     EPS,
+    FINGERS,
     HapticTrial,
     InstanceMatrix,
     PcaModel,
@@ -21,7 +25,7 @@ from hapticnet.haptic import (
     zscore_normalize,
 )
 
-from oracles import eigh_pca
+from oracles import eigh_pca, reference_instance
 
 
 def synth_channels(rng, base_len=340):
@@ -54,6 +58,21 @@ def fit_all_eps(rng):
     return pca
 
 
+def electrode_samples(trials, ep):
+    """(N, 19) z-scored electrode samples of one EP over trials and fingers."""
+    return np.concatenate([
+        np.stack([zscore_normalize(t.signals[(f, ep)][e]) for e in ELECTRODES], axis=1)
+        for t in trials for f in FINGERS])
+
+
+def synth_set(config):
+    """Trials of a synth config, with PCA fitted on all of their electrodes."""
+    ids, z, _ = synth.object_factors(config)
+    trials = [synth.make_trial(config, o, zo, t)
+              for o, zo in zip(ids, z) for t in range(config.n_trials)]
+    return trials, {ep: pca_fit(electrode_samples(trials, ep)) for ep in EPS}
+
+
 class TestZscore:
     def test_hand_arithmetic(self):
         out = zscore_normalize(np.array([1.0, 2.0, 3.0]))
@@ -63,6 +82,26 @@ class TestZscore:
 
     def test_constant_series_becomes_zeros(self):
         assert not zscore_normalize(np.array([5.0, 5.0, 5.0])).any()
+        # constants whose mean rounds off them, leaving a std of ~1e-17
+        for value in (0.1, 2.7, -7.77):
+            assert not zscore_normalize(np.full(340, value)).any()
+
+    @pytest.mark.parametrize("shape", [(3, 7), (22, 341), (2, 9001)])
+    def test_rows_match_1d_calls(self, shape):
+        rng = np.random.default_rng(shape[1])
+        rows = rng.standard_normal(shape) * rng.uniform(0.1, 50.0, (shape[0], 1))
+        rows += rng.uniform(-9.0, 9.0, (shape[0], 1))
+        rows[1] = 0.1
+        out = zscore_normalize(rows)
+        assert out.shape == shape
+        for got, row in zip(out, rows):
+            assert np.array_equal(got, zscore_normalize(row))
+        assert not out[1].any()
+
+    def test_empty_rejected(self):
+        for empty in (np.array([]), np.zeros((3, 0)), np.zeros((0, 5)), np.float64(1.0)):
+            with pytest.raises(InvalidInputError, match="empty"):
+                zscore_normalize(empty)
 
     def test_idempotent(self):
         rng = np.random.default_rng(0)
@@ -117,6 +156,16 @@ class TestResample:
     def test_too_short_rejected(self):
         with pytest.raises(InvalidInputError):
             resample_fixed(np.zeros(152), 150, 3)
+        with pytest.raises(InvalidInputError):
+            resample_fixed(np.zeros((400, 152)), 150, 3)
+
+    def test_rows_match_1d_calls(self):
+        rows = np.random.default_rng(5).standard_normal((22, 341))
+        for offset in range(5):
+            out = resample_fixed(rows, 150, offset)
+            assert out.shape == (22, 150)
+            for got, row in zip(out, rows):
+                assert np.array_equal(got, resample_fixed(row, 150, offset))
 
 
 class TestPca:
@@ -125,9 +174,25 @@ class TestPca:
         direction = rng.standard_normal(19)
         coords = rng.standard_normal(80)
         data = 5.0 + np.outer(coords, direction)
-        model = pca_fit(data, k=4)
-        assert model.explained_variance_ratio[0] == pytest.approx(1.0, abs=1e-12)
-        assert np.all(model.explained_variance_ratio[1:] < 1e-12)
+        with pytest.raises(InvalidInputError, match="rank 1;"):
+            pca_fit(data, k=4)
+
+    def test_rank_deficit_names_rank(self):
+        rng = np.random.default_rng(5)
+        rank3 = rng.standard_normal((80, 3)) @ rng.standard_normal((3, 19))
+        with pytest.raises(InvalidInputError, match="rank 3;"):
+            pca_fit(rank3, k=4)
+        assert pca_fit(rank3, k=3).components.shape == (19, 3)
+        with pytest.raises(InvalidInputError, match="rank 0;"):
+            pca_fit(np.full((40, 19), 2.5), k=4)
+
+    def test_noiseless_synth_electrodes_fit(self):
+        trials, pca = synth_set(replace(synth.two_cue_config(n_objects=4, n_trials=1), noise=0.0))
+        for ep in EPS:
+            model = pca[ep]
+            _, comps, ratios = eigh_pca(electrode_samples(trials, ep), k=4)
+            assert np.allclose(model.components, comps, rtol=0, atol=1e-8)
+            assert np.allclose(model.explained_variance_ratio, ratios, rtol=0, atol=1e-8)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_eigendecomposition_oracle(self, seed):
@@ -241,6 +306,41 @@ class TestAssemble:
         assert np.all(np.abs(inst.values[base_rows].mean(axis=1)) < 0.5)
 
 
+class TestBlockPathMatchesReference:
+    """augment and assemble_instance equal the channel-by-channel oracle bit for bit."""
+
+    @staticmethod
+    def assert_matches_reference(trial, pca):
+        instances = augment(trial, pca)
+        assert len(instances) == 10
+        for inst in instances:
+            ref = reference_instance(trial, inst.finger, inst.offset, pca)
+            assert np.array_equal(inst.values, ref), (inst.finger, inst.offset)
+        for finger, offset in ((0, 0), (1, 4), (0, 3)):
+            ref = reference_instance(trial, finger, offset, pca)
+            assert np.array_equal(assemble_instance(trial, finger, offset, pca).values, ref)
+
+    @pytest.mark.parametrize("config", [
+        *(synth.two_cue_config(n_objects=4, n_trials=1, seed=s) for s in (0, 1, 2)),
+        *(synth.separable_config(n_objects=4, n_trials=1, seed=s) for s in (0, 7)),
+        replace(synth.two_cue_config(n_objects=4, n_trials=1, seed=11), noise=0.0),
+    ], ids=lambda c: f"{c.name}-seed{c.seed}-noise{c.noise}")
+    def test_synth_configs(self, config):
+        trials, pca = synth_set(config)
+        for trial in trials:
+            self.assert_matches_reference(trial, pca)
+
+    @pytest.mark.parametrize("pac_len", [DECIMATION * 341, DECIMATION * 340 - 1])
+    def test_decimated_pac_one_sample_off(self, pac_len):
+        rng = np.random.default_rng(pac_len)
+        trial = synth_trial(rng)
+        for chans in trial.signals.values():
+            chans["P_AC"] = rng.standard_normal(pac_len)
+        trial.validate()
+        assert len(decimate_pac(trial.signals[(0, "hold")]["P_AC"])) != 340
+        self.assert_matches_reference(trial, fit_all_eps(rng))
+
+
 class TestAugment:
     def test_ten_instances_per_trial(self):
         rng = np.random.default_rng(17)
@@ -280,6 +380,27 @@ class TestTrialValidation:
         trial = synth_trial(np.random.default_rng(20))
         trial.signals[(0, "hold")]["T_DC"] = np.zeros(10)
         with pytest.raises(InvalidInputError, match="T_DC"):
+            trial.validate()
+
+    @pytest.mark.parametrize("channel", ["T_AC", "E_7"])
+    def test_short_channel_rejected_by_validate_and_augment(self, channel):
+        rng = np.random.default_rng(22)
+        trial = synth_trial(rng, object_id="mug", trial_index=3)
+        pca = fit_all_eps(rng)
+        chans = trial.signals[(1, "slow_slide")]
+        chans[channel] = chans[channel][:-1]
+        calls = (trial.validate, lambda: augment(trial, pca),
+                 lambda: assemble_instance(trial, 1, 0, pca))
+        for call in calls:
+            with pytest.raises(InvalidInputError) as err:
+                call()
+            for part in ("mug/3", "finger 1", "slow_slide", f"channel {channel} "):
+                assert part in str(err.value)
+
+    def test_missing_block_rejected(self):
+        trial = synth_trial(np.random.default_rng(23))
+        del trial.signals[(1, "hold")]
+        with pytest.raises(InvalidInputError, match="finger=1, ep=hold"):
             trial.validate()
 
     def test_wrong_pac_ratio_rejected(self):
