@@ -15,7 +15,7 @@ from .conv import (
 )
 from .init import derive_seed, xavier_init
 from .losses import LOSSES, hinge_loss, logistic_loss
-from .lstm import GATES, LstmParams, lstm_backward, lstm_forward, sigmoid
+from .lstm import LstmParams, lstm_backward, lstm_forward, sigmoid
 from .ops import (
     avg_pool,
     inner_product,
@@ -30,7 +30,6 @@ __all__ = [
     "ConvSpec",
     "LayerParams",
     "LstmParams",
-    "GATES",
     "LOSSES",
     "avg_pool",
     "conv1d_backward",

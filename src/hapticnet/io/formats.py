@@ -162,13 +162,19 @@ def write_trial_file(path, channels: dict) -> None:
 
     Channels are columns in the fixed order; columns shorter than the
     longest one (P_AC runs ~22x longer than the 100 Hz channels) simply end,
-    with trailing empty cells trimmed from each row.  A JSON sidecar carries
-    the per-channel sample rates.
+    with trailing empty cells trimmed from each row.  Lengths must not grow
+    along that order, so every row fills a prefix of the columns.  A JSON
+    sidecar carries the per-channel sample rates.
     """
     missing = [c for c in CHANNELS if c not in channels]
     if missing:
         raise InvalidInputError(f"trial is missing channels {missing}")
     series = [np.asarray(channels[c], dtype=np.float64) for c in CHANNELS]
+    for j in range(1, len(CHANNELS)):
+        if series[j].size > series[j - 1].size:
+            raise InvalidInputError(
+                f"channel {CHANNELS[j]} has {series[j].size} samples, more than "
+                f"{CHANNELS[j - 1]} before it ({series[j - 1].size})")
     n_rows = max(s.size for s in series)
     cells = np.full((n_rows, len(CHANNELS)), "", dtype=object)
     for j, s in enumerate(series):
@@ -191,25 +197,55 @@ def sidecar_path(path):
 
 
 def read_trial_file(path) -> dict:
-    """Parse a trial file back into channel -> array (ragged columns ok)."""
+    """Parse a trial file back into channel -> array.
+
+    Each row fills a prefix of the columns: a column that has ended stays
+    empty, and the columns to its left run at least as long.  A value below
+    an ended column, or to the right of an empty cell, would sit at a
+    different time step than its neighbours; it raises
+    UnsupportedFormatError naming the line and column, as does a cell that
+    is not a number.  Empty cells at the end of a row are ignored, and a
+    blank line ends every column.
+    """
     with open(path) as fh:
         lines = [line.rstrip("\n") for line in fh]
     if not lines:
         raise UnsupportedFormatError(f"{path}: empty trial file")
     names = lines[0].split(",")
-    if set(names) != set(CHANNELS):
+    if len(names) != len(CHANNELS) or set(names) != set(CHANNELS):
         raise UnsupportedFormatError(f"{path}: header does not list the expected channels")
-    columns = {n: [] for n in names}
+    columns = [[] for _ in names]
+    width = len(names)  # columns still running
     for ln, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        cells = line.split(",")
-        if len(cells) > len(names):
-            raise UnsupportedFormatError(f"{path}:{ln}: more cells than header columns")
-        for name, cell in zip(names, cells):
-            if cell != "":
-                columns[name].append(float(cell))
-    return {n: np.asarray(v, dtype=np.float64) for n, v in columns.items()}
+        cells = line.split(",")  # a blank line is a row in which every column has ended
+        if len(cells) != width or "" in cells:
+            cells = _row_prefix(path, ln, names, cells, width)
+            width = len(cells)
+        try:
+            for column, cell in zip(columns, cells):
+                column.append(float(cell))
+        except ValueError:
+            j = cells.index(cell)  # an equal cell further left would have failed first
+            raise UnsupportedFormatError(
+                f"{path}:{ln}: column {j + 1} ({names[j]}): {cell!r} is not a number") from None
+    return {n: np.asarray(v, dtype=np.float64) for n, v in zip(names, columns)}
+
+
+def _row_prefix(path, ln, names, cells, width) -> list:
+    """The filled cells of a row that is not a full row of ``width`` cells."""
+    n = len(cells)
+    while n and cells[n - 1] == "":
+        n -= 1
+    if "" in cells[:n]:
+        j = cells.index("")
+        raise UnsupportedFormatError(
+            f"{path}:{ln}: column {j + 1} ({names[j]}) is empty but a column right of it is not")
+    if n > len(names):
+        raise UnsupportedFormatError(f"{path}:{ln}: more cells than header columns")
+    if n > width:
+        raise UnsupportedFormatError(
+            f"{path}:{ln}: column {width + 1} ({names[width]}) has a value after it ended")
+    return cells[:n]
 
 
 def write_labels_csv(path, label_rows) -> None:

@@ -244,11 +244,6 @@ class Model:
                 grads[f"{l.name}.{pname}"] = g
         return grads
 
-    def forward_backward(self, x, grad_score):
-        """One batched pass; returns (score, param grads keyed 'layer.param')."""
-        score, caches = self.forward_cached(x)
-        return score, self.backward(caches, grad_score)
-
     def named_params(self):
         """[(qualified name, value array, velocity array)] in graph order."""
         out = []

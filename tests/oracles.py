@@ -123,3 +123,54 @@ def reference_instance(trial, finger, offset, pca):
         for j in range(projected.shape[1]):
             rows.append(resample_fixed(projected[:, j], RESAMPLE_LEN, offset))
     return np.stack(rows)
+
+
+def masked_sigmoid(z):
+    """Logistic sigmoid by boolean masks: each branch sees only its own side."""
+    out = np.empty_like(z, dtype=np.float64)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def reference_lstm_forward(sequence, params, return_cache=False):
+    """LSTM forward with one masked sigmoid call per gate.
+
+    Same recurrence, cache layout and accumulation order as
+    ``hapticnet.engine.lstm_forward``, which evaluates the three sigmoid
+    gates in one stacked call and must match this bit for bit.
+    """
+    from hapticnet.errors import InvalidInputError, InvalidSpecError
+
+    if sequence.ndim < 2 or sequence.shape[-2] == 0:
+        raise InvalidInputError(f"LSTM needs a non-empty (..., T, D) sequence, got {sequence.shape}")
+    if sequence.shape[-1] != params.input_size:
+        raise InvalidSpecError(
+            f"sequence dim {sequence.shape[-1]} != params input size {params.input_size}"
+        )
+    t_len = sequence.shape[-2]
+    h_size = params.hidden_size
+    lead = sequence.shape[:-2]
+
+    zx = sequence @ params.w_x.T + params.bias  # (..., T, 4H)
+    h = np.zeros(lead + (h_size,))
+    c = np.zeros(lead + (h_size,))
+    steps = []
+    for t in range(t_len):
+        z = zx[..., t, :] + h @ params.w_h.T
+        i = masked_sigmoid(z[..., 0 * h_size:1 * h_size])
+        f = masked_sigmoid(z[..., 1 * h_size:2 * h_size])
+        o = masked_sigmoid(z[..., 2 * h_size:3 * h_size])
+        g = np.tanh(z[..., 3 * h_size:4 * h_size])
+        c_prev = c
+        h_prev = h
+        c = f * c_prev + i * g
+        tc = np.tanh(c)
+        h = o * tc
+        if return_cache:
+            steps.append((i, f, o, g, c_prev, h_prev, tc))
+    if return_cache:
+        return h, (sequence, steps)
+    return h

@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
-from hapticnet.engine import LstmParams, lstm_backward, lstm_forward, sigmoid
+from hapticnet import evaluation, synth
+from hapticnet.engine import LstmParams, logistic_loss, lstm_backward, lstm_forward, sigmoid
 from hapticnet.errors import InvalidInputError
+from hapticnet.haptic import ELECTRODES, EPS, FINGERS, augment, pca_fit, zscore_normalize
+from hapticnet.models import build_haptic_lstm
+from hapticnet.training import TrainSchedule, train
 
-from oracles import max_rel_error, numerical_gradient
+from oracles import masked_sigmoid, max_rel_error, numerical_gradient, reference_lstm_forward
 
 
 def hand_two_step(seq, wx, wh, b):
@@ -110,3 +114,131 @@ class TestLstmBackward:
         assert np.allclose(gwx, swx, rtol=1e-10, atol=1e-12)
         assert np.allclose(gwh, swh, rtol=1e-10, atol=1e-12)
         assert np.allclose(gb, sb, rtol=1e-10, atol=1e-12)
+
+
+def bits(a):
+    """The float64 bit patterns of a, so NaN payloads and signs compare too."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                     5e-324, -5e-324, 1e308, -1e308, 709.8, -709.8, 745.2, -745.2])
+# 100,800 points out to +-800, where exp(|z|) overflows float64
+GRID = np.concatenate([SPECIALS, np.linspace(-800.0, 800.0, 100_786)])
+
+
+class TestSigmoidContract:
+    """sigmoid is bitwise the masked two-branch formula it replaced."""
+
+    def test_bitwise_on_grid_3h_rows(self):
+        z = GRID.reshape(-1, 30)  # (B, 3H) at H = 10
+        assert np.array_equal(bits(sigmoid(z)), bits(masked_sigmoid(z)))
+
+    def test_bitwise_on_gate_slices(self):
+        # the LSTM step passes z[..., :3H], a strided view of (..., 4H)
+        z4 = np.zeros((GRID.size // 30, 40))
+        z4[:, :30] = GRID.reshape(-1, 30)
+        for z in (z4[:, :30], z4[0, :30], z4[-1, :30]):
+            assert np.array_equal(bits(sigmoid(z)), bits(masked_sigmoid(z)))
+
+    def test_bitwise_on_0d_inputs(self):
+        for v in np.concatenate([SPECIALS, GRID[::997]]):
+            z = np.array(v)
+            out = sigmoid(z)
+            assert out.shape == () and out.dtype == np.float64
+            assert bits(out) == bits(masked_sigmoid(z))
+
+    def test_no_overflow_or_invalid_warnings(self):
+        # exp may underflow to 0 far out, which numpy ignores by default
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            sigmoid(GRID)
+
+    def test_float64_result_for_int_and_0d_inputs(self):
+        ints = np.arange(-40, 41)
+        out = sigmoid(ints)
+        assert out.dtype == np.float64
+        assert np.array_equal(bits(out), bits(masked_sigmoid(ints.astype(np.float64))))
+        assert sigmoid(np.array(3)).dtype == np.float64
+        assert sigmoid(np.float64(-2.5)).dtype == np.float64
+        assert sigmoid(np.linspace(-1, 1, 5)).dtype == np.float64
+
+    def test_logistic_loss_gradient_matches_masked_oracle(self):
+        scores = np.concatenate([SPECIALS[np.isfinite(SPECIALS)], np.linspace(-800.0, 800.0, 4001)])
+        for y in (1.0, -1.0):
+            labels = np.full(scores.shape, y)
+            _, grad = logistic_loss(scores, labels)
+            expected = -labels * masked_sigmoid(-(labels * scores))
+            assert np.array_equal(bits(grad), bits(expected))
+            for s in scores[::401]:
+                _, g = logistic_loss(float(s), y)
+                assert bits(g) == bits(-y * masked_sigmoid(np.array(-(y * s))))
+
+
+def _assert_same_forward_and_bptt(seq, params, probe):
+    h, cache = lstm_forward(seq, params, return_cache=True)
+    h_ref, cache_ref = reference_lstm_forward(seq, params, return_cache=True)
+    assert np.array_equal(h, h_ref)
+    assert cache[0] is seq and cache_ref[0] is seq
+    assert len(cache[1]) == len(cache_ref[1]) == seq.shape[-2]
+    for step, step_ref in zip(cache[1], cache_ref[1]):
+        assert len(step) == len(step_ref) == 7
+        for got, want in zip(step, step_ref):
+            assert np.array_equal(got, want)
+    assert np.array_equal(lstm_forward(seq, params), h)
+    for got, want in zip(lstm_backward(params, cache, probe),
+                         lstm_backward(params, cache_ref, probe)):
+        assert np.array_equal(got, want)
+
+
+class TestStackedGatesMatchReference:
+    """One stacked sigmoid per step is bitwise the per-gate recurrence."""
+
+    @pytest.mark.parametrize("shape", [(9, 5), (150, 32), (7, 150, 32), (128, 150, 32)])
+    @pytest.mark.parametrize("scale", [1.0, 191.0])
+    def test_forward_cache_and_gradients(self, shape, scale):
+        rng = np.random.default_rng(shape[-1] * 1000 + len(shape))
+        params = LstmParams.create(shape[-1], 10 if shape[-1] == 32 else 3, seed=len(shape))
+        params.bias[:] = rng.standard_normal(params.bias.shape)
+        seq = scale * rng.standard_normal(shape)
+        probe = rng.standard_normal(shape[:-2] + (params.hidden_size,))
+        _assert_same_forward_and_bptt(seq, params, probe)
+
+    @pytest.mark.parametrize("shape", [(150, 32), (7, 150, 32), (128, 150, 32)])
+    def test_saturating_inputs(self, shape):
+        rng = np.random.default_rng(11)
+        params = LstmParams.create(32, 10, seed=6)
+        seq = 1e6 * np.where(rng.random(shape) < 0.5, -1.0, 1.0)
+        probe = rng.standard_normal(shape[:-2] + (10,))
+        _assert_same_forward_and_bptt(seq, params, probe)
+
+
+def _pinned_lstm_split():
+    """Instances and +-1 labels of a small synth dataset, split by object."""
+    config = synth.separable_config(n_objects=8, n_trials=1, seed=4)
+    ids, z, labels = synth.object_factors(config)
+    trials = [synth.make_trial(config, o, zo, 0) for o, zo in zip(ids, z)]
+    split = evaluation.make_split(ids, {o: lab for o, _, lab in labels},
+                                  evaluation.ADJECTIVES[0], ratio=0.7, seed=4)
+    train_trials = [t for t in trials if t.object_id in split.train_ids]
+    pca = {ep: pca_fit(np.concatenate([
+        np.stack([zscore_normalize(t.signals[(f, ep)][e]) for e in ELECTRODES], axis=1)
+        for t in train_trials for f in FINGERS])) for ep in EPS}
+    truth = {o: lab[evaluation.ADJECTIVES[0]] for o, _, lab in labels}
+    insts = [inst for t in train_trials for inst in augment(t, pca)]
+    x = np.stack([inst.values for inst in insts])
+    y = np.array([1.0 if truth[inst.object_id] else -1.0 for inst in insts])
+    return x, y
+
+
+def test_two_phase_training_is_bitwise_the_reference(monkeypatch):
+    x, y = _pinned_lstm_split()
+    schedule = TrainSchedule(epochs=3, finetune_epochs=2, batch_size=16, seed=4)
+    fast = train(build_haptic_lstm(seed=4), x, y, schedule)
+    monkeypatch.setattr("hapticnet.models.lstm_forward", reference_lstm_forward)
+    ref = train(build_haptic_lstm(seed=4), x, y, schedule)
+    assert len(fast.loss_curve) == 5 and not fast.diverged
+    assert np.array_equal(fast.loss_curve, ref.loss_curve)
+    for (name, value, vel), (_, value_ref, vel_ref) in zip(fast.model.named_params(),
+                                                          ref.model.named_params()):
+        assert np.array_equal(value, value_ref), name
+        assert np.array_equal(vel, vel_ref), name

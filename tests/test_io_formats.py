@@ -1,0 +1,114 @@
+"""Trial text files: round trip, and rejection of cells the reader cannot place."""
+
+import numpy as np
+import pytest
+
+from hapticnet import synth
+from hapticnet.errors import InvalidInputError, UnsupportedFormatError
+from hapticnet.haptic import CHANNELS, EPS
+from hapticnet.io import load_manifest, read_trial_file, validate, write_trial_file
+
+HEADER = ",".join(CHANNELS)
+
+
+def write_rows(path, *rows):
+    path.write_text("\n".join((HEADER,) + rows) + "\n")
+    return path
+
+
+def small_trial():
+    config = synth.separable_config(n_objects=2, n_trials=1, seed=5)
+    ids, z, _ = synth.object_factors(config)
+    return synth.make_trial(config, ids[0], z[0], 0)
+
+
+class TestReadTrialFile:
+    def test_round_trip_at_print_precision(self, tmp_path):
+        chans = small_trial().channels(0, EPS[0])
+        write_trial_file(tmp_path / "t.csv", chans)
+        back = read_trial_file(tmp_path / "t.csv")
+        assert list(back) == list(CHANNELS)
+        for name in CHANNELS:
+            expected = np.array([float("%.8g" % v) for v in chans[name]])
+            assert np.array_equal(back[name], expected), name
+
+    def test_ragged_prefix_rows(self, tmp_path):
+        # columns end from the right; trailing empty cells are ignored
+        path = write_rows(tmp_path / "t.csv", "1.0,2.0,3.0", "4.0,5.0,", "6.0")
+        back = read_trial_file(path)
+        assert back["P_AC"].tolist() == [1.0, 4.0, 6.0]
+        assert back["P_DC"].tolist() == [2.0, 5.0]
+        assert back["T_AC"].tolist() == [3.0]
+        assert back["E_19"].size == 0
+
+    def test_non_numeric_cell_names_line_and_column(self, tmp_path):
+        path = write_rows(tmp_path / "t.csv", "1.0,2.0,3.0", "4.0,5.0,x1")
+        with pytest.raises(UnsupportedFormatError, match=r"t\.csv:3: column 3 \(T_AC\): 'x1'"):
+            read_trial_file(path)
+
+    def test_value_right_of_an_empty_cell_rejected(self, tmp_path):
+        # P_DC would read [2.0] while T_AC read [3.0, 5.0]
+        path = write_rows(tmp_path / "t.csv", "1.0,2.0,3.0", "4.0,,5.0")
+        with pytest.raises(UnsupportedFormatError, match=r"t\.csv:3: column 2 \(P_DC\) is empty"):
+            read_trial_file(path)
+
+    def test_value_below_an_ended_column_rejected(self, tmp_path):
+        path = write_rows(tmp_path / "t.csv", "1.0,2.0,3.0", "4.0", "6.0,7.0")
+        with pytest.raises(UnsupportedFormatError,
+                           match=r"t\.csv:4: column 2 \(P_DC\) has a value after it ended"):
+            read_trial_file(path)
+
+    def test_value_after_a_blank_line_rejected(self, tmp_path):
+        path = write_rows(tmp_path / "t.csv", "1.0,2.0", "", "3.0")
+        with pytest.raises(UnsupportedFormatError,
+                           match=r"t\.csv:4: column 1 \(P_AC\) has a value after it ended"):
+            read_trial_file(path)
+
+    def test_trailing_blank_lines_ignored(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(HEADER + "\n1.0,2.0\n3.0\n\n\n")
+        back = read_trial_file(path)
+        assert back["P_AC"].tolist() == [1.0, 3.0] and back["P_DC"].tolist() == [2.0]
+
+    def test_more_cells_than_header_rejected(self, tmp_path):
+        path = write_rows(tmp_path / "t.csv", ",".join(["1.0"] * (len(CHANNELS) + 1)))
+        with pytest.raises(UnsupportedFormatError, match="more cells than header columns"):
+            read_trial_file(path)
+
+    def test_repeated_header_name_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(HEADER + ",P_AC\n1.0\n")
+        with pytest.raises(UnsupportedFormatError, match="header"):
+            read_trial_file(path)
+
+
+def test_writer_rejects_lengths_rising_along_the_columns(tmp_path):
+    chans = dict(small_trial().channels(0, EPS[0]))
+    chans["P_DC"] = chans["P_DC"][:-1]
+    with pytest.raises(InvalidInputError, match="T_AC"):
+        write_trial_file(tmp_path / "t.csv", chans)
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_validate_reports_unreadable_trial_files(tmp_path):
+    manifest_path = synth.synth_generate(
+        synth.separable_config(n_objects=2, n_trials=1, seed=5), tmp_path)
+    manifest = load_manifest(manifest_path)
+    assert validate(manifest, tmp_path) == []
+
+    bad_cell = tmp_path / manifest.trials[0]["path"]
+    gap = tmp_path / manifest.trials[1]["path"]
+    lines = bad_cell.read_text().split("\n")
+    lines[5] = lines[5].replace(",", ",nan?", 1)
+    bad_cell.write_text("\n".join(lines))
+    lines = gap.read_text().split("\n")
+    cells = lines[7].split(",")
+    cells[2] = ""
+    lines[7] = ",".join(cells)
+    gap.write_text("\n".join(lines))
+
+    findings = validate(manifest, tmp_path)
+    assert [(f.file, f.field) for f in findings] == [
+        (str(bad_cell), "trial-file"), (str(gap), "trial-file")]
+    assert ":6: column 2 (P_DC): 'nan?" in findings[0].message
+    assert ":8: column 3 (T_AC) is empty" in findings[1].message

@@ -97,7 +97,8 @@ class TestHapticCnnGraph:
         model = build_haptic_cnn(seed=2)
         rng = np.random.default_rng(2)
         x = rng.standard_normal((32, 150))
-        _, grads = model.forward_backward(x, 1.0)
+        _, caches = model.forward_cached(x)
+        grads = model.backward(caches, 1.0)
         fc = model.layer("fc")
 
         def loss_b(bv):
