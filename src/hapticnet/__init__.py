@@ -13,3 +13,15 @@ Subpackages/modules:
 """
 
 __version__ = "0.1.0"
+
+__all__ = [
+    "engine",
+    "evaluation",
+    "features",
+    "haptic",
+    "io",
+    "models",
+    "synth",
+    "training",
+    "visual",
+]

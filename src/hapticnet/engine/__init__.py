@@ -5,14 +5,7 @@ is a pure function (except the optimizer step, which mutates its parameter
 in place) so forward passes are reentrant and safe to parallelize.
 """
 
-from .conv import (
-    ConvSpec,
-    LayerParams,
-    conv1d_backward,
-    conv1d_backward_fast,
-    conv1d_forward,
-    conv1d_forward_fast,
-)
+from .conv import ConvSpec, LayerParams, conv1d_backward, conv1d_forward
 from .init import derive_seed, xavier_init
 from .losses import LOSSES, hinge_loss, logistic_loss
 from .lstm import LstmParams, lstm_backward, lstm_forward, sigmoid
@@ -33,9 +26,7 @@ __all__ = [
     "LOSSES",
     "avg_pool",
     "conv1d_backward",
-    "conv1d_backward_fast",
     "conv1d_forward",
-    "conv1d_forward_fast",
     "derive_seed",
     "hinge_loss",
     "inner_product",

@@ -1,4 +1,8 @@
-"""Grouped 1-D convolution (cross-correlation) with exact analytic gradients."""
+"""Grouped 1-D convolution (cross-correlation) with exact analytic gradients.
+
+One kernel serves single instances and batches: im2col windows, then one
+GEMM per (instance, group).
+"""
 
 from dataclasses import dataclass, field
 
@@ -89,95 +93,12 @@ class LayerParams:
         return cls(weights=w, bias=np.zeros(out_dim))
 
 
-def _out_channel_input_rows(spec: ConvSpec) -> np.ndarray:
-    """(C_out, in_per_group) map: input-channel row read by each output channel."""
-    group_of = np.arange(spec.out_channels) // spec.out_per_group
-    return group_of[:, None] * spec.in_per_group + np.arange(spec.in_per_group)[None, :]
-
-
-def conv1d_forward(x: np.ndarray, spec: ConvSpec, params: LayerParams) -> np.ndarray:
-    """Grouped cross-correlation over the last axis.
-
-    ``x`` is (..., C_in, T); output is (..., C_out, T_out) with
-    T_out = floor((T + 2*pad - K)/stride) + 1.  No kernel flip.  Output
-    channels in group g read only input channels of group g.
-
-    Accumulation order is fixed (bias first, then in-channel-major /
-    kernel-minor) so the result is bitwise-equal to a naive nested loop.
-    """
-    if x.shape[-2] != spec.in_channels:
-        raise InvalidSpecError(
-            f"input has {x.shape[-2]} channels, spec expects {spec.in_channels}"
-        )
-    if params.weights.shape != spec.weight_shape():
-        raise InvalidSpecError(
-            f"weights {params.weights.shape} do not match spec {spec.weight_shape()}"
-        )
-    if params.bias.shape != (spec.out_channels,):
-        raise InvalidSpecError(f"bias shape {params.bias.shape} != ({spec.out_channels},)")
-    t = x.shape[-1]
-    t_out = spec.out_len(t)
-    k = spec.kernel_len
-
-    pad_width = [(0, 0)] * (x.ndim - 1) + [(spec.pad, spec.pad)]
-    xp = np.pad(x, pad_width) if spec.pad else x
-
-    rows = _out_channel_input_rows(spec)
-    y = np.broadcast_to(
-        params.bias[:, None], x.shape[:-2] + (spec.out_channels, t_out)
-    ).copy()
-    for c in range(spec.in_per_group):
-        gathered = np.take(xp, rows[:, c], axis=-2)  # (..., C_out, T+2p)
-        for j in range(k):
-            stop = j + spec.stride * (t_out - 1) + 1
-            y += params.weights[:, c, j][:, None] * gathered[..., j:stop:spec.stride]
-    return y
-
-
-def conv1d_backward(x, spec: ConvSpec, params: LayerParams, grad_out):
-    """Analytic gradients of conv1d_forward.
-
-    Returns (grad_input, grad_weights, grad_bias).  Leading batch axes of
-    ``x``/``grad_out`` are summed into the parameter gradients.
-    """
-    t = x.shape[-1]
-    t_out = spec.out_len(t)
-    if grad_out.shape != x.shape[:-2] + (spec.out_channels, t_out):
-        raise InvalidSpecError(
-            f"grad_out shape {grad_out.shape} does not match forward output"
-        )
-    k = spec.kernel_len
-    batch_axes = tuple(range(x.ndim - 2))
-
-    pad_width = [(0, 0)] * (x.ndim - 1) + [(spec.pad, spec.pad)]
-    xp = np.pad(x, pad_width) if spec.pad else x
-    rows = _out_channel_input_rows(spec)
-
-    grad_b = grad_out.sum(axis=batch_axes + (-1,))
-    grad_w = np.zeros_like(params.weights)
-    grad_xp = np.zeros_like(xp)
-
-    # grad_out grouped as (..., G, out_per_group, T_out) for the input scatter
-    go_grouped = grad_out.reshape(
-        grad_out.shape[:-2] + (spec.groups, spec.out_per_group, t_out)
-    )
-    in_rows_of_group = np.arange(spec.groups) * spec.in_per_group
-    for c in range(spec.in_per_group):
-        gathered = np.take(xp, rows[:, c], axis=-2)
-        w_c = params.weights[:, c, :].reshape(spec.groups, spec.out_per_group, k)
-        for j in range(k):
-            stop = j + spec.stride * (t_out - 1) + 1
-            seg = gathered[..., j:stop:spec.stride]
-            grad_w[:, c, j] = (grad_out * seg).sum(axis=batch_axes + (-1,))
-            contrib = (go_grouped * w_c[:, :, j][..., None]).sum(axis=-2)
-            grad_xp[..., in_rows_of_group + c, j:stop:spec.stride] += contrib
-
-    grad_x = grad_xp[..., spec.pad:spec.pad + t] if spec.pad else grad_xp
-    return grad_x, grad_w, grad_b
-
-
 def _im2col(x, spec: ConvSpec):
     """Window tensor (B, G, ipg*K, T_out) built from K contiguous slice copies."""
+    if x.ndim not in (2, 3):
+        raise InvalidInputError(
+            f"conv input must be (C, T) or (B, C, T), got shape {x.shape}"
+        )
     if x.shape[-2] != spec.in_channels:
         raise InvalidSpecError(
             f"input has {x.shape[-2]} channels, spec expects {spec.in_channels}"
@@ -198,13 +119,15 @@ def _im2col(x, spec: ConvSpec):
     return cols, (b, t, t_out, squeeze)
 
 
-def conv1d_forward_fast(x, spec: ConvSpec, params: LayerParams):
-    """BLAS-backed forward, same map as conv1d_forward.
+def conv1d_forward(x, spec: ConvSpec, params: LayerParams):
+    """Grouped cross-correlation over the last axis, one GEMM per (instance, group).
 
-    Accumulation order differs from the reference kernel (so results agree
-    only to rounding); used for batched training where the nested-order
-    kernel is too slow.  Returns (output, cache) so backward can reuse the
-    window tensor.
+    ``x`` is (C_in, T) or (B, C_in, T); the output is (C_out, T_out) or
+    (B, C_out, T_out) with T_out = floor((T + 2*pad - K)/stride) + 1.  No
+    kernel flip.  Output channels in group g read only input channels of
+    group g.  Each instance's windows go through their own GEMMs, so an
+    instance's output is bitwise the same alone as in any batch.  Returns
+    (output, cache); the cache keeps the window tensor for conv1d_backward.
     """
     if params.weights.shape != spec.weight_shape():
         raise InvalidSpecError(
@@ -220,9 +143,18 @@ def conv1d_forward_fast(x, spec: ConvSpec, params: LayerParams):
     return (y[0] if squeeze else y), (cols, dims)
 
 
-def conv1d_backward_fast(spec: ConvSpec, params: LayerParams, cache, grad_out):
-    """Gradients matching conv1d_forward_fast's forward map."""
+def conv1d_backward(spec: ConvSpec, params: LayerParams, cache, grad_out):
+    """Analytic gradients of conv1d_forward from its cache.
+
+    Returns (grad_input, grad_weights, grad_bias); the batch axis of
+    ``grad_out`` is summed into the parameter gradients.
+    """
     cols, (b, t, t_out, squeeze) = cache
+    out_shape = (spec.out_channels, t_out) if squeeze else (b, spec.out_channels, t_out)
+    if grad_out.shape != out_shape:
+        raise InvalidSpecError(
+            f"grad_out shape {grad_out.shape} does not match forward output {out_shape}"
+        )
     go = grad_out[None] if squeeze else grad_out
     grad_b = go.sum(axis=(0, -1))
     go_g = go.reshape(b, spec.groups, spec.out_per_group, t_out)

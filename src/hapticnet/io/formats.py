@@ -1,6 +1,6 @@
 """On-disk formats: tensor containers, checkpoints, feature maps, trial files.
 
-Storage is 32-bit (checkpoints, features, instance stores) while all
+Storage is 32-bit (checkpoints, visual feature maps) while all
 training math stays 64-bit.  Every binary format is versioned and
 little-endian; readers verify magic, version, and exact payload length and
 reject anything else instead of guessing.  Writers are deterministic:
@@ -18,8 +18,6 @@ from ..haptic import CHANNELS, PAC_RATE, BASE_RATE
 
 CONTAINER_VERSION = 1
 CHECKPOINT_MAGIC = b"HCKP"
-FEATURES_MAGIC = b"HFEA"
-INSTANCES_MAGIC = b"HINS"
 FEATUREMAP_MAGIC = b"HVFM"
 
 _HEAD = struct.Struct("<4sIQ")  # magic, version, header length
@@ -60,21 +58,42 @@ def read_container(path, magic: bytes):
         raise UnsupportedFormatError(f"{path}: truncated header")
     try:
         header = json.loads(raw[start:start + header_len])
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise UnsupportedFormatError(f"{path}: bad header JSON: {e}") from None
+    entries, meta = _container_header(path, header)
     offset = start + header_len
     tensors = {}
-    for entry in header["tensors"]:
-        shape = tuple(int(s) for s in entry["shape"])
-        nbytes = int(np.prod(shape)) * 4 if shape else 4
+    for name, shape in entries:
+        nbytes = int(np.prod(shape)) * 4
         chunk = raw[offset:offset + nbytes]
         if len(chunk) != nbytes:
-            raise UnsupportedFormatError(f"{path}: truncated tensor {entry['name']!r}")
-        tensors[entry["name"]] = np.frombuffer(chunk, dtype="<f4").reshape(shape).astype(np.float64)
+            raise UnsupportedFormatError(f"{path}: truncated tensor {name!r}")
+        tensors[name] = np.frombuffer(chunk, dtype="<f4").reshape(shape).astype(np.float64)
         offset += nbytes
     if offset != len(raw):
         raise UnsupportedFormatError(f"{path}: {len(raw) - offset} trailing bytes")
-    return tensors, header["meta"]
+    return tensors, meta
+
+
+def _container_header(path, header):
+    """[(name, shape)] and meta of a parsed container header, checked."""
+    if not isinstance(header, dict):
+        raise UnsupportedFormatError(
+            f"{path}: header is a JSON {type(header).__name__}, not an object")
+    for key, kind in (("tensors", list), ("meta", dict)):
+        if not isinstance(header.get(key), kind):
+            raise UnsupportedFormatError(
+                f"{path}: header field {key!r} is missing or not a {kind.__name__}")
+    entries = []
+    for i, entry in enumerate(header["tensors"]):
+        name = entry.get("name") if isinstance(entry, dict) else None
+        if not isinstance(name, str):
+            raise UnsupportedFormatError(f"{path}: tensor entry {i} has no name")
+        shape = entry.get("shape")
+        if not (isinstance(shape, list) and all(type(s) is int and s >= 0 for s in shape)):
+            raise UnsupportedFormatError(f"{path}: tensor {name!r} has no valid shape: {shape!r}")
+        entries.append((name, tuple(shape)))
+    return entries, header["meta"]
 
 
 @dataclass
@@ -102,6 +121,8 @@ def save_checkpoint(path, checkpoint: Checkpoint) -> None:
 
 def load_checkpoint(path) -> Checkpoint:
     tensors, meta = read_container(path, CHECKPOINT_MAGIC)
+    if "graph" not in meta:
+        raise UnsupportedFormatError(f"{path}: checkpoint meta has no 'graph'")
     graph = meta.pop("graph")
     return Checkpoint(graph=graph, tensors=tensors, meta=meta)
 
@@ -114,13 +135,13 @@ def model_from_checkpoint(checkpoint: Checkpoint):
     for name, value, vel in model.named_params():
         if name not in checkpoint.tensors:
             raise UnsupportedFormatError(f"checkpoint missing tensor {name!r}")
-        stored = checkpoint.tensors[name]
-        if stored.shape != value.shape:
-            raise UnsupportedFormatError(
-                f"tensor {name!r} has shape {stored.shape}, model expects {value.shape}"
-            )
-        value[:] = stored
-        vel[:] = checkpoint.tensors.get(name + ".vel", 0.0)
+        for key, target in ((name, value), (name + ".vel", vel)):
+            stored = checkpoint.tensors.get(key)
+            if stored is not None and stored.shape != target.shape:
+                raise UnsupportedFormatError(
+                    f"tensor {key!r} has shape {stored.shape}, model expects {target.shape}"
+                )
+            target[:] = 0.0 if stored is None else stored
     return model
 
 

@@ -13,9 +13,7 @@ from .engine import (
     LayerParams,
     LstmParams,
     conv1d_backward,
-    conv1d_backward_fast,
     conv1d_forward,
-    conv1d_forward_fast,
     derive_seed,
     inner_product,
     inner_product_backward,
@@ -29,6 +27,12 @@ from .haptic import INSTANCE_CHANNELS, RESAMPLE_LEN
 
 
 class Conv1dLayer:
+    """Grouped temporal convolution with an optional ReLU.
+
+    A (C, T) instance and a (B, C, T) batch run the same kernel, so an
+    instance's output does not depend on the batch it is scored in.
+    """
+
     kind = "conv1d"
 
     def __init__(self, name, spec: ConvSpec, seed, activation="relu"):
@@ -38,26 +42,15 @@ class Conv1dLayer:
         self.params = LayerParams.for_conv(spec, seed)
 
     def forward(self, x):
-        # single instances run the reference (bitwise-contract) kernel;
-        # batches take the matmul path, caching the window matrix
-        if x.ndim == 2:
-            pre = conv1d_forward(x, self.spec, self.params)
-            cache = ("ref", x, pre)
-        else:
-            pre, cols = conv1d_forward_fast(x, self.spec, self.params)
-            cache = ("fast", cols, pre)
-        if self.activation == "relu":
-            return relu(pre), cache
-        return pre, cache
+        pre, conv_cache = conv1d_forward(x, self.spec, self.params)
+        out = relu(pre) if self.activation == "relu" else pre
+        return out, (conv_cache, pre)
 
     def backward(self, cache, grad_out):
-        kind, stored, pre = cache
+        conv_cache, pre = cache
         if self.activation == "relu":
             grad_out = relu_backward(pre, grad_out)
-        if kind == "ref":
-            grad_x, gw, gb = conv1d_backward(stored, self.spec, self.params, grad_out)
-        else:
-            grad_x, gw, gb = conv1d_backward_fast(self.spec, self.params, stored, grad_out)
+        grad_x, gw, gb = conv1d_backward(self.spec, self.params, conv_cache, grad_out)
         return grad_x, {"weights": gw, "bias": gb}
 
     def param_items(self):
@@ -188,14 +181,13 @@ class TimeMajorLayer:
 class Model:
     """Ordered layer list with a scalar score output.
 
-    ``tap_aliases`` lets callers tap a convolution by its familiar name while
-    receiving the post-activation output (taps resolve to layer outputs).
+    A tap names a layer; tapping returns that layer's output, after its
+    activation.
     """
 
-    def __init__(self, layers, input_shape, tap_aliases=None, kind="model"):
+    def __init__(self, layers, input_shape, kind="model"):
         self.layers = list(layers)
         self.input_shape = tuple(input_shape)
-        self.tap_aliases = dict(tap_aliases or {})
         self.kind = kind
         names = [l.name for l in self.layers]
         if len(set(names)) != len(names):
@@ -208,9 +200,8 @@ class Model:
         raise InvalidSpecError(f"no layer named {name!r} in {self.kind}")
 
     def resolve_tap(self, tap):
-        name = self.tap_aliases.get(tap, tap)
-        self.layer(name)
-        return name
+        self.layer(tap)
+        return tap
 
     def forward(self, x, tap=None):
         """Score of shape lead-dims (last axis squeezed); optionally also the
@@ -266,7 +257,6 @@ class Model:
         return {
             "kind": self.kind,
             "input_shape": list(self.input_shape),
-            "tap_aliases": self.tap_aliases,
             "layers": [l.describe() for l in self.layers],
         }
 
@@ -299,8 +289,7 @@ def build_haptic_cnn(seed=0) -> Model:
     layers.append(FlattenLayer("flatten", in_shape=(HAPTIC_CONV_SPECS[-1].out_channels, t_out)))
     layers.append(DenseLayer("fc", flat, 1, derive_seed(seed, "fc.weights")))
     # tapping "conv3" yields the rectified conv3 output
-    return Model(layers, input_shape=(INSTANCE_CHANNELS, RESAMPLE_LEN),
-                 tap_aliases={}, kind="haptic_cnn")
+    return Model(layers, input_shape=(INSTANCE_CHANNELS, RESAMPLE_LEN), kind="haptic_cnn")
 
 
 def build_haptic_lstm(seed=0) -> Model:
@@ -336,11 +325,25 @@ def model_from_description(desc: dict) -> Model:
     """Rebuild a Model skeleton from Model.describe() output.
 
     Parameters are initialized with seed 0 placeholders and must be loaded
-    from checkpoint tensors afterwards.
+    from checkpoint tensors afterwards.  Keys the graph does not use, such as
+    the empty tap alias map that older descriptions carry, are ignored.
     """
-    try:
-        layers = [_LAYER_BUILDERS[d["kind"]](d) for d in desc["layers"]]
-    except KeyError as e:
-        raise InvalidSpecError(f"unknown layer kind in graph description: {e}") from None
-    return Model(layers, input_shape=desc["input_shape"],
-                 tap_aliases=desc.get("tap_aliases") or {}, kind=desc.get("kind", "model"))
+    if not isinstance(desc, dict):
+        raise InvalidSpecError(f"graph description is a {type(desc).__name__}, not an object")
+    for key in ("layers", "input_shape"):
+        if key not in desc:
+            raise InvalidSpecError(f"graph description lacks field {key!r}")
+    layers = []
+    for i, d in enumerate(desc["layers"]):
+        kind = d.get("kind") if isinstance(d, dict) else None
+        if kind not in _LAYER_BUILDERS:
+            raise InvalidSpecError(f"graph layer {i}: unknown layer kind {kind!r}")
+        try:
+            layers.append(_LAYER_BUILDERS[kind](d))
+        except KeyError as e:
+            raise InvalidSpecError(
+                f"graph layer {i} ({kind} {d.get('name')!r}) lacks field {e}") from None
+        except TypeError as e:  # a field of the wrong type, or one the layer does not take
+            raise InvalidSpecError(
+                f"graph layer {i} ({kind} {d.get('name')!r}) has a bad field: {e}") from None
+    return Model(layers, input_shape=desc["input_shape"], kind=desc.get("kind", "model"))

@@ -10,8 +10,8 @@ import numpy as np
 def naive_conv1d(x, spec, weights, bias):
     """Five-nested-loop grouped cross-correlation, (C_in, T) -> (C_out, T_out).
 
-    Accumulates bias first, then in-channel-major / kernel-minor, matching
-    the documented accumulation order of the fast path bit for bit.
+    Accumulates bias first, then in-channel-major / kernel-minor.  The
+    im2col kernel sums in another order, so the two agree to rounding.
     """
     c_in, t = x.shape
     ipg = spec.in_channels // spec.groups
@@ -30,6 +30,36 @@ def naive_conv1d(x, spec, weights, bias):
                         acc += weights[o, c, k] * xp[g * ipg + c, ti * spec.stride + k]
                 y[o, ti] = acc
     return y
+
+
+def naive_conv1d_backward(x, spec, weights, grad_out):
+    """Gradients of naive_conv1d by the same nested loops, for a (C_in, T) input.
+
+    Each output element's gradient is scattered to the bias, to the weights
+    and to the input positions it read.  Returns (grad_x, grad_weights,
+    grad_bias).
+    """
+    c_in, t = x.shape
+    ipg = spec.in_channels // spec.groups
+    opg = spec.out_channels // spec.groups
+    t_out = (t + 2 * spec.pad - spec.kernel_len) // spec.stride + 1
+    xp = np.zeros((c_in, t + 2 * spec.pad))
+    xp[:, spec.pad:spec.pad + t] = x
+    grad_xp = np.zeros_like(xp)
+    grad_w = np.zeros(np.shape(weights))
+    grad_b = np.zeros(spec.out_channels)
+    for g in range(spec.groups):
+        for oo in range(opg):
+            o = g * opg + oo
+            for ti in range(t_out):
+                go = grad_out[o, ti]
+                grad_b[o] += go
+                for c in range(ipg):
+                    for k in range(spec.kernel_len):
+                        pos = ti * spec.stride + k
+                        grad_w[o, c, k] += go * xp[g * ipg + c, pos]
+                        grad_xp[g * ipg + c, pos] += go * weights[o, c, k]
+    return grad_xp[:, spec.pad:spec.pad + t], grad_w, grad_b
 
 
 def numerical_gradient(f, x, step=1e-5):

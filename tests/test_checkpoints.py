@@ -1,0 +1,200 @@
+"""Tensor containers and checkpoints: byte round trips and strict readers."""
+
+import json
+import struct
+
+import numpy as np
+import pytest
+
+from hapticnet.errors import InvalidSpecError, UnsupportedFormatError
+from hapticnet.io import (
+    CHECKPOINT_MAGIC,
+    Checkpoint,
+    checkpoint_from_model,
+    load_checkpoint,
+    model_from_checkpoint,
+    read_container,
+    save_checkpoint,
+    write_container,
+)
+from hapticnet.models import (
+    build_haptic_cnn,
+    build_haptic_lstm,
+    build_linear_classifier,
+    model_from_description,
+)
+
+BUILDERS = {
+    "haptic_cnn": lambda: build_haptic_cnn(seed=3),
+    "haptic_lstm": lambda: build_haptic_lstm(seed=3),
+    "fusion": lambda: build_linear_classifier(20, seed=3),
+}
+
+
+def trained_looking(kind):
+    """A model with random weights and non-zero momentum buffers."""
+    model = BUILDERS[kind]()
+    rng = np.random.default_rng(11)
+    for _, value, vel in model.named_params():
+        value[:] = rng.standard_normal(value.shape)
+        vel[:] = rng.standard_normal(vel.shape)
+    return model
+
+
+def round_params_to_float32(model):
+    for _, value, vel in model.named_params():
+        value[:] = value.astype(np.float32)
+        vel[:] = vel.astype(np.float32)
+
+
+def container_bytes(blob):
+    """A version-1 checkpoint container with header bytes ``blob`` and no tensor bytes."""
+    return struct.pack("<4sIQ", CHECKPOINT_MAGIC, 1, len(blob)) + blob
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDERS))
+class TestCheckpointRoundTrip:
+    def test_save_load_save_is_byte_identical(self, kind, tmp_path):
+        model = trained_looking(kind)
+        save_checkpoint(tmp_path / "a.ckpt", checkpoint_from_model(model, {"epochs": 4}))
+        loaded_ckpt = load_checkpoint(tmp_path / "a.ckpt")
+        assert loaded_ckpt.meta == {"epochs": 4}
+        loaded = model_from_checkpoint(loaded_ckpt)
+        save_checkpoint(tmp_path / "b.ckpt", checkpoint_from_model(loaded, loaded_ckpt.meta))
+        assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+    def test_loaded_model_scores_like_the_float32_original(self, kind, tmp_path):
+        model = trained_looking(kind)
+        save_checkpoint(tmp_path / "m.ckpt", checkpoint_from_model(model, {}))
+        loaded = model_from_checkpoint(load_checkpoint(tmp_path / "m.ckpt"))
+        round_params_to_float32(model)
+        for (n1, v1, m1), (n2, v2, m2) in zip(model.named_params(), loaded.named_params()):
+            assert n1 == n2
+            assert np.array_equal(v1, v2) and np.array_equal(m1, m2)
+        xs = np.random.default_rng(12).standard_normal((5,) + model.input_shape)
+        assert np.array_equal(loaded.forward(xs[0]), model.forward(xs[0]))
+        assert np.array_equal(loaded.forward(xs), model.forward(xs))
+
+    def test_graph_with_empty_tap_aliases_still_loads(self, kind, tmp_path):
+        # checkpoints written before tap aliases were removed carry an empty map
+        model = trained_looking(kind)
+        ckpt = checkpoint_from_model(model, {})
+        graph = dict(ckpt.graph, tap_aliases={})
+        save_checkpoint(tmp_path / "old.ckpt", Checkpoint(graph, ckpt.tensors, {}))
+        loaded = model_from_checkpoint(load_checkpoint(tmp_path / "old.ckpt"))
+        round_params_to_float32(model)
+        x = np.random.default_rng(13).standard_normal((3,) + model.input_shape)
+        assert np.array_equal(loaded.forward(x), model.forward(x))
+        assert loaded.describe() == model.describe()
+
+
+class TestContainerReader:
+    def write_valid(self, path):
+        tensors = {"w": np.arange(6.0).reshape(2, 3), "b": np.ones(2)}
+        write_container(path, CHECKPOINT_MAGIC, tensors, {"note": "x"})
+        return path.read_bytes()
+
+    def test_valid_container_reads_back(self, tmp_path):
+        self.write_valid(tmp_path / "c.bin")
+        tensors, meta = read_container(tmp_path / "c.bin", CHECKPOINT_MAGIC)
+        assert meta == {"note": "x"}
+        assert np.array_equal(tensors["w"], np.arange(6.0).reshape(2, 3))
+
+    @pytest.mark.parametrize("keep", [10, 30, -8, -1])  # in the head, header, tensors
+    def test_truncation_rejected(self, tmp_path, keep):
+        raw = self.write_valid(tmp_path / "c.bin")
+        (tmp_path / "c.bin").write_bytes(raw[:keep])
+        with pytest.raises(UnsupportedFormatError, match="truncated|shorter"):
+            read_container(tmp_path / "c.bin", CHECKPOINT_MAGIC)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        raw = self.write_valid(tmp_path / "c.bin")
+        (tmp_path / "c.bin").write_bytes(raw + b"\0")
+        with pytest.raises(UnsupportedFormatError, match="1 trailing bytes"):
+            read_container(tmp_path / "c.bin", CHECKPOINT_MAGIC)
+
+    def test_bad_magic_rejected(self, tmp_path):
+        raw = self.write_valid(tmp_path / "c.bin")
+        (tmp_path / "c.bin").write_bytes(b"HXXX" + raw[4:])
+        with pytest.raises(UnsupportedFormatError, match="magic"):
+            read_container(tmp_path / "c.bin", CHECKPOINT_MAGIC)
+
+    def test_bad_version_rejected(self, tmp_path):
+        raw = self.write_valid(tmp_path / "c.bin")
+        (tmp_path / "c.bin").write_bytes(raw[:4] + struct.pack("<I", 2) + raw[8:])
+        with pytest.raises(UnsupportedFormatError, match="version 2"):
+            read_container(tmp_path / "c.bin", CHECKPOINT_MAGIC)
+
+    @pytest.mark.parametrize("header, message", [
+        ({"meta": {}}, "'tensors'"),
+        ({"tensors": []}, "'meta'"),
+        ([1, 2], "header is a JSON list"),
+        ({"meta": {}, "tensors": [{"name": "w"}]}, "tensor 'w' has no valid shape"),
+        ({"meta": {}, "tensors": [{"name": "w", "shape": [2, -1]}]}, "tensor 'w' has no valid shape"),
+        ({"meta": {}, "tensors": [{"shape": [2]}]}, "tensor entry 0 has no name"),
+    ])
+    def test_malformed_header_rejected(self, tmp_path, header, message):
+        path = tmp_path / "c.bin"
+        path.write_bytes(container_bytes(json.dumps(header).encode()))
+        with pytest.raises(UnsupportedFormatError, match=message) as err:
+            read_container(path, CHECKPOINT_MAGIC)
+        assert str(path) in str(err.value)
+
+
+    def test_header_that_is_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "c.bin"
+        path.write_bytes(container_bytes(b'{"a\xff": 1}'))
+        with pytest.raises(UnsupportedFormatError, match="bad header JSON"):
+            read_container(path, CHECKPOINT_MAGIC)
+
+
+class TestCheckpointReader:
+    def test_meta_without_graph_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        write_container(path, CHECKPOINT_MAGIC, {"fc.weights": np.zeros((1, 4))}, {})
+        with pytest.raises(UnsupportedFormatError, match="'graph'") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+    def test_velocity_of_wrong_shape_rejected(self):
+        ckpt = checkpoint_from_model(build_linear_classifier(4), {})
+        ckpt.tensors["fc.weights.vel"] = np.zeros((1, 5))
+        with pytest.raises(UnsupportedFormatError, match="'fc.weights.vel' has shape"):
+            model_from_checkpoint(ckpt)
+
+    def test_missing_velocity_starts_at_zero(self):
+        model = trained_looking("fusion")
+        ckpt = checkpoint_from_model(model, {})
+        del ckpt.tensors["fc.bias.vel"]
+        loaded = model_from_checkpoint(ckpt)
+        assert not loaded.layer("fc").params.b_vel.any()
+        assert loaded.layer("fc").params.w_vel.any()
+
+    def test_missing_layer_field_named(self):
+        desc = build_linear_classifier(4).describe()
+        del desc["layers"][0]["in_dim"]
+        with pytest.raises(InvalidSpecError, match="graph layer 0 .*'fc'.* lacks field 'in_dim'"):
+            model_from_description(desc)
+
+    @pytest.mark.parametrize("build, field, value", [
+        (lambda: build_linear_classifier(4), "in_dim", "4"),
+        (build_haptic_cnn, "spec",
+         {"in_channels": 32, "out_channels": 64, "kernel_len": 7, "dilation": 2}),
+    ])
+    def test_bad_layer_field_named(self, build, field, value):
+        desc = build().describe()
+        desc["layers"][0][field] = value
+        with pytest.raises(InvalidSpecError, match="graph layer 0 .* has a bad field"):
+            model_from_description(desc)
+
+    def test_unknown_layer_kind_named(self):
+        desc = build_linear_classifier(4).describe()
+        desc["layers"][0]["kind"] = "attention"
+        with pytest.raises(InvalidSpecError, match="unknown layer kind 'attention'"):
+            model_from_description(desc)
+
+    def test_missing_graph_field_named(self):
+        desc = build_linear_classifier(4).describe()
+        del desc["input_shape"]
+        with pytest.raises(InvalidSpecError, match="'input_shape'"):
+            model_from_description(desc)

@@ -1,25 +1,30 @@
-"""Grouped conv1d: forward examples, naive-loop oracle, gradients."""
+"""Grouped conv1d: forward examples, naive-loop oracles, gradients, batch invariance."""
 
 import numpy as np
 import pytest
 
-from hapticnet.engine import (
-    ConvSpec,
-    LayerParams,
-    conv1d_backward,
-    conv1d_backward_fast,
-    conv1d_forward,
-    conv1d_forward_fast,
-)
+from hapticnet.engine import ConvSpec, LayerParams, conv1d_backward, conv1d_forward
 from hapticnet.errors import InvalidInputError, InvalidSpecError
+from hapticnet.haptic import RESAMPLE_LEN
+from hapticnet.models import HAPTIC_CONV_SPECS
 
-from oracles import max_rel_error, naive_conv1d, numerical_gradient
+from oracles import max_rel_error, naive_conv1d, naive_conv1d_backward, numerical_gradient
 
 
 def make_params(spec, rng):
     w = rng.standard_normal(spec.weight_shape())
     b = rng.standard_normal(spec.out_channels)
     return LayerParams(weights=w, bias=b)
+
+
+def forward(x, spec, params):
+    return conv1d_forward(x, spec, params)[0]
+
+
+def backward(x, spec, params, grad_out):
+    """Gradients at ``x``: a forward pass for the cache, then conv1d_backward."""
+    _, cache = conv1d_forward(x, spec, params)
+    return conv1d_backward(spec, params, cache, grad_out)
 
 
 class TestConvSpec:
@@ -42,7 +47,7 @@ class TestConvForward:
     def test_identity_kernel(self):
         spec = ConvSpec(1, 1, 1)
         params = LayerParams(weights=np.ones((1, 1, 1)), bias=np.zeros(1))
-        out = conv1d_forward(np.array([[1.0, 2.0, 3.0]]), spec, params)
+        out = forward(np.array([[1.0, 2.0, 3.0]]), spec, params)
         assert np.array_equal(out, [[1.0, 2.0, 3.0]])
 
     def test_difference_kernel(self):
@@ -50,7 +55,7 @@ class TestConvForward:
         spec = ConvSpec(1, 1, 2)
         params = LayerParams(weights=np.array([[[1.0, -1.0]]]), bias=np.zeros(1))
         x = np.array([[1.0, 2.0, 3.0, 4.0]])
-        out = conv1d_forward(x, spec, params)
+        out = forward(x, spec, params)
         assert np.array_equal(out, [[-1.0, -1.0, -1.0]])
         assert np.array_equal(out, naive_conv1d(x, spec, params.weights, params.bias))
 
@@ -67,13 +72,13 @@ class TestConvForward:
             fw[o, 2 * g:2 * g + 2, :] = gp.weights[o]
         fp = LayerParams(weights=fw, bias=gp.bias.copy())
         assert np.allclose(
-            conv1d_forward(x, grouped, gp),
-            conv1d_forward(x, full, fp),
+            forward(x, grouped, gp),
+            forward(x, full, fp),
             rtol=0, atol=1e-12,
         )
 
     @pytest.mark.parametrize("seed", range(12))
-    def test_bitwise_equal_to_naive_loop(self, seed):
+    def test_random_specs_agree_with_naive_loop(self, seed):
         rng = np.random.default_rng(seed)
         c_in = rng.choice([2, 4, 8])
         groups = rng.choice([1, 2, c_in])
@@ -85,37 +90,37 @@ class TestConvForward:
         spec = ConvSpec(int(c_in), int(c_out), k, stride=stride, pad=pad, groups=int(groups))
         params = make_params(spec, rng)
         x = rng.standard_normal((int(c_in), t))
-        fast = conv1d_forward(x, spec, params)
-        slow = naive_conv1d(x, spec, params.weights, params.bias)
-        assert fast.shape == slow.shape
-        assert np.array_equal(fast, slow)
+        out = forward(x, spec, params)
+        ref = naive_conv1d(x, spec, params.weights, params.bias)
+        assert out.shape == ref.shape
+        assert np.allclose(out, ref, rtol=1e-12, atol=1e-12)
 
     def test_output_length_formula(self):
         spec = ConvSpec(1, 1, 3, stride=2, pad=1)
         x = np.zeros((1, 10))
         params = LayerParams(weights=np.zeros((1, 1, 3)), bias=np.zeros(1))
-        assert conv1d_forward(x, spec, params).shape == (1, (10 + 2 - 3) // 2 + 1)
+        assert forward(x, spec, params).shape == (1, (10 + 2 - 3) // 2 + 1)
 
     def test_rejects_wrong_channel_count(self):
         spec = ConvSpec(2, 2, 3)
         params = make_params(spec, np.random.default_rng(0))
         with pytest.raises(InvalidSpecError):
-            conv1d_forward(np.zeros((3, 8)), spec, params)
+            forward(np.zeros((3, 8)), spec, params)
 
     def test_rejects_too_short_input(self):
         spec = ConvSpec(1, 1, 5)
         params = make_params(spec, np.random.default_rng(0))
         with pytest.raises(InvalidInputError):
-            conv1d_forward(np.zeros((1, 3)), spec, params)
+            forward(np.zeros((1, 3)), spec, params)
 
     def test_batched_matches_per_instance(self):
         rng = np.random.default_rng(3)
         spec = ConvSpec(4, 6, 3, stride=2, pad=1, groups=2)
         params = make_params(spec, rng)
         xs = rng.standard_normal((5, 4, 20))
-        batched = conv1d_forward(xs, spec, params)
+        batched = forward(xs, spec, params)
         for i in range(5):
-            assert np.array_equal(batched[i], conv1d_forward(xs[i], spec, params))
+            assert np.array_equal(batched[i], forward(xs[i], spec, params))
 
 
 class TestConvBackward:
@@ -124,21 +129,21 @@ class TestConvBackward:
         spec = ConvSpec(2, 4, 3, groups=2)
         params = make_params(spec, rng)
         x = rng.standard_normal((2, 9))
-        gx, gw, gb = conv1d_backward(x, spec, params, np.zeros((4, 7)))
+        gx, gw, gb = backward(x, spec, params, np.zeros((4, 7)))
         assert not gx.any() and not gw.any() and not gb.any()
 
     def test_identity_kernel_passes_gradient_through(self):
         spec = ConvSpec(1, 1, 1)
         params = LayerParams(weights=np.ones((1, 1, 1)), bias=np.zeros(1))
         g = np.random.default_rng(2).standard_normal((1, 6))
-        gx, _, _ = conv1d_backward(np.zeros((1, 6)), spec, params, g)
+        gx, _, _ = backward(np.zeros((1, 6)), spec, params, g)
         assert np.array_equal(gx, g)
 
     def test_rejects_bad_grad_shape(self):
         spec = ConvSpec(1, 1, 1)
         params = LayerParams(weights=np.ones((1, 1, 1)), bias=np.zeros(1))
         with pytest.raises(InvalidSpecError):
-            conv1d_backward(np.zeros((1, 6)), spec, params, np.zeros((1, 5)))
+            backward(np.zeros((1, 6)), spec, params, np.zeros((1, 5)))
 
     def test_gradients_match_finite_differences_32x20(self):
         # the full-size case: random 32x20 input through a grouped layer
@@ -148,17 +153,17 @@ class TestConvBackward:
         x = rng.standard_normal((32, 20))
         probe = rng.standard_normal((16, spec.out_len(20)))
 
-        gx, gw, gb = conv1d_backward(x, spec, params, probe)
+        gx, gw, gb = backward(x, spec, params, probe)
 
         def loss_x(xv):
-            return float(np.sum(probe * conv1d_forward(xv, spec, params)))
+            return float(np.sum(probe * forward(xv, spec, params)))
 
         def loss_w(wv):
-            return float(np.sum(probe * conv1d_forward(
+            return float(np.sum(probe * forward(
                 x, spec, LayerParams(weights=wv, bias=params.bias))))
 
         def loss_b(bv):
-            return float(np.sum(probe * conv1d_forward(
+            return float(np.sum(probe * forward(
                 x, spec, LayerParams(weights=params.weights, bias=bv))))
 
         assert max_rel_error(gx, numerical_gradient(loss_x, x.copy())) < 1e-4
@@ -171,11 +176,11 @@ class TestConvBackward:
         params = make_params(spec, rng)
         xs = rng.standard_normal((3, 4, 10))
         gs = rng.standard_normal((3, 4, 10))
-        gx, gw, gb = conv1d_backward(xs, spec, params, gs)
+        gx, gw, gb = backward(xs, spec, params, gs)
         gw_sum = np.zeros_like(gw)
         gb_sum = np.zeros_like(gb)
         for i in range(3):
-            gxi, gwi, gbi = conv1d_backward(xs[i], spec, params, gs[i])
+            gxi, gwi, gbi = backward(xs[i], spec, params, gs[i])
             assert np.allclose(gx[i], gxi, rtol=0, atol=1e-12)
             gw_sum += gwi
             gb_sum += gbi
@@ -184,7 +189,7 @@ class TestConvBackward:
 
 
 class TestFastPath:
-    """The matmul kernels must agree with the reference kernels to rounding."""
+    """The im2col kernel must agree with the nested-loop oracles to rounding."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_forward_agrees_with_reference(self, seed):
@@ -192,10 +197,10 @@ class TestFastPath:
         spec = ConvSpec(8, 12, 5, stride=2, pad=2, groups=4)
         params = make_params(spec, rng)
         x = rng.standard_normal((6, 8, 40))
-        fast, _ = conv1d_forward_fast(x, spec, params)
-        ref = conv1d_forward(x, spec, params)
+        fast = forward(x, spec, params)
+        ref = np.stack([naive_conv1d(xi, spec, params.weights, params.bias) for xi in x])
         assert np.allclose(fast, ref, rtol=1e-12, atol=1e-12)
-        single, _ = conv1d_forward_fast(x[0], spec, params)
+        single = forward(x[0], spec, params)
         assert np.allclose(single, ref[0], rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -206,9 +211,11 @@ class TestFastPath:
         x = rng.standard_normal((4, 6, 21))
         t_out = spec.out_len(21)
         g = rng.standard_normal((4, 6, t_out))
-        _, cache = conv1d_forward_fast(x, spec, params)
-        gx_f, gw_f, gb_f = conv1d_backward_fast(spec, params, cache, g)
-        gx_r, gw_r, gb_r = conv1d_backward(x, spec, params, g)
+        gx_f, gw_f, gb_f = backward(x, spec, params, g)
+        refs = [naive_conv1d_backward(x[i], spec, params.weights, g[i]) for i in range(4)]
+        gx_r = np.stack([r[0] for r in refs])
+        gw_r = sum(r[1] for r in refs)
+        gb_r = sum(r[2] for r in refs)
         assert np.allclose(gx_f, gx_r, rtol=1e-12, atol=1e-12)
         assert np.allclose(gw_f, gw_r, rtol=1e-12, atol=1e-12)
         assert np.allclose(gb_f, gb_r, rtol=1e-12, atol=1e-12)
@@ -220,7 +227,24 @@ class TestFastPath:
         x = rng.standard_normal((2, 8, 16))
         bumped = x.copy()
         bumped[:, 3] += 1.0
-        base, _ = conv1d_forward_fast(x, spec, params)
-        moved, _ = conv1d_forward_fast(bumped, spec, params)
+        base = forward(x, spec, params)
+        moved = forward(bumped, spec, params)
         changed = np.unique(np.nonzero(np.any(moved != base, axis=(0, 2)))[0])
         assert set(changed) <= {3}
+
+
+@pytest.mark.parametrize("layer", range(len(HAPTIC_CONV_SPECS)))
+def test_haptic_layer_output_is_batch_invariant(layer):
+    # one instance alone gives bitwise its row of a batch of 1, 7 or 128
+    spec = HAPTIC_CONV_SPECS[layer]
+    t = RESAMPLE_LEN
+    for earlier in HAPTIC_CONV_SPECS[:layer]:
+        t = earlier.out_len(t)
+    rng = np.random.default_rng(40 + layer)
+    params = make_params(spec, rng)
+    xs = rng.standard_normal((128, spec.in_channels, t))
+    singles = [forward(x, spec, params) for x in xs]
+    for n in (1, 7, 128):
+        batched = forward(xs[:n], spec, params)
+        for i in range(n):
+            assert np.array_equal(batched[i], singles[i]), (n, i)

@@ -1,9 +1,11 @@
 """Model graphs, two-phase training, feature extraction, and fusion."""
 
+import re
+
 import numpy as np
 import pytest
 
-from hapticnet.engine import conv1d_forward, inner_product, lstm_forward, relu
+from hapticnet.engine import inner_product, lstm_forward, relu
 from hapticnet.errors import InvalidInputError, InvalidSpecError
 from hapticnet.features import (
     FeatureVector,
@@ -24,7 +26,7 @@ from hapticnet.models import (
 )
 from hapticnet.training import TrainSchedule, train
 
-from oracles import max_rel_error, numerical_gradient
+from oracles import max_rel_error, naive_conv1d, numerical_gradient
 
 
 def random_instances(rng, n):
@@ -82,11 +84,27 @@ class TestHapticCnnGraph:
         h = x
         for name in ("conv1", "conv2", "conv3"):
             layer = model.layer(name)
-            h = relu(conv1d_forward(h, layer.spec, layer.params))
+            h = relu(naive_conv1d(h, layer.spec, layer.params.weights, layer.params.bias))
         h = h.reshape(-1)
         fc = model.layer("fc")
         expected = inner_product(h, fc.params)[0]
         assert model.forward(x) == pytest.approx(expected, abs=1e-12)
+
+    def test_conv3_tap_is_batch_invariant(self):
+        # one instance alone gives bitwise its conv3 row of a batch of 1, 7 or 128
+        model = build_haptic_cnn(seed=4)
+        xs = random_instances(np.random.default_rng(4), 128)
+        singles = [model.forward(x, tap="conv3")[1] for x in xs]
+        for n in (1, 7, 128):
+            _, batched = model.forward(xs[:n], tap="conv3")
+            for i in range(n):
+                assert np.array_equal(batched[i], singles[i]), (n, i)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 32, 150), (150,)])
+    def test_input_rank_rejected(self, shape):
+        model = build_haptic_cnn(seed=0)
+        with pytest.raises(InvalidInputError, match=re.escape(str(shape))):
+            model.forward(np.zeros(shape))
 
     def test_unknown_tap_rejected(self):
         model = build_haptic_cnn(seed=0)
