@@ -1,7 +1,20 @@
 """Grouped 1-D convolution (cross-correlation) with exact analytic gradients.
 
-One kernel serves single instances and batches: im2col windows, then one
-GEMM per (instance, group).
+One kernel serves single instances and batches.  The im2col windows are laid
+out group-major, (G, ipg*K, B*T_out), so a layer makes one GEMM per group over
+every instance's output steps rather than one small GEMM per (instance,
+group).  Only the parameter gradients sum across instances; the weight
+gradient does so in one GEMM over B*T_out per group.
+
+Batch invariance rests on this: each output element is one dot product of
+length ipg*K, a weight row against one window column, and no sum runs
+across instances.  An instance's output is then bitwise the same alone as
+in any batch provided BLAS rounds that dot product alike at every matrix
+width.  It does for the haptic layers (``HAPTIC_CONV_SPECS``), which
+``test_haptic_layer_output_is_batch_invariant`` and
+``test_conv3_tap_is_batch_invariant`` pin.  It need not for other specs:
+with one output channel per group numpy runs a matrix-vector product, and
+OpenBLAS picks kernels by problem size.
 """
 
 from dataclasses import dataclass, field
@@ -94,7 +107,12 @@ class LayerParams:
 
 
 def _im2col(x, spec: ConvSpec):
-    """Window tensor (B, G, ipg*K, T_out) built from K contiguous slice copies."""
+    """Group-major window tensor (G, ipg*K, B*T_out) built from K slice copies.
+
+    Row (c, k) of group g holds input channel g*ipg + c at tap k, and column
+    b*T_out + t is instance b's output step t, so one GEMM per group covers
+    every instance of the batch.
+    """
     if x.ndim not in (2, 3):
         raise InvalidInputError(
             f"conv input must be (C, T) or (B, C, T), got shape {x.shape}"
@@ -108,26 +126,30 @@ def _im2col(x, spec: ConvSpec):
     b, _, t = xb.shape
     t_out = spec.out_len(t)
     k_len = spec.kernel_len
+    xc = xb.transpose(1, 0, 2)  # (C, B, T)
     if spec.pad:
-        xb = np.pad(xb, ((0, 0), (0, 0), (spec.pad, spec.pad)))
-    xg = xb.reshape(b, spec.groups, spec.in_per_group, -1)
-    cols = np.empty((b, spec.groups, spec.in_per_group, k_len, t_out))
+        xc = np.pad(xc, ((0, 0), (0, 0), (spec.pad, spec.pad)))
+    xg = xc.reshape(spec.groups, spec.in_per_group, b, -1)
+    cols = np.empty((spec.groups, spec.in_per_group, k_len, b, t_out))
     stop = spec.stride * (t_out - 1) + 1
     for k in range(k_len):
-        cols[..., k, :] = xg[..., k:k + stop:spec.stride]
-    cols = cols.reshape(b, spec.groups, spec.in_per_group * k_len, t_out)
+        cols[:, :, k] = xg[..., k:k + stop:spec.stride]
+    cols = cols.reshape(spec.groups, spec.in_per_group * k_len, b * t_out)
     return cols, (b, t, t_out, squeeze)
 
 
 def conv1d_forward(x, spec: ConvSpec, params: LayerParams):
-    """Grouped cross-correlation over the last axis, one GEMM per (instance, group).
+    """Grouped cross-correlation over the last axis, one GEMM per group.
 
     ``x`` is (C_in, T) or (B, C_in, T); the output is (C_out, T_out) or
     (B, C_out, T_out) with T_out = floor((T + 2*pad - K)/stride) + 1.  No
     kernel flip.  Output channels in group g read only input channels of
-    group g.  Each instance's windows go through their own GEMMs, so an
-    instance's output is bitwise the same alone as in any batch.  Returns
-    (output, cache); the cache keeps the window tensor for conv1d_backward.
+    group g.  Each output element is one dot product of length ipg*K, so an
+    instance's output does not depend on the batch it runs in, up to how
+    BLAS rounds that product at different widths (see the module docstring;
+    ``test_haptic_layer_output_is_batch_invariant`` pins the haptic layers).
+    Returns (output, cache); the cache keeps the window tensor for
+    conv1d_backward.
     """
     if params.weights.shape != spec.weight_shape():
         raise InvalidSpecError(
@@ -138,16 +160,21 @@ def conv1d_forward(x, spec: ConvSpec, params: LayerParams):
     cols, dims = _im2col(x, spec)
     b, _, t_out, squeeze = dims
     w = params.weights.reshape(spec.groups, spec.out_per_group, -1)
-    y = w @ cols  # (G,opg,ipg*K) @ (B,G,ipg*K,T_out) -> (B,G,opg,T_out)
-    y = y.reshape(b, spec.out_channels, t_out) + params.bias[:, None]
-    return (y[0] if squeeze else y), (cols, dims)
+    y = w @ cols  # (G,opg,ipg*K) @ (G,ipg*K,B*T_out) -> (G,opg,B*T_out)
+    y = y.reshape(spec.out_channels, b, t_out).transpose(1, 0, 2)
+    # a C-ordered output keeps the memory layout, and so the summation order,
+    # of everything downstream, the bias gradients included
+    out = np.empty((b, spec.out_channels, t_out))
+    np.add(y, params.bias[:, None], out=out)
+    return (out[0] if squeeze else out), (cols, dims)
 
 
-def conv1d_backward(spec: ConvSpec, params: LayerParams, cache, grad_out):
+def conv1d_backward(spec: ConvSpec, params: LayerParams, cache, grad_out, input_grad=True):
     """Analytic gradients of conv1d_forward from its cache.
 
     Returns (grad_input, grad_weights, grad_bias); the batch axis of
-    ``grad_out`` is summed into the parameter gradients.
+    ``grad_out`` is summed into the parameter gradients.  With
+    ``input_grad=False`` grad_input is not computed and is None.
     """
     cols, (b, t, t_out, squeeze) = cache
     out_shape = (spec.out_channels, t_out) if squeeze else (b, spec.out_channels, t_out)
@@ -157,18 +184,19 @@ def conv1d_backward(spec: ConvSpec, params: LayerParams, cache, grad_out):
         )
     go = grad_out[None] if squeeze else grad_out
     grad_b = go.sum(axis=(0, -1))
-    go_g = go.reshape(b, spec.groups, spec.out_per_group, t_out)
-    # (B,G,opg,T_out) @ (B,G,T_out,ipg*K) summed over the batch
-    grad_w = (go_g @ cols.swapaxes(-1, -2)).sum(axis=0).reshape(spec.weight_shape())
+    go_g = go.transpose(1, 0, 2).reshape(spec.groups, spec.out_per_group, b * t_out)
+    # (G,opg,B*T_out) @ (G,B*T_out,ipg*K): one sum over every instance's steps
+    grad_w = (go_g @ cols.swapaxes(-1, -2)).reshape(spec.weight_shape())
+    if not input_grad:
+        return None, grad_w, grad_b
     w = params.weights.reshape(spec.groups, spec.out_per_group, -1)
-    grad_cols = w.swapaxes(-1, -2) @ go_g  # (B,G,ipg*K,T_out)
-    grad_cols = grad_cols.reshape(b, spec.groups, spec.in_per_group,
-                                  spec.kernel_len, t_out)
-    grad_xg = np.zeros((b, spec.groups, spec.in_per_group, t + 2 * spec.pad))
+    grad_cols = w.swapaxes(-1, -2) @ go_g  # (G,ipg*K,B*T_out)
+    grad_cols = grad_cols.reshape(spec.groups, spec.in_per_group, spec.kernel_len,
+                                  b, t_out)
+    grad_xg = np.zeros((spec.groups, spec.in_per_group, b, t + 2 * spec.pad))
     stop = spec.stride * (t_out - 1) + 1
     for k in range(spec.kernel_len):
-        grad_xg[..., k:k + stop:spec.stride] += grad_cols[..., k, :]
-    grad_x = grad_xg.reshape(b, spec.in_channels, -1)
-    if spec.pad:
-        grad_x = grad_x[..., spec.pad:spec.pad + t]
+        grad_xg[..., k:k + stop:spec.stride] += grad_cols[:, :, k]
+    grad_x = grad_xg.reshape(spec.in_channels, b, -1)[..., spec.pad:spec.pad + t]
+    grad_x = grad_x.transpose(1, 0, 2)
     return (grad_x[0] if squeeze else grad_x), grad_w, grad_b

@@ -121,10 +121,11 @@ def lstm_forward(sequence: np.ndarray, params: LstmParams, return_cache: bool = 
     return h
 
 
-def lstm_backward(params: LstmParams, cache, grad_h_final: np.ndarray):
+def lstm_backward(params: LstmParams, cache, grad_h_final: np.ndarray, input_grad=True):
     """BPTT through lstm_forward's cache.
 
-    Returns (grad_sequence, grad_w_x, grad_w_h, grad_bias).
+    Returns (grad_sequence, grad_w_x, grad_w_h, grad_bias).  With
+    ``input_grad=False`` grad_sequence is not computed and is None.
     """
     sequence, steps = cache
     t_len = len(steps)
@@ -148,7 +149,7 @@ def lstm_backward(params: LstmParams, cache, grad_h_final: np.ndarray):
         dh = dz @ params.w_h
         dc = dc * f
 
-    grad_seq = dz_all @ params.w_x
+    grad_seq = dz_all @ params.w_x if input_grad else None
     dz2 = dz_all.reshape(-1, 4 * h_size)
     x2 = sequence.reshape(-1, params.input_size)
     grad_wx = dz2.T @ x2

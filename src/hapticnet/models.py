@@ -4,6 +4,14 @@ A Model is an ordered list of layers.  Layers are parameter holders with
 pure forward/backward functions (the cache returned by forward carries
 everything backward needs), so forward passes are reentrant; only the
 optimizer mutates parameters.  All layers accept a leading batch axis.
+
+Every layer has ``forward(x, cache=True) -> (out, cache)`` and
+``backward(cache, grad_out, input_grad=True) -> (grad_in, param_grads)``.
+The Model sets both keywords from the graph: ``Model.forward`` asks for
+no cache, and ``Model.backward`` asks a layer for its input gradient only
+when a layer before it has parameters.  A layer told not to may return None
+in place of what was not asked for; one whose cache or input gradient is
+cheap ignores the keyword.
 """
 
 import numpy as np
@@ -22,7 +30,7 @@ from .engine import (
     relu,
     relu_backward,
 )
-from .errors import InvalidSpecError
+from .errors import HapticNetError, InvalidInputError, InvalidSpecError
 from .haptic import INSTANCE_CHANNELS, RESAMPLE_LEN
 
 
@@ -41,16 +49,17 @@ class Conv1dLayer:
         self.activation = activation
         self.params = LayerParams.for_conv(spec, seed)
 
-    def forward(self, x):
+    def forward(self, x, cache=True):
         pre, conv_cache = conv1d_forward(x, self.spec, self.params)
         out = relu(pre) if self.activation == "relu" else pre
         return out, (conv_cache, pre)
 
-    def backward(self, cache, grad_out):
+    def backward(self, cache, grad_out, input_grad=True):
         conv_cache, pre = cache
         if self.activation == "relu":
             grad_out = relu_backward(pre, grad_out)
-        grad_x, gw, gb = conv1d_backward(self.spec, self.params, conv_cache, grad_out)
+        grad_x, gw, gb = conv1d_backward(self.spec, self.params, conv_cache, grad_out,
+                                         input_grad=input_grad)
         return grad_x, {"weights": gw, "bias": gb}
 
     def param_items(self):
@@ -77,13 +86,13 @@ class DenseLayer:
         self.activation = activation
         self.params = LayerParams.for_dense(in_dim, out_dim, seed)
 
-    def forward(self, x):
+    def forward(self, x, cache=True):
         pre = inner_product(x, self.params)
         if self.activation == "relu":
             return relu(pre), (x, pre)
         return pre, (x, None)
 
-    def backward(self, cache, grad_out):
+    def backward(self, cache, grad_out, input_grad=True):
         x, pre = cache
         if self.activation == "relu":
             grad_out = relu_backward(pre, grad_out)
@@ -113,12 +122,14 @@ class LstmLayer:
         self.hidden_size = hidden_size
         self.params = LstmParams.create(input_size, hidden_size, seed)
 
-    def forward(self, x):
-        h, cache = lstm_forward(x, self.params, return_cache=True)
-        return h, cache
+    def forward(self, x, cache=True):
+        if not cache:
+            return lstm_forward(x, self.params), None
+        return lstm_forward(x, self.params, return_cache=True)
 
-    def backward(self, cache, grad_out):
-        grad_seq, gwx, gwh, gb = lstm_backward(self.params, cache, grad_out)
+    def backward(self, cache, grad_out, input_grad=True):
+        grad_seq, gwx, gwh, gb = lstm_backward(self.params, cache, grad_out,
+                                               input_grad=input_grad)
         return grad_seq, {"w_x": gwx, "w_h": gwh, "bias": gb}
 
     def param_items(self):
@@ -143,11 +154,15 @@ class FlattenLayer:
         self.name = name
         self.in_shape = tuple(in_shape)
 
-    def forward(self, x):
+    def forward(self, x, cache=True):
+        if x.shape[x.ndim - len(self.in_shape):] != self.in_shape:
+            raise InvalidInputError(
+                f"flatten {self.name!r} expects trailing shape {self.in_shape}, "
+                f"got input shape {x.shape}")
         lead = x.shape[:x.ndim - len(self.in_shape)]
         return x.reshape(lead + (-1,)), lead
 
-    def backward(self, cache, grad_out):
+    def backward(self, cache, grad_out, input_grad=True):
         return grad_out.reshape(cache + self.in_shape), {}
 
     def param_items(self):
@@ -165,10 +180,10 @@ class TimeMajorLayer:
     def __init__(self, name):
         self.name = name
 
-    def forward(self, x):
+    def forward(self, x, cache=True):
         return np.swapaxes(x, -1, -2), None
 
-    def backward(self, cache, grad_out):
+    def backward(self, cache, grad_out, input_grad=True):
         return np.swapaxes(grad_out, -1, -2), {}
 
     def param_items(self):
@@ -205,12 +220,17 @@ class Model:
 
     def forward(self, x, tap=None):
         """Score of shape lead-dims (last axis squeezed); optionally also the
-        output of the tap layer."""
+        output of the tap layer.
+
+        Scoring runs every layer with ``cache=False``: a layer whose cache
+        costs work of its own, the LSTM with its per-step BPTT state, skips
+        building it.
+        """
         tap_name = self.resolve_tap(tap) if tap is not None else None
         tapped = None
         h = x
         for l in self.layers:
-            h, _ = l.forward(h)
+            h, _ = l.forward(h, cache=False)
             if l.name == tap_name:
                 tapped = h
         score = h[..., 0]
@@ -226,11 +246,19 @@ class Model:
         return h[..., 0], caches
 
     def backward(self, caches, grad_score):
-        """Backprop a score gradient; returns param grads keyed 'layer.param'."""
+        """Backprop a score gradient; returns param grads keyed 'layer.param'.
+
+        Only parameter gradients leave this method, so the pass stops at the
+        first parameterized layer, which gets ``input_grad=False``: the
+        gradient of the network input is never built.
+        """
         grad = np.asarray(grad_score)[..., None]
         grads = {}
-        for l, cache in zip(reversed(self.layers), reversed(caches)):
-            grad, layer_grads = l.backward(cache, grad)
+        first = next((i for i, l in enumerate(self.layers) if l.param_items()),
+                     len(self.layers))
+        for i in range(len(self.layers) - 1, first - 1, -1):
+            l = self.layers[i]
+            grad, layer_grads = l.backward(caches[i], grad, input_grad=i > first)
             for pname, g in layer_grads.items():
                 grads[f"{l.name}.{pname}"] = g
         return grads
@@ -326,7 +354,10 @@ def model_from_description(desc: dict) -> Model:
 
     Parameters are initialized with seed 0 placeholders and must be loaded
     from checkpoint tensors afterwards.  Keys the graph does not use, such as
-    the empty tap alias map that older descriptions carry, are ignored.
+    the empty tap alias map that older descriptions carry, are ignored.  A
+    zero input of ``input_shape`` is run through the rebuilt layers, so an
+    input shape or a flatten shape that the graph cannot take fails here,
+    naming the layer, rather than at the first score.
     """
     if not isinstance(desc, dict):
         raise InvalidSpecError(f"graph description is a {type(desc).__name__}, not an object")
@@ -346,4 +377,17 @@ def model_from_description(desc: dict) -> Model:
         except TypeError as e:  # a field of the wrong type, or one the layer does not take
             raise InvalidSpecError(
                 f"graph layer {i} ({kind} {d.get('name')!r}) has a bad field: {e}") from None
-    return Model(layers, input_shape=desc["input_shape"], kind=desc.get("kind", "model"))
+    shape = desc["input_shape"]
+    if not isinstance(shape, list) or not all(
+            isinstance(d, int) and not isinstance(d, bool) and d > 0 for d in shape):
+        raise InvalidSpecError(f"graph input_shape {shape!r} is not a list of positive sizes")
+    model = Model(layers, input_shape=shape, kind=desc.get("kind", "model"))
+    h = np.zeros(model.input_shape)
+    for i, l in enumerate(model.layers):
+        try:
+            h, _ = l.forward(h, cache=False)
+        except (HapticNetError, ValueError) as e:
+            raise InvalidSpecError(
+                f"graph input_shape {shape} does not fit layer {i} "
+                f"({l.kind} {l.name!r}): {e}") from None
+    return model

@@ -62,6 +62,58 @@ def naive_conv1d_backward(x, spec, weights, grad_out):
     return grad_xp[:, spec.pad:spec.pad + t], grad_w, grad_b
 
 
+def instance_major_conv1d(x, spec, params):
+    """The grouped conv with instance-major im2col: one GEMM per (instance, group).
+
+    This is the kernel hapticnet shipped before its windows went group-major,
+    kept as the bitwise reference: on the haptic layers, forward outputs and
+    input gradients must match it exactly, and weight gradients to rounding,
+    since its batch sum runs per instance.  Same contract as ``conv1d_forward``: (C, T) or
+    (B, C, T) input, returns (output, cache).
+    """
+    squeeze = x.ndim == 2
+    xb = x[None] if squeeze else x
+    b, _, t = xb.shape
+    t_out = spec.out_len(t)
+    k_len = spec.kernel_len
+    if spec.pad:
+        xb = np.pad(xb, ((0, 0), (0, 0), (spec.pad, spec.pad)))
+    xg = xb.reshape(b, spec.groups, spec.in_per_group, -1)
+    cols = np.empty((b, spec.groups, spec.in_per_group, k_len, t_out))
+    stop = spec.stride * (t_out - 1) + 1
+    for k in range(k_len):
+        cols[..., k, :] = xg[..., k:k + stop:spec.stride]
+    cols = cols.reshape(b, spec.groups, spec.in_per_group * k_len, t_out)
+    w = params.weights.reshape(spec.groups, spec.out_per_group, -1)
+    y = w @ cols  # (G,opg,ipg*K) @ (B,G,ipg*K,T_out) -> (B,G,opg,T_out)
+    y = y.reshape(b, spec.out_channels, t_out) + params.bias[:, None]
+    return (y[0] if squeeze else y), (cols, (b, t, t_out, squeeze))
+
+
+def instance_major_conv1d_backward(spec, params, cache, grad_out, input_grad=True):
+    """Gradients of instance_major_conv1d; same contract as ``conv1d_backward``."""
+    cols, (b, t, t_out, squeeze) = cache
+    go = grad_out[None] if squeeze else grad_out
+    grad_b = go.sum(axis=(0, -1))
+    go_g = go.reshape(b, spec.groups, spec.out_per_group, t_out)
+    # (B,G,opg,T_out) @ (B,G,T_out,ipg*K) summed over the batch
+    grad_w = (go_g @ cols.swapaxes(-1, -2)).sum(axis=0).reshape(spec.weight_shape())
+    if not input_grad:
+        return None, grad_w, grad_b
+    w = params.weights.reshape(spec.groups, spec.out_per_group, -1)
+    grad_cols = w.swapaxes(-1, -2) @ go_g  # (B,G,ipg*K,T_out)
+    grad_cols = grad_cols.reshape(b, spec.groups, spec.in_per_group,
+                                  spec.kernel_len, t_out)
+    grad_xg = np.zeros((b, spec.groups, spec.in_per_group, t + 2 * spec.pad))
+    stop = spec.stride * (t_out - 1) + 1
+    for k in range(spec.kernel_len):
+        grad_xg[..., k:k + stop:spec.stride] += grad_cols[..., k, :]
+    grad_x = grad_xg.reshape(b, spec.in_channels, -1)
+    if spec.pad:
+        grad_x = grad_x[..., spec.pad:spec.pad + t]
+    return (grad_x[0] if squeeze else grad_x), grad_w, grad_b
+
+
 def numerical_gradient(f, x, step=1e-5):
     """Central-difference gradient of scalar f at x, coordinate by coordinate."""
     x = np.asarray(x, dtype=np.float64)

@@ -1,6 +1,7 @@
 """Tensor containers and checkpoints: byte round trips and strict readers."""
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -191,6 +192,30 @@ class TestCheckpointReader:
         desc = build_linear_classifier(4).describe()
         desc["layers"][0]["kind"] = "attention"
         with pytest.raises(InvalidSpecError, match="unknown layer kind 'attention'"):
+            model_from_description(desc)
+
+    @pytest.mark.parametrize("build, field, value, layer", [
+        (lambda: build_linear_classifier(4), "input_shape", [5], "layer 0 (dense 'fc')"),
+        (build_haptic_cnn, "input_shape", [31, 150], "layer 0 (conv1d 'conv1')"),
+        (build_haptic_cnn, "flatten", [32, 38], "layer 3 (flatten 'flatten')"),
+        (build_haptic_cnn, "flatten", [64, 20], "layer 3 (flatten 'flatten')"),
+    ])
+    def test_input_shape_that_does_not_fit_named(self, build, field, value, layer):
+        # [32, 38] has conv3's 64 x 19 values in another shape; [64, 20] has more
+        desc = build().describe()
+        if field == "flatten":
+            desc["layers"][3]["in_shape"] = value
+        else:
+            desc["input_shape"] = value
+        with pytest.raises(InvalidSpecError,
+                           match=r"input_shape .* does not fit " + re.escape(layer)):
+            model_from_description(desc)
+
+    @pytest.mark.parametrize("value", [5, [32, -1], [32.0, 150], "32x150"])
+    def test_input_shape_that_is_not_a_shape_named(self, value):
+        desc = build_haptic_cnn().describe()
+        desc["input_shape"] = value
+        with pytest.raises(InvalidSpecError, match="input_shape .* not a list of positive"):
             model_from_description(desc)
 
     def test_missing_graph_field_named(self):

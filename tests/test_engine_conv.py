@@ -1,4 +1,4 @@
-"""Grouped conv1d: forward examples, naive-loop oracles, gradients, batch invariance."""
+"""Grouped conv1d: forward examples, oracles, gradients, batch invariance."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,18 @@ import pytest
 from hapticnet.engine import ConvSpec, LayerParams, conv1d_backward, conv1d_forward
 from hapticnet.errors import InvalidInputError, InvalidSpecError
 from hapticnet.haptic import RESAMPLE_LEN
-from hapticnet.models import HAPTIC_CONV_SPECS
+from hapticnet.models import HAPTIC_CONV_SPECS, build_haptic_cnn
+from hapticnet.training import TrainSchedule, train
 
-from oracles import max_rel_error, naive_conv1d, naive_conv1d_backward, numerical_gradient
+from oracles import (
+    instance_major_conv1d,
+    instance_major_conv1d_backward,
+    max_rel_error,
+    naive_conv1d,
+    naive_conv1d_backward,
+    numerical_gradient,
+)
+from splits import pinned_split_instances
 
 
 def make_params(spec, rng):
@@ -25,6 +34,26 @@ def backward(x, spec, params, grad_out):
     """Gradients at ``x``: a forward pass for the cache, then conv1d_backward."""
     _, cache = conv1d_forward(x, spec, params)
     return conv1d_backward(spec, params, cache, grad_out)
+
+
+def random_spec(rng):
+    """A small grouped spec with random channels, groups, kernel, stride and pad,
+    and an input length that fits it."""
+    c_in = rng.choice([2, 4, 8])
+    groups = rng.choice([1, 2, c_in])
+    c_out = groups * rng.integers(1, 3)
+    k = int(rng.integers(1, 5))
+    stride = int(rng.integers(1, 3))
+    pad = int(rng.integers(0, 3))
+    t = int(rng.integers(max(k, 4), 33))
+    return ConvSpec(int(c_in), int(c_out), k, stride=stride, pad=pad, groups=int(groups)), t
+
+
+def haptic_layer_input_len(layer):
+    t = RESAMPLE_LEN
+    for earlier in HAPTIC_CONV_SPECS[:layer]:
+        t = earlier.out_len(t)
+    return t
 
 
 class TestConvSpec:
@@ -80,16 +109,9 @@ class TestConvForward:
     @pytest.mark.parametrize("seed", range(12))
     def test_random_specs_agree_with_naive_loop(self, seed):
         rng = np.random.default_rng(seed)
-        c_in = rng.choice([2, 4, 8])
-        groups = rng.choice([1, 2, c_in])
-        c_out = groups * rng.integers(1, 3)
-        k = int(rng.integers(1, 5))
-        stride = int(rng.integers(1, 3))
-        pad = int(rng.integers(0, 3))
-        t = int(rng.integers(max(k, 4), 33))
-        spec = ConvSpec(int(c_in), int(c_out), k, stride=stride, pad=pad, groups=int(groups))
+        spec, t = random_spec(rng)
         params = make_params(spec, rng)
-        x = rng.standard_normal((int(c_in), t))
+        x = rng.standard_normal((spec.in_channels, t))
         out = forward(x, spec, params)
         ref = naive_conv1d(x, spec, params.weights, params.bias)
         assert out.shape == ref.shape
@@ -237,9 +259,7 @@ class TestFastPath:
 def test_haptic_layer_output_is_batch_invariant(layer):
     # one instance alone gives bitwise its row of a batch of 1, 7 or 128
     spec = HAPTIC_CONV_SPECS[layer]
-    t = RESAMPLE_LEN
-    for earlier in HAPTIC_CONV_SPECS[:layer]:
-        t = earlier.out_len(t)
+    t = haptic_layer_input_len(layer)
     rng = np.random.default_rng(40 + layer)
     params = make_params(spec, rng)
     xs = rng.standard_normal((128, spec.in_channels, t))
@@ -248,3 +268,95 @@ def test_haptic_layer_output_is_batch_invariant(layer):
         batched = forward(xs[:n], spec, params)
         for i in range(n):
             assert np.array_equal(batched[i], singles[i]), (n, i)
+
+
+def assert_matches_instance_major(x, spec, params, grad_out, exact=True):
+    """Group-major against instance-major.  The bias gradient is always the
+    same numpy sum; with ``exact`` the output and input gradient must be
+    bitwise equal too, otherwise they and the weight gradient agree to 1e-12."""
+    y, cache = conv1d_forward(x, spec, params)
+    y_ref, cache_ref = instance_major_conv1d(x, spec, params)
+    gx, gw, gb = conv1d_backward(spec, params, cache, grad_out)
+    gx_ref, gw_ref, gb_ref = instance_major_conv1d_backward(spec, params, cache_ref, grad_out)
+    assert np.array_equal(gb, gb_ref)
+    if exact:
+        assert np.array_equal(y, y_ref)
+        assert np.array_equal(gx, gx_ref)
+    assert np.allclose(y, y_ref, rtol=1e-12, atol=1e-12)
+    assert np.allclose(gx, gx_ref, rtol=1e-12, atol=1e-12)
+    assert np.allclose(gw, gw_ref, rtol=1e-12, atol=1e-12)
+
+
+class TestGroupMajorMatchesInstanceMajor:
+    """The group-major kernel against the instance-major kernel it replaced.
+
+    For the haptic layers, outputs, input gradients and bias gradients are
+    bitwise equal: each element is the same short dot product or sum.  The
+    weight gradient sums over B*T_out in one GEMM per group instead of per
+    instance and then over the batch, so it agrees to rounding only (rtol =
+    atol = 1e-12).  Bitwise equality of the GEMM products rests on BLAS
+    rounding each dot product alike whatever the matrix width, which holds
+    for the haptic shapes but not for every spec: a spec with one output
+    channel per group runs as a matrix-vector product, and OpenBLAS picks
+    its kernels by problem size.  The random sweep therefore checks outputs
+    and input gradients to rounding.
+    """
+
+    @pytest.mark.parametrize("batch", [1, 7, 42, 128])
+    @pytest.mark.parametrize("layer", range(len(HAPTIC_CONV_SPECS)))
+    def test_haptic_layer(self, layer, batch):
+        spec = HAPTIC_CONV_SPECS[layer]
+        t = haptic_layer_input_len(layer)
+        rng = np.random.default_rng(60 + 4 * layer + batch)
+        params = make_params(spec, rng)
+        x = rng.standard_normal((batch, spec.in_channels, t))
+        g = rng.standard_normal((batch, spec.out_channels, spec.out_len(t)))
+        assert_matches_instance_major(x, spec, params, g)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_specs(self, seed):
+        rng = np.random.default_rng(seed)
+        spec, t = random_spec(rng)
+        params = make_params(spec, rng)
+        batch = int(rng.integers(1, 6))
+        x = rng.standard_normal((batch, spec.in_channels, t))
+        g = rng.standard_normal((batch, spec.out_channels, spec.out_len(t)))
+        assert_matches_instance_major(x, spec, params, g, exact=False)
+        assert_matches_instance_major(x[0], spec, params, g[0], exact=False)
+
+    @pytest.mark.parametrize("layer", range(len(HAPTIC_CONV_SPECS)))
+    def test_without_input_grad_the_parameter_gradients_are_unchanged(self, layer):
+        spec = HAPTIC_CONV_SPECS[layer]
+        t = haptic_layer_input_len(layer)
+        rng = np.random.default_rng(80 + layer)
+        params = make_params(spec, rng)
+        x = rng.standard_normal((9, spec.in_channels, t))
+        g = rng.standard_normal((9, spec.out_channels, spec.out_len(t)))
+        _, cache = conv1d_forward(x, spec, params)
+        _, gw, gb = conv1d_backward(spec, params, cache, g)
+        gx_none, gw_only, gb_only = conv1d_backward(spec, params, cache, g, input_grad=False)
+        assert gx_none is None
+        assert np.array_equal(gw_only, gw)
+        assert np.array_equal(gb_only, gb)
+
+
+def test_two_phase_training_matches_the_instance_major_kernel(monkeypatch):
+    """Training the CNN with either kernel gives the same run to rounding.
+
+    Not bitwise: the weight gradients of the two kernels sum over the batch
+    in different orders and differ in the last bits, and SGD carries that
+    into every later step.  On this split the two runs differ by about 1e-16
+    in loss and parameters; the test allows 1e-12.
+    """
+    x, y = pinned_split_instances()
+    schedule = TrainSchedule(epochs=3, finetune_epochs=2, batch_size=16, seed=4)
+    fast = train(build_haptic_cnn(seed=4), x, y, schedule)
+    monkeypatch.setattr("hapticnet.models.conv1d_forward", instance_major_conv1d)
+    monkeypatch.setattr("hapticnet.models.conv1d_backward", instance_major_conv1d_backward)
+    ref = train(build_haptic_cnn(seed=4), x, y, schedule)
+    assert len(fast.loss_curve) == 5 and not fast.diverged and not ref.diverged
+    assert np.allclose(fast.loss_curve, ref.loss_curve, rtol=1e-12, atol=1e-12)
+    for (name, value, vel), (_, value_ref, vel_ref) in zip(fast.model.named_params(),
+                                                          ref.model.named_params()):
+        assert np.allclose(value, value_ref, rtol=1e-12, atol=1e-12), name
+        assert np.allclose(vel, vel_ref, rtol=1e-12, atol=1e-12), name

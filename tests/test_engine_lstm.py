@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from hapticnet import evaluation, synth
 from hapticnet.engine import LstmParams, logistic_loss, lstm_backward, lstm_forward, sigmoid
 from hapticnet.errors import InvalidInputError
-from hapticnet.haptic import ELECTRODES, EPS, FINGERS, augment, pca_fit, zscore_normalize
 from hapticnet.models import build_haptic_lstm
 from hapticnet.training import TrainSchedule, train
 
 from oracles import masked_sigmoid, max_rel_error, numerical_gradient, reference_lstm_forward
+from splits import pinned_split_instances
 
 
 def hand_two_step(seq, wx, wh, b):
@@ -115,6 +114,18 @@ class TestLstmBackward:
         assert np.allclose(gwh, swh, rtol=1e-10, atol=1e-12)
         assert np.allclose(gb, sb, rtol=1e-10, atol=1e-12)
 
+    def test_without_input_grad_the_parameter_gradients_are_unchanged(self):
+        rng = np.random.default_rng(29)
+        params = LstmParams.create(32, 10, seed=5)
+        seqs = rng.standard_normal((6, 150, 32))
+        probes = rng.standard_normal((6, 10))
+        _, cache = lstm_forward(seqs, params, return_cache=True)
+        full = lstm_backward(params, cache, probes)
+        skipped = lstm_backward(params, cache, probes, input_grad=False)
+        assert full[0].shape == seqs.shape and skipped[0] is None
+        for got, want in zip(skipped[1:], full[1:]):
+            assert np.array_equal(got, want)
+
 
 def bits(a):
     """The float64 bit patterns of a, so NaN payloads and signs compare too."""
@@ -212,26 +223,8 @@ class TestStackedGatesMatchReference:
         _assert_same_forward_and_bptt(seq, params, probe)
 
 
-def _pinned_lstm_split():
-    """Instances and +-1 labels of a small synth dataset, split by object."""
-    config = synth.separable_config(n_objects=8, n_trials=1, seed=4)
-    ids, z, labels = synth.object_factors(config)
-    trials = [synth.make_trial(config, o, zo, 0) for o, zo in zip(ids, z)]
-    split = evaluation.make_split(ids, {o: lab for o, _, lab in labels},
-                                  evaluation.ADJECTIVES[0], ratio=0.7, seed=4)
-    train_trials = [t for t in trials if t.object_id in split.train_ids]
-    pca = {ep: pca_fit(np.concatenate([
-        np.stack([zscore_normalize(t.signals[(f, ep)][e]) for e in ELECTRODES], axis=1)
-        for t in train_trials for f in FINGERS])) for ep in EPS}
-    truth = {o: lab[evaluation.ADJECTIVES[0]] for o, _, lab in labels}
-    insts = [inst for t in train_trials for inst in augment(t, pca)]
-    x = np.stack([inst.values for inst in insts])
-    y = np.array([1.0 if truth[inst.object_id] else -1.0 for inst in insts])
-    return x, y
-
-
 def test_two_phase_training_is_bitwise_the_reference(monkeypatch):
-    x, y = _pinned_lstm_split()
+    x, y = pinned_split_instances()
     schedule = TrainSchedule(epochs=3, finetune_epochs=2, batch_size=16, seed=4)
     fast = train(build_haptic_lstm(seed=4), x, y, schedule)
     monkeypatch.setattr("hapticnet.models.lstm_forward", reference_lstm_forward)

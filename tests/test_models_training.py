@@ -161,6 +161,21 @@ class TestHapticLstmGraph:
         expected = inner_product(h, model.layer("fc2").params)[0]
         assert model.forward(x) == pytest.approx(expected, abs=1e-12)
 
+    def test_scoring_builds_no_bptt_cache(self, monkeypatch):
+        asked = []
+
+        def recording(sequence, params, return_cache=False):
+            asked.append(return_cache)
+            return lstm_forward(sequence, params, return_cache=return_cache)
+
+        monkeypatch.setattr("hapticnet.models.lstm_forward", recording)
+        model = build_haptic_lstm(seed=4)
+        x = np.random.default_rng(7).standard_normal((32, 150))
+        score = model.forward(x)
+        cached, _ = model.forward_cached(x)
+        assert asked == [False, True]
+        assert score == cached
+
     def test_graph_description_roundtrip(self):
         model = build_haptic_lstm(seed=1)
         rebuilt = model_from_description(model.describe())
@@ -168,6 +183,56 @@ class TestHapticLstmGraph:
         for (n1, v1, _), (n2, v2, _) in zip(model.named_params(), rebuilt.named_params()):
             assert n1 == n2
             assert v1.shape == v2.shape
+
+
+HAPTIC_BUILDERS = {"cnn": build_haptic_cnn, "lstm": build_haptic_lstm}
+
+
+@pytest.mark.parametrize("net", sorted(HAPTIC_BUILDERS))
+class TestGraphKeywords:
+    """Model.forward skips caches and Model.backward skips the input gradient;
+    neither may change a number."""
+
+    @pytest.mark.parametrize("shape", [(32, 150), (5, 32, 150)])
+    def test_forward_scores_equal_forward_cached(self, net, shape):
+        model = HAPTIC_BUILDERS[net](seed=6)
+        x = np.random.default_rng(6).standard_normal(shape)
+        cached, _ = model.forward_cached(x)
+        assert np.array_equal(model.forward(x), cached)
+
+    @pytest.mark.parametrize("shape", [(32, 150), (7, 32, 150)])
+    def test_backward_equals_layer_by_layer_with_input_grads(self, net, shape):
+        model = HAPTIC_BUILDERS[net](seed=7)
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal(shape)
+        score, caches = model.forward_cached(x)
+        grad_score = rng.standard_normal(score.shape)
+        grads = model.backward(caches, grad_score)
+        full = {}
+        grad = np.asarray(grad_score)[..., None]
+        for l, cache in zip(reversed(model.layers), reversed(caches)):
+            grad, layer_grads = l.backward(cache, grad)  # every input gradient built
+            full.update({f"{l.name}.{p}": g for p, g in layer_grads.items()})
+        assert grad.shape == x.shape
+        assert sorted(grads) == sorted(full)
+        for name in full:
+            assert np.array_equal(grads[name], full[name]), name
+
+    def test_first_parameterized_layer_builds_no_input_grad(self, net):
+        model = HAPTIC_BUILDERS[net](seed=8)
+        first = next(l for l in model.layers if l.param_items())
+        asked = {}
+        for l in model.layers:
+            def recording(cache, grad_out, input_grad=True, _l=l):
+                asked[_l.name] = input_grad
+                out = type(_l).backward(_l, cache, grad_out, input_grad=input_grad)
+                assert (out[0] is None) == (not input_grad)
+                return out
+            l.backward = recording
+        _, caches = model.forward_cached(np.zeros((3, 32, 150)))
+        model.backward(caches, np.ones(3))
+        start = model.layers.index(first)
+        assert asked == {l.name: l is not first for l in model.layers[start:]}
 
 
 class TestTraining:
