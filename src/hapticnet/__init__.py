@@ -1,11 +1,11 @@
 """Multimodal haptic-adjective classification pipeline.
 
 Subpackages/modules:
-    engine      -- tensors-as-ndarrays, layers, losses, SGD momentum
+    engine      -- tensors-as-ndarrays, conv/LSTM/dense kernels, losses, SGD step
     haptic      -- raw trial -> 32x150 instance preprocessing
     visual      -- plate crop geometry and pooled visual features
-    models      -- model graphs (grouped CNN, LSTM, fusion classifier)
-    training    -- two-phase training schedule
+    models      -- layers and model graphs (grouped CNN, LSTM, fusion classifier)
+    training    -- two-phase training loop, the only owner of SGD momentum
     features    -- activation extraction, instance combination, fusion
     evaluation  -- splits, ROC-AUC, report aggregation
     io          -- file formats, manifests, checkpoints

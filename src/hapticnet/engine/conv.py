@@ -17,7 +17,7 @@ with one output channel per group numpy runs a matrix-vector product, and
 OpenBLAS picks kernels by problem size.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,20 +79,10 @@ class ConvSpec:
 
 @dataclass
 class LayerParams:
-    """Weights + bias of a linear layer, with matching momentum buffers."""
+    """Weights + bias of a linear layer (conv or dense)."""
 
     weights: np.ndarray
     bias: np.ndarray
-    w_vel: np.ndarray = field(default=None)
-    b_vel: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.w_vel is None:
-            self.w_vel = np.zeros_like(self.weights)
-        if self.b_vel is None:
-            self.b_vel = np.zeros_like(self.bias)
-        if self.w_vel.shape != self.weights.shape or self.b_vel.shape != self.bias.shape:
-            raise InvalidSpecError("velocity shape must equal parameter shape")
 
     @classmethod
     def for_conv(cls, spec: ConvSpec, seed: int) -> "LayerParams":

@@ -9,7 +9,7 @@ works on a few dozen numbers, so the fixed cost of each numpy call, not
 arithmetic, sets its time.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,17 +42,8 @@ class LstmParams:
     w_x: np.ndarray  # (4H, D)
     w_h: np.ndarray  # (4H, H)
     bias: np.ndarray  # (4H,)
-    wx_vel: np.ndarray = field(default=None)
-    wh_vel: np.ndarray = field(default=None)
-    b_vel: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        if self.wx_vel is None:
-            self.wx_vel = np.zeros_like(self.w_x)
-        if self.wh_vel is None:
-            self.wh_vel = np.zeros_like(self.w_h)
-        if self.b_vel is None:
-            self.b_vel = np.zeros_like(self.bias)
         h4 = self.w_x.shape[0]
         if h4 % 4 or self.w_h.shape != (h4, h4 // 4) or self.bias.shape != (h4,):
             raise InvalidSpecError(

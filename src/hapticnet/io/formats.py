@@ -106,11 +106,7 @@ class Checkpoint:
 
 
 def checkpoint_from_model(model, meta: dict) -> Checkpoint:
-    tensors = {}
-    for name, value, vel in model.named_params():
-        tensors[name] = value
-        tensors[name + ".vel"] = vel
-    return Checkpoint(graph=model.describe(), tensors=tensors, meta=meta)
+    return Checkpoint(graph=model.describe(), tensors=dict(model.named_params()), meta=meta)
 
 
 def save_checkpoint(path, checkpoint: Checkpoint) -> None:
@@ -128,20 +124,28 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def model_from_checkpoint(checkpoint: Checkpoint):
-    """Rebuild the model graph and load its weights and optimizer state."""
+    """Rebuild the model graph and load its weights.
+
+    Every tensor must name a parameter of the graph.  The one exception is
+    the ``<param>.vel`` momentum tensor that checkpoints once carried: it
+    is ignored, since training starts each phase's momentum from zero.
+    """
     from ..models import model_from_description
 
     model = model_from_description(checkpoint.graph)
-    for name, value, vel in model.named_params():
+    params = dict(model.named_params())
+    unknown = sorted(set(checkpoint.tensors) - set(params)
+                     - {name + ".vel" for name in params})
+    if unknown:
+        raise UnsupportedFormatError(f"checkpoint tensors {unknown} name no parameter of the graph")
+    for name, value in params.items():
         if name not in checkpoint.tensors:
             raise UnsupportedFormatError(f"checkpoint missing tensor {name!r}")
-        for key, target in ((name, value), (name + ".vel", vel)):
-            stored = checkpoint.tensors.get(key)
-            if stored is not None and stored.shape != target.shape:
-                raise UnsupportedFormatError(
-                    f"tensor {key!r} has shape {stored.shape}, model expects {target.shape}"
-                )
-            target[:] = 0.0 if stored is None else stored
+        stored = checkpoint.tensors[name]
+        if stored.shape != value.shape:
+            raise UnsupportedFormatError(
+                f"tensor {name!r} has shape {stored.shape}, model expects {value.shape}")
+        value[:] = stored
     return model
 
 

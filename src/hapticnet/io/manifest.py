@@ -67,8 +67,34 @@ def save_manifest(path, manifest: DatasetManifest) -> None:
         fh.write(json.dumps(manifest.to_dict(), sort_keys=True, indent=1) + "\n")
 
 
+# Type of every top-level field, and of the fields each list entry must hold.
+_FIELD_TYPES = {
+    "name": str, "labels": str, "objects": list, "trials": list, "visual": list,
+    "trials_per_object": int, "views_per_object": int,
+    "preprocessing": dict, "visual_preprocessing": dict,
+}
+_ENTRY_FIELDS = {
+    "objects": {"id": str},
+    "trials": {"object_id": str, "trial": int, "finger": int, "ep": str, "path": str},
+    "visual": {"object_id": str, "path": str},
+}
+_TYPE_NAMES = {str: "a string", int: "an integer", list: "a list", dict: "an object"}
+
+
+def _check_type(path, where, value, kind):
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise InvalidInputError(
+            f"{path}: manifest field {where} must be {_TYPE_NAMES[kind]}, "
+            f"got {type(value).__name__}")
+
+
 def load_manifest(path) -> DatasetManifest:
-    """Strict parse; structural problems raise immediately."""
+    """Strict parse; structural problems raise immediately.
+
+    Every field must have its type, and every object, trial and visual entry
+    must be an object holding its fields.  Problems raise InvalidInputError
+    naming the manifest path and the field.
+    """
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -82,14 +108,25 @@ def load_manifest(path) -> DatasetManifest:
     missing = [k for k in required if k not in data]
     if missing:
         raise InvalidInputError(f"{path}: manifest missing fields {missing}")
+    for key, kind in _FIELD_TYPES.items():
+        if key in data:
+            _check_type(path, key, data[key], kind)
+    for key, entry_fields in _ENTRY_FIELDS.items():
+        for i, entry in enumerate(data[key]):
+            _check_type(path, f"{key}[{i}]", entry, dict)
+            for name, kind in entry_fields.items():
+                if name not in entry:
+                    raise InvalidInputError(
+                        f"{path}: manifest field {key}[{i}] lacks field {name!r}")
+                _check_type(path, f"{key}[{i}].{name}", entry[name], kind)
     return DatasetManifest(
         name=data["name"],
         objects=data["objects"],
         labels_path=data["labels"],
         trials=data["trials"],
         visual=data["visual"],
-        trials_per_object=int(data.get("trials_per_object", 10)),
-        views_per_object=int(data.get("views_per_object", N_VIEWS)),
+        trials_per_object=data.get("trials_per_object", 10),
+        views_per_object=data.get("views_per_object", N_VIEWS),
         preprocessing=data.get("preprocessing", default_preprocessing()),
         visual_preprocessing=data.get("visual_preprocessing", {}),
     )

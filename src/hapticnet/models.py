@@ -14,6 +14,8 @@ in place of what was not asked for; one whose cache or input gradient is
 cheap ignores the keyword.
 """
 
+from dataclasses import fields
+
 import numpy as np
 
 from .engine import (
@@ -34,7 +36,20 @@ from .errors import HapticNetError, InvalidInputError, InvalidSpecError
 from .haptic import INSTANCE_CHANNELS, RESAMPLE_LEN
 
 
-class Conv1dLayer:
+class Layer:
+    """Base of every layer.  A layer with parameters sets ``params`` to a
+    parameter dataclass in its ``reinit``, which its ``__init__`` calls."""
+
+    params = None
+
+    def param_items(self):
+        """[(name, array)] for the fields of ``params``, in field order."""
+        if self.params is None:
+            return []
+        return [(f.name, getattr(self.params, f.name)) for f in fields(self.params)]
+
+
+class Conv1dLayer(Layer):
     """Grouped temporal convolution with an optional ReLU.
 
     A (C, T) instance and a (B, C, T) batch run the same kernel, so an
@@ -47,7 +62,7 @@ class Conv1dLayer:
         self.name = name
         self.spec = spec
         self.activation = activation
-        self.params = LayerParams.for_conv(spec, seed)
+        self.reinit(seed)
 
     def forward(self, x, cache=True):
         pre, conv_cache = conv1d_forward(x, self.spec, self.params)
@@ -62,12 +77,6 @@ class Conv1dLayer:
                                          input_grad=input_grad)
         return grad_x, {"weights": gw, "bias": gb}
 
-    def param_items(self):
-        return [
-            ("weights", self.params.weights, self.params.w_vel),
-            ("bias", self.params.bias, self.params.b_vel),
-        ]
-
     def reinit(self, seed):
         self.params = LayerParams.for_conv(self.spec, seed)
 
@@ -76,7 +85,7 @@ class Conv1dLayer:
                 "spec": self.spec.to_dict(), "activation": self.activation}
 
 
-class DenseLayer:
+class DenseLayer(Layer):
     kind = "dense"
 
     def __init__(self, name, in_dim, out_dim, seed, activation=None):
@@ -84,7 +93,7 @@ class DenseLayer:
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.activation = activation
-        self.params = LayerParams.for_dense(in_dim, out_dim, seed)
+        self.reinit(seed)
 
     def forward(self, x, cache=True):
         pre = inner_product(x, self.params)
@@ -99,12 +108,6 @@ class DenseLayer:
         grad_x, gw, gb = inner_product_backward(x, self.params, grad_out)
         return grad_x, {"weights": gw, "bias": gb}
 
-    def param_items(self):
-        return [
-            ("weights", self.params.weights, self.params.w_vel),
-            ("bias", self.params.bias, self.params.b_vel),
-        ]
-
     def reinit(self, seed):
         self.params = LayerParams.for_dense(self.in_dim, self.out_dim, seed)
 
@@ -113,14 +116,14 @@ class DenseLayer:
                 "out_dim": self.out_dim, "activation": self.activation}
 
 
-class LstmLayer:
+class LstmLayer(Layer):
     kind = "lstm"
 
     def __init__(self, name, input_size, hidden_size, seed):
         self.name = name
         self.input_size = input_size
         self.hidden_size = hidden_size
-        self.params = LstmParams.create(input_size, hidden_size, seed)
+        self.reinit(seed)
 
     def forward(self, x, cache=True):
         if not cache:
@@ -132,13 +135,6 @@ class LstmLayer:
                                                input_grad=input_grad)
         return grad_seq, {"w_x": gwx, "w_h": gwh, "bias": gb}
 
-    def param_items(self):
-        return [
-            ("w_x", self.params.w_x, self.params.wx_vel),
-            ("w_h", self.params.w_h, self.params.wh_vel),
-            ("bias", self.params.bias, self.params.b_vel),
-        ]
-
     def reinit(self, seed):
         self.params = LstmParams.create(self.input_size, self.hidden_size, seed)
 
@@ -147,7 +143,7 @@ class LstmLayer:
                 "input_size": self.input_size, "hidden_size": self.hidden_size}
 
 
-class FlattenLayer:
+class FlattenLayer(Layer):
     kind = "flatten"
 
     def __init__(self, name, in_shape):
@@ -165,14 +161,11 @@ class FlattenLayer:
     def backward(self, cache, grad_out, input_grad=True):
         return grad_out.reshape(cache + self.in_shape), {}
 
-    def param_items(self):
-        return []
-
     def describe(self):
         return {"kind": self.kind, "name": self.name, "in_shape": list(self.in_shape)}
 
 
-class TimeMajorLayer:
+class TimeMajorLayer(Layer):
     """(..., C, T) -> (..., T, C) so sequence models read time steps."""
 
     kind = "time_major"
@@ -185,9 +178,6 @@ class TimeMajorLayer:
 
     def backward(self, cache, grad_out, input_grad=True):
         return np.swapaxes(grad_out, -1, -2), {}
-
-    def param_items(self):
-        return []
 
     def describe(self):
         return {"kind": self.kind, "name": self.name}
@@ -264,12 +254,10 @@ class Model:
         return grads
 
     def named_params(self):
-        """[(qualified name, value array, velocity array)] in graph order."""
-        out = []
+        """Yield (qualified name, value array) in graph order."""
         for l in self.layers:
-            for pname, value, vel in l.param_items():
-                out.append((f"{l.name}.{pname}", value, vel))
-        return out
+            for pname, value in l.param_items():
+                yield f"{l.name}.{pname}", value
 
     def classifier_layer(self):
         """The final parameterized layer (the loss-facing classifier)."""
@@ -279,7 +267,7 @@ class Model:
         raise InvalidSpecError("model has no parameterized layers")
 
     def parameter_count(self):
-        return sum(v.size for _, v, _ in self.named_params())
+        return sum(v.size for _, v in self.named_params())
 
     def describe(self):
         return {

@@ -1,13 +1,13 @@
 """Two-phase training: logistic-loss pretraining, hinge-loss fine-tuning."""
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .engine import LOSSES, derive_seed, sgd_momentum_step
 from .errors import InvalidInputError, InvalidSpecError, NonFiniteGradientError
 
-PHASES = ("logistic-pretrain", "hinge-finetune", "two-phase")
+PHASES = ("hinge-finetune", "two-phase")
 
 
 @dataclass
@@ -21,8 +21,6 @@ class TrainSchedule:
     seed: int = 0
     phase: str = "two-phase"
     finetune_epochs: int = None  # defaults to ``epochs``
-    reinit_classifier: bool = True
-    freeze_features: bool = False
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.lr <= 0:
@@ -61,22 +59,27 @@ def _check_training_inputs(instances, labels):
     return x, y
 
 
-def _snapshot(model):
-    return [(v.copy(), vel.copy()) for _, v, vel in model.named_params()]
+def _snapshot(params):
+    return [v.copy() for _, v in params]
 
 
-def _restore(model, snap):
-    for (_, v, vel), (sv, svel) in zip(model.named_params(), snap):
+def _restore(params, snap):
+    for (_, v), sv in zip(params, snap):
         v[:] = sv
-        vel[:] = svel
 
 
-def _run_phase(model, x, y, loss_name, epochs, schedule, rng, curve, trainable):
-    """One loss phase of minibatch SGD; returns False on divergence."""
+def _run_phase(model, x, y, loss_name, epochs, schedule, rng, curve):
+    """One loss phase of minibatch SGD; returns False on divergence.
+
+    The phase owns the momentum: every parameter's velocity starts at zero
+    here and is dropped when the phase ends.
+    """
     loss_fn = LOSSES[loss_name]
     n = x.shape[0]
     batch = min(schedule.batch_size, n)
-    snap = _snapshot(model)
+    params = list(model.named_params())
+    velocities = [np.zeros_like(v) for _, v in params]
+    snap = _snapshot(params)
     for _ in range(epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
@@ -87,21 +90,19 @@ def _run_phase(model, x, y, loss_name, epochs, schedule, rng, curve, trainable):
                 score, caches = model.forward_cached(xb)
                 losses, grad_s = loss_fn(score, yb)
                 grads = model.backward(caches, grad_s / idx.size)
-                for name, value, vel in model.named_params():
-                    if name not in trainable:
-                        continue
+                for (name, value), vel in zip(params, velocities):
                     sgd_momentum_step(value, vel, grads[name],
                                       lr=schedule.lr, momentum=schedule.momentum, name=name)
                 epoch_loss += float(np.sum(losses))
         except NonFiniteGradientError:
-            _restore(model, snap)
+            _restore(params, snap)
             return False
         mean_loss = epoch_loss / n
         if not np.isfinite(mean_loss):
-            _restore(model, snap)
+            _restore(params, snap)
             return False
         curve.append(mean_loss)
-        snap = _snapshot(model)
+        snap = _snapshot(params)
     return True
 
 
@@ -109,42 +110,31 @@ def train(model, instances, labels, schedule: TrainSchedule) -> TrainResult:
     """Train ``model`` in place following the schedule.
 
     two-phase runs logistic pretraining for ``epochs``, reinitializes the
-    final classifier layer (unless reinit_classifier=False), then fine-tunes
-    with hinge loss for ``finetune_epochs``; freeze_features restricts the
-    second phase to the classifier.  Batches are drawn from a seeded
-    shuffle each epoch.  On divergence the last finite epoch's parameters
-    are restored and the result is flagged.
+    final classifier layer, then fine-tunes every layer with hinge loss for
+    ``finetune_epochs``; hinge-finetune runs the hinge phase alone for
+    ``epochs``.  Each phase starts its momentum from zero.  Batches are
+    drawn from a seeded shuffle each epoch.  On divergence the last finite
+    epoch's parameters are restored and the result is flagged.
     """
     x, y = _check_training_inputs(instances, labels)
     rng = np.random.Generator(np.random.PCG64(derive_seed(schedule.seed, "batch-shuffle")))
-    all_params = {name for name, _, _ in model.named_params()}
     curve = []
     boundaries = {}
-    diverged = False
 
-    def phase(loss_name, epochs, trainable):
-        nonlocal diverged
+    def phase(loss_name, epochs):
         start = len(curve)
-        ok = _run_phase(model, x, y, loss_name, epochs, schedule, rng, curve, trainable)
+        ok = _run_phase(model, x, y, loss_name, epochs, schedule, rng, curve)
         boundaries[loss_name] = (start, len(curve))
-        diverged = diverged or not ok
         return ok
 
-    if schedule.phase == "logistic-pretrain":
-        phase("logistic", schedule.epochs, all_params)
-    elif schedule.phase == "hinge-finetune":
-        phase("hinge", schedule.epochs, all_params)
+    if schedule.phase == "hinge-finetune":
+        ok = phase("hinge", schedule.epochs)
     else:
-        if phase("logistic", schedule.epochs, all_params):
+        ok = phase("logistic", schedule.epochs)
+        if ok:
             classifier = model.classifier_layer()
-            if schedule.reinit_classifier:
-                classifier.reinit(derive_seed(schedule.seed, f"{classifier.name}.reinit"))
-            for _, _, vel in model.named_params():
-                vel[:] = 0.0  # momentum restarts with the new objective
-            trainable = all_params if not schedule.freeze_features else {
-                f"{classifier.name}.{p}" for p, _, _ in classifier.param_items()
-            }
-            phase("hinge", schedule.finetune_epochs, trainable)
+            classifier.reinit(derive_seed(schedule.seed, f"{classifier.name}.reinit"))
+            ok = phase("hinge", schedule.finetune_epochs)
 
     return TrainResult(model=model, loss_curve=curve,
-                       phase_boundaries=boundaries, diverged=diverged)
+                       phase_boundaries=boundaries, diverged=not ok)

@@ -256,3 +256,54 @@ def reference_lstm_forward(sequence, params, return_cache=False):
     if return_cache:
         return h, (sequence, steps)
     return h
+
+
+def reference_two_phase_sgd(x, y, model_seed, schedule):
+    """``train`` of ``build_linear_classifier(D, model_seed)`` as a plain loop.
+
+    Returns (loss curve, weights (D,), bias).  Only the seeds come from the
+    package: the initial and the reinitialized classifier weights are its
+    xavier draws, and the batch order is its seeded shuffle.  Losses,
+    gradients and the momentum step are written out here, and each phase
+    starts its momentum from zero.
+    """
+    from hapticnet.engine import derive_seed, xavier_init
+
+    n, d = x.shape
+    batch = min(schedule.batch_size, n)
+    order_rng = np.random.Generator(np.random.PCG64(derive_seed(schedule.seed, "batch-shuffle")))
+    w = xavier_init((1, d), d, derive_seed(model_seed, "fc.weights"))[0]
+    b = 0.0
+    curve = []
+
+    def phase(loss, epochs):
+        nonlocal w, b
+        vel_w, vel_b = np.zeros(d), 0.0
+        for _ in range(epochs):
+            order = order_rng.permutation(n)
+            total = 0.0
+            for start in range(0, n, batch):
+                idx = order[start:start + batch]
+                xb, yb = x[idx], y[idx]
+                margin = yb * (xb @ w + b)
+                if loss == "logistic":
+                    total += np.sum(np.log1p(np.exp(-margin)))
+                    grad_s = -yb / (1.0 + np.exp(margin))
+                else:
+                    total += np.sum(np.maximum(0.0, 1.0 - margin))
+                    grad_s = np.where(margin < 1.0, -yb, 0.0)
+                grad_s = grad_s / idx.size
+                vel_w = schedule.momentum * vel_w - schedule.lr * (grad_s @ xb)
+                vel_b = schedule.momentum * vel_b - schedule.lr * np.sum(grad_s)
+                w = w + vel_w
+                b = b + vel_b
+            curve.append(total / n)
+
+    if schedule.phase == "hinge-finetune":
+        phase("hinge", schedule.epochs)
+    else:
+        phase("logistic", schedule.epochs)
+        w = xavier_init((1, d), d, derive_seed(schedule.seed, "fc.reinit"))[0]
+        b = 0.0
+        phase("hinge", schedule.finetune_epochs)
+    return curve, w, b

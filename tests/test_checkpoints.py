@@ -6,6 +6,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hapticnet.errors import InvalidSpecError, UnsupportedFormatError
 from hapticnet.io import (
@@ -24,6 +25,7 @@ from hapticnet.models import (
     build_linear_classifier,
     model_from_description,
 )
+from hapticnet.training import TrainSchedule, train
 
 BUILDERS = {
     "haptic_cnn": lambda: build_haptic_cnn(seed=3),
@@ -33,19 +35,43 @@ BUILDERS = {
 
 
 def trained_looking(kind):
-    """A model with random weights and non-zero momentum buffers."""
+    """A model with random weights."""
     model = BUILDERS[kind]()
     rng = np.random.default_rng(11)
-    for _, value, vel in model.named_params():
+    for _, value in model.named_params():
         value[:] = rng.standard_normal(value.shape)
-        vel[:] = rng.standard_normal(vel.shape)
     return model
 
 
 def round_params_to_float32(model):
-    for _, value, vel in model.named_params():
+    for _, value in model.named_params():
         value[:] = value.astype(np.float32)
-        vel[:] = vel.astype(np.float32)
+
+
+@st.composite
+def float32_model(draw, kind):
+    """A model whose parameters are float32 values drawn per tensor.
+
+    Each tensor is a seeded normal draw at a drawn scale, from float32
+    subnormals to 1e30, with a few entries overwritten by any finite float32.
+    """
+    model = BUILDERS[kind]()
+    for _, value in model.named_params():
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        scale = 10.0 ** draw(st.integers(-45, 30))
+        value[:] = (scale * rng.standard_normal(value.shape)).astype(np.float32)
+        for i, v in draw(st.lists(st.tuples(
+                st.integers(0, value.size - 1),
+                st.floats(width=32, allow_nan=False, allow_infinity=False)), max_size=4)):
+            value.flat[i] = v
+    return model
+
+
+# Deterministic examples keep the suite reproducible; every example
+# overwrites the same files under tmp_path, so sharing it is safe.
+round_trip_settings = settings(
+    max_examples=20, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
 def container_bytes(blob):
@@ -55,8 +81,10 @@ def container_bytes(blob):
 
 @pytest.mark.parametrize("kind", sorted(BUILDERS))
 class TestCheckpointRoundTrip:
-    def test_save_load_save_is_byte_identical(self, kind, tmp_path):
-        model = trained_looking(kind)
+    @round_trip_settings
+    @given(data=st.data())
+    def test_save_load_save_is_byte_identical(self, kind, tmp_path, data):
+        model = data.draw(float32_model(kind))
         save_checkpoint(tmp_path / "a.ckpt", checkpoint_from_model(model, {"epochs": 4}))
         loaded_ckpt = load_checkpoint(tmp_path / "a.ckpt")
         assert loaded_ckpt.meta == {"epochs": 4}
@@ -64,17 +92,23 @@ class TestCheckpointRoundTrip:
         save_checkpoint(tmp_path / "b.ckpt", checkpoint_from_model(loaded, loaded_ckpt.meta))
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
-    def test_loaded_model_scores_like_the_float32_original(self, kind, tmp_path):
-        model = trained_looking(kind)
+    @round_trip_settings
+    @given(data=st.data())
+    def test_loaded_model_scores_like_the_float32_original(self, kind, tmp_path, data):
+        model = data.draw(float32_model(kind))
         save_checkpoint(tmp_path / "m.ckpt", checkpoint_from_model(model, {}))
         loaded = model_from_checkpoint(load_checkpoint(tmp_path / "m.ckpt"))
-        round_params_to_float32(model)
-        for (n1, v1, m1), (n2, v2, m2) in zip(model.named_params(), loaded.named_params()):
+        for (n1, v1), (n2, v2) in zip(model.named_params(), loaded.named_params()):
             assert n1 == n2
-            assert np.array_equal(v1, v2) and np.array_equal(m1, m2)
+            assert np.array_equal(v1, v2)
         xs = np.random.default_rng(12).standard_normal((5,) + model.input_shape)
         assert np.array_equal(loaded.forward(xs[0]), model.forward(xs[0]))
         assert np.array_equal(loaded.forward(xs), model.forward(xs))
+
+    def test_checkpoint_holds_one_tensor_per_parameter(self, kind):
+        model = BUILDERS[kind]()
+        ckpt = checkpoint_from_model(model, {})
+        assert list(ckpt.tensors) == [name for name, _ in model.named_params()]
 
     def test_graph_with_empty_tap_aliases_still_loads(self, kind, tmp_path):
         # checkpoints written before tap aliases were removed carry an empty map
@@ -157,19 +191,47 @@ class TestCheckpointReader:
             load_checkpoint(path)
         assert str(path) in str(err.value)
 
-    def test_velocity_of_wrong_shape_rejected(self):
+    def test_weight_of_wrong_shape_rejected(self):
         ckpt = checkpoint_from_model(build_linear_classifier(4), {})
-        ckpt.tensors["fc.weights.vel"] = np.zeros((1, 5))
-        with pytest.raises(UnsupportedFormatError, match="'fc.weights.vel' has shape"):
+        ckpt.tensors["fc.weights"] = np.zeros((1, 5))
+        with pytest.raises(UnsupportedFormatError, match="'fc.weights' has shape"):
             model_from_checkpoint(ckpt)
 
-    def test_missing_velocity_starts_at_zero(self):
-        model = trained_looking("fusion")
-        ckpt = checkpoint_from_model(model, {})
-        del ckpt.tensors["fc.bias.vel"]
-        loaded = model_from_checkpoint(ckpt)
-        assert not loaded.layer("fc").params.b_vel.any()
-        assert loaded.layer("fc").params.w_vel.any()
+    def test_missing_weight_rejected(self):
+        ckpt = checkpoint_from_model(build_linear_classifier(4), {})
+        del ckpt.tensors["fc.bias"]
+        with pytest.raises(UnsupportedFormatError, match="missing tensor 'fc.bias'"):
+            model_from_checkpoint(ckpt)
+
+    @pytest.mark.parametrize("stray", ["fc2.weights", "fc.scale", "fc2.weights.vel"])
+    def test_tensor_naming_no_parameter_rejected(self, stray):
+        ckpt = checkpoint_from_model(build_linear_classifier(4), {})
+        ckpt.tensors[stray] = np.zeros((1, 4))
+        with pytest.raises(UnsupportedFormatError, match=re.escape(f"[{stray!r}] name no parameter")):
+            model_from_checkpoint(ckpt)
+
+    def test_momentum_tensors_of_old_checkpoints_are_ignored(self, tmp_path):
+        # checkpoints once stored a "<param>.vel" momentum tensor per parameter
+        model = build_linear_classifier(6, seed=2)
+        fc = model.layer("fc").params
+        fc.weights[:] = fc.weights.astype(np.float32)
+        rng = np.random.default_rng(14)
+        tensors = {"fc.weights": fc.weights, "fc.bias": fc.bias,
+                   "fc.weights.vel": rng.standard_normal((1, 6)),
+                   "fc.bias.vel": rng.standard_normal(1)}
+        save_checkpoint(tmp_path / "old.ckpt", Checkpoint(model.describe(), tensors, {}))
+        loaded = model_from_checkpoint(load_checkpoint(tmp_path / "old.ckpt"))
+
+        # training starts its momentum from zero, so it cannot tell the two apart
+        x = rng.standard_normal((40, 6))
+        y = np.where(x @ rng.standard_normal(6) > 0, 1.0, -1.0)
+        schedule = TrainSchedule(epochs=4, finetune_epochs=3, batch_size=16, seed=5)
+        fresh = train(model, x, y, schedule)
+        old = train(loaded, x, y, schedule)
+        assert np.array_equal(old.loss_curve, fresh.loss_curve)
+        for field in ("weights", "bias"):
+            assert np.array_equal(getattr(loaded.layer("fc").params, field),
+                                  getattr(model.layer("fc").params, field)), field
 
     def test_missing_layer_field_named(self):
         desc = build_linear_classifier(4).describe()

@@ -1,0 +1,137 @@
+"""Dataset manifests: strict loading, and validation of a dataset tree."""
+
+import json
+import os
+import shutil
+
+import pytest
+
+from hapticnet import synth
+from hapticnet.errors import InvalidInputError
+from hapticnet.io import (
+    DatasetManifest,
+    Finding,
+    load_manifest,
+    read_labels_csv,
+    read_trial_file,
+    save_manifest,
+    validate,
+    write_labels_csv,
+    write_trial_file,
+)
+
+
+@pytest.fixture(scope="module")
+def generated(tmp_path_factory):
+    return synth.synth_generate(synth.separable_config(n_objects=2, n_trials=1, seed=6),
+                               tmp_path_factory.mktemp("dataset"))
+
+
+@pytest.fixture
+def tree(generated, tmp_path):
+    """A fresh copy of a small synthetic dataset; returns its manifest path."""
+    shutil.copytree(generated.parent, tmp_path / "dataset")
+    return tmp_path / "dataset" / generated.name
+
+
+def write_json(path, data):
+    path.write_text(json.dumps(data))
+    return path
+
+
+# The field each edit breaks -> the edit, applied to a valid manifest's JSON.
+BAD_EDITS = {
+    "trials[0]": lambda d: d["trials"].__setitem__(0, "trials/a.csv"),
+    "trials[1].path": lambda d: d["trials"][1].__setitem__("path", 5),
+    "objects[1]": lambda d: d["objects"][1].pop("id"),
+    "visual[0]": lambda d: d["visual"].__setitem__(0, "visual/a.vfm"),
+    "trials_per_object": lambda d: d.__setitem__("trials_per_object", "ten"),
+    "views_per_object": lambda d: d.__setitem__("views_per_object", True),
+    "trials": lambda d: d.__setitem__("trials", {}),
+    "trials[2]": lambda d: d["trials"][2].pop("ep"),
+    "visual[1].object_id": lambda d: d["visual"][1].__setitem__("object_id", 3),
+}
+
+
+class TestLoadManifest:
+    def test_save_load_round_trip(self, tree, tmp_path):
+        manifest = load_manifest(tree)
+        assert isinstance(manifest, DatasetManifest)
+        save_manifest(tmp_path / "again.json", manifest)
+        assert (tmp_path / "again.json").read_text() == tree.read_text()
+        assert load_manifest(tmp_path / "again.json") == manifest
+
+    def test_optional_fields_take_their_defaults(self, tree, tmp_path):
+        data = json.loads(tree.read_text())
+        for key in ("trials_per_object", "views_per_object", "preprocessing",
+                    "visual_preprocessing"):
+            del data[key]
+        loaded = load_manifest(write_json(tmp_path / "m.json", data))
+        bare = DatasetManifest(data["name"], data["objects"], data["labels"],
+                               data["trials"], data["visual"])
+        assert loaded == bare
+
+    @pytest.mark.parametrize("version", [None, 0, 2, "1"])
+    def test_bad_version_rejected(self, tree, tmp_path, version):
+        data = json.loads(tree.read_text())
+        data["version"] = version
+        path = write_json(tmp_path / "m.json", data)
+        with pytest.raises(InvalidInputError, match="unsupported manifest version") as err:
+            load_manifest(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("field", ["name", "objects", "labels", "trials", "visual"])
+    def test_missing_field_rejected(self, tree, tmp_path, field):
+        data = json.loads(tree.read_text())
+        del data[field]
+        path = write_json(tmp_path / "m.json", data)
+        with pytest.raises(InvalidInputError, match=f"missing fields \\['{field}'\\]") as err:
+            load_manifest(path)
+        assert str(path) in str(err.value)
+
+    def test_unreadable_json_rejected(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text("{not json")
+        with pytest.raises(InvalidInputError, match="cannot read manifest"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("field", list(BAD_EDITS))
+    def test_structurally_bad_manifest_names_path_and_field(self, tree, tmp_path, field):
+        data = json.loads(tree.read_text())
+        BAD_EDITS[field](data)
+        path = write_json(tmp_path / "m.json", data)
+        with pytest.raises(InvalidInputError) as err:
+            load_manifest(path)
+        message = str(err.value)
+        assert str(path) in message
+        assert f"manifest field {field} " in message
+
+
+class TestValidate:
+    def test_generated_tree_is_clean(self, tree):
+        assert validate(load_manifest(tree), tree.parent) == []
+
+    def test_missing_label_row(self, tree):
+        manifest = load_manifest(tree)
+        labels = tree.parent / manifest.labels_path
+        rows = read_labels_csv(labels)
+        write_labels_csv(labels, rows[1:])
+        assert validate(manifest, tree.parent) == [Finding(
+            str(labels), "object_id", f"object {rows[0][0]} has no label row")]
+
+    def test_missing_trial_file(self, tree):
+        manifest = load_manifest(tree)
+        gone = tree.parent / manifest.trials[3]["path"]
+        os.remove(gone)
+        findings = validate(manifest, tree.parent)
+        assert [(f.file, f.field) for f in findings] == [(str(gone), "trial-file")]
+
+    def test_wrong_sample_rate_ratio(self, tree):
+        manifest = load_manifest(tree)
+        path = tree.parent / manifest.trials[5]["path"]
+        chans = read_trial_file(path)
+        chans["P_AC"] = chans["P_AC"][:2 * chans["P_DC"].size]
+        write_trial_file(path, chans)
+        findings = validate(manifest, tree.parent)
+        assert [(f.file, f.field) for f in findings] == [(str(path), "sample-rate")]
+        assert "P_AC/P_DC length ratio 2.0" in findings[0].message
