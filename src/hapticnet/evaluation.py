@@ -23,25 +23,6 @@ ADJECTIVES = (
 )
 
 
-@dataclass
-class AdjectiveLabelSet:
-    """One object's 24 binary adjective labels."""
-
-    object_id: str
-    labels: dict
-
-    def __post_init__(self):
-        if set(self.labels) != set(ADJECTIVES):
-            missing = sorted(set(ADJECTIVES) - set(self.labels))
-            extra = sorted(set(self.labels) - set(ADJECTIVES))
-            raise InvalidInputError(
-                f"label set for {self.object_id}: missing={missing} extra={extra}"
-            )
-
-    def as_row(self):
-        return [bool(self.labels[a]) for a in ADJECTIVES]
-
-
 @dataclass(frozen=True)
 class SplitPlan:
     """Train/test partition at object granularity for one adjective."""
@@ -69,23 +50,17 @@ class SplitPlan:
 def make_split(objects, labels, adjective, ratio=0.9, seed=0) -> SplitPlan:
     """Seeded stratified 90/10 object split with both classes on both sides.
 
-    ``labels`` maps object id -> AdjectiveLabelSet (or a plain dict of
-    adjective -> bool).  The test size is the rounded share, else one more
-    or one fewer; failing those, it keeps the rounded share (at least 2) and
-    caps the test positives at one below it.  The counts do not depend on
-    the seed, which only picks the objects.
+    ``labels`` maps object id -> {adjective: bool}.  The test size is the
+    rounded share, else one more or one fewer; failing those, it keeps the
+    rounded share (at least 2) and caps the test positives at one below it.
+    The counts do not depend on the seed, which only picks the objects.
     """
     objects = list(objects)
     if adjective not in ADJECTIVES:
         raise InvalidInputError(f"unknown adjective {adjective!r}")
 
-    def truth(obj):
-        entry = labels[obj]
-        value = entry.labels[adjective] if isinstance(entry, AdjectiveLabelSet) else entry[adjective]
-        return bool(value)
-
-    pos = [o for o in objects if truth(o)]
-    neg = [o for o in objects if not truth(o)]
+    pos = [o for o in objects if labels[o][adjective]]
+    neg = [o for o in objects if not labels[o][adjective]]
     if len(pos) < 2 or len(neg) < 2:
         raise InfeasibleSplitError(
             f"{adjective}: needs >=2 positive and >=2 negative objects, "

@@ -8,6 +8,8 @@ from .errors import InvalidInputError
 from .models import Model, build_linear_classifier
 from .training import TrainSchedule, TrainResult, train
 
+EXTRACT_BATCH = 256  # instances per forward pass in extract_activations
+
 
 @dataclass
 class FeatureVector:
@@ -18,8 +20,7 @@ class FeatureVector:
     values: np.ndarray
 
 
-def extract_activations(model: Model, instances, tap_layer="conv3",
-                        batch_size=256) -> list:
+def extract_activations(model: Model, instances, tap_layer="conv3") -> list:
     """Flattened tap-layer outputs for a list of InstanceMatrix.
 
     Pure function of (model parameters, instance values); taps on fused
@@ -27,8 +28,8 @@ def extract_activations(model: Model, instances, tap_layer="conv3",
     """
     model.resolve_tap(tap_layer)  # fail fast on unknown taps
     out = []
-    for start in range(0, len(instances), batch_size):
-        chunk = instances[start:start + batch_size]
+    for start in range(0, len(instances), EXTRACT_BATCH):
+        chunk = instances[start:start + EXTRACT_BATCH]
         x = np.stack([inst.values for inst in chunk])
         _, tapped = model.forward(x, tap=tap_layer)
         flat = tapped.reshape(len(chunk), -1)

@@ -64,26 +64,44 @@ class HapticTrial:
                 self.checked_channels(finger, ep)
 
     def checked_channels(self, finger: int, ep: str) -> dict:
-        """``channels(finger, ep)`` after checking that all channels are
-        present, the 100 Hz ones share a length and P_AC is ~22x as long."""
+        """``channels(finger, ep)`` after checking it against ``block_problems``;
+        the first problem raises, naming the trial, finger and EP."""
         chans = self.channels(finger, ep)
-        where = f"trial {self.object_id}/{self.trial_index} finger {finger} ep {ep}"
-        missing = [c for c in CHANNELS if c not in chans]
-        if missing:
-            raise InvalidInputError(f"{where}: missing channels {missing}")
-        base_len = len(chans["P_DC"])
-        for c in CHANNELS[2:]:
-            if len(chans[c]) != base_len:
-                raise InvalidInputError(
-                    f"{where}: channel {c} has length {len(chans[c])}, "
-                    f"expected {base_len} as P_DC"
-                )
-        if abs(len(chans["P_AC"]) - DECIMATION * base_len) > DECIMATION:
+        problems = block_problems(chans)
+        if problems:
             raise InvalidInputError(
-                f"{where}: channel P_AC length {len(chans['P_AC'])} is not "
-                f"~{DECIMATION}x the 100 Hz length {base_len}"
-            )
+                f"trial {self.object_id}/{self.trial_index} finger {finger} ep {ep}: "
+                f"{problems[0][1]}")
         return chans
+
+
+def block_problems(chans: dict) -> list:
+    """[(field, message)] for each way a (finger, EP) block of channels breaks
+    the trial-block rule, or [] for a good block.
+
+    The rule: every channel is present, the 100 Hz channels share one
+    non-zero length, and P_AC is ~22x as long (one 100 Hz sample of slack).
+    Only lengths are compared, so the check costs nothing next to the data.
+    """
+    missing = [c for c in CHANNELS if c not in chans]
+    if missing:
+        return [("channels", f"missing channels {missing}")]
+    base_len = len(chans["P_DC"])
+    problems = []
+    for c in CHANNELS[2:]:
+        if len(chans[c]) != base_len:
+            problems.append(("lengths", f"channel {c} has length {len(chans[c])}, "
+                                        f"expected {base_len} as P_DC"))
+            break
+    pac_len = len(chans["P_AC"])
+    if not base_len:
+        problems.append(("lengths", "empty 100 Hz channels"))
+    elif abs(pac_len - DECIMATION * base_len) > DECIMATION:
+        problems.append(("sample-rate",
+                         f"channel P_AC length {pac_len} is not ~{DECIMATION}x the "
+                         f"100 Hz length {base_len} "
+                         f"(P_AC/P_DC length ratio {pac_len / base_len:.1f})"))
+    return problems
 
 
 @dataclass

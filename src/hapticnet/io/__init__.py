@@ -10,7 +10,6 @@ from .formats import (
     read_labels_csv,
     read_trial_file,
     save_checkpoint,
-    sidecar_path,
     write_container,
     write_feature_maps,
     write_labels_csv,
@@ -36,7 +35,6 @@ __all__ = [
     "read_trial_file",
     "save_checkpoint",
     "save_manifest",
-    "sidecar_path",
     "validate",
     "write_container",
     "write_feature_maps",

@@ -1,10 +1,12 @@
 """On-disk formats: tensor containers, checkpoints, feature maps, trial files.
 
-Storage is 32-bit (checkpoints, visual feature maps) while all
-training math stays 64-bit.  Every binary format is versioned and
-little-endian; readers verify magic, version, and exact payload length and
-reject anything else instead of guessing.  Writers are deterministic:
-identical inputs produce identical bytes.
+There is one binary layout, the tensor container: a magic naming what the
+file holds, a version, a canonical JSON header and little-endian float32
+tensors.  Checkpoints and visual feature maps are both containers, so
+storage is 32-bit while all training math stays 64-bit.  ``read_container``
+verifies magic, version, header and exact payload length and rejects
+anything else instead of guessing.  Trial files and the label table are
+text.  Writers are deterministic: identical inputs produce identical bytes.
 """
 
 import json
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidInputError, UnsupportedFormatError
-from ..haptic import CHANNELS, PAC_RATE, BASE_RATE
+from ..haptic import CHANNELS
 
 CONTAINER_VERSION = 1
 CHECKPOINT_MAGIC = b"HCKP"
@@ -89,6 +91,8 @@ def _container_header(path, header):
         name = entry.get("name") if isinstance(entry, dict) else None
         if not isinstance(name, str):
             raise UnsupportedFormatError(f"{path}: tensor entry {i} has no name")
+        if name in (n for n, _ in entries):
+            raise UnsupportedFormatError(f"{path}: tensor {name!r} is listed twice")
         shape = entry.get("shape")
         if not (isinstance(shape, list) and all(type(s) is int and s >= 0 for s in shape)):
             raise UnsupportedFormatError(f"{path}: tensor {name!r} has no valid shape: {shape!r}")
@@ -150,36 +154,24 @@ def model_from_checkpoint(checkpoint: Checkpoint):
 
 
 def write_feature_maps(path, grids: np.ndarray) -> None:
-    """Visual feature maps for one object: (views, H, W, C) float32 grid."""
+    """Visual feature maps for one object: a container holding one
+    (views, H, W, C) float32 tensor named ``grids``."""
     grids = np.asarray(grids)
     if grids.ndim != 4:
         raise InvalidInputError(f"expected (views, H, W, C), got shape {grids.shape}")
-    with open(path, "wb") as fh:
-        fh.write(FEATUREMAP_MAGIC)
-        fh.write(struct.pack("<I", CONTAINER_VERSION))
-        fh.write(struct.pack("<4I", *grids.shape))
-        fh.write(np.ascontiguousarray(grids, dtype="<f4").tobytes())
+    write_container(path, FEATUREMAP_MAGIC, {"grids": grids}, {})
 
 
 def read_feature_maps(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    fixed = len(FEATUREMAP_MAGIC) + 4 + 16
-    if len(raw) < fixed:
-        raise UnsupportedFormatError(f"{path}: shorter than the fixed header")
-    if raw[:4] != FEATUREMAP_MAGIC:
-        raise UnsupportedFormatError(f"{path}: magic {raw[:4]!r}, expected {FEATUREMAP_MAGIC!r}")
-    (version,) = struct.unpack_from("<I", raw, 4)
-    if version != CONTAINER_VERSION:
-        raise UnsupportedFormatError(f"{path}: unsupported version {version}")
-    dims = struct.unpack_from("<4I", raw, 8)
-    expected = int(np.prod(dims)) * 4
-    payload = raw[fixed:]
-    if len(payload) != expected:
+    """The (views, H, W, C) grids of a feature-map container, as float64."""
+    tensors, _ = read_container(path, FEATUREMAP_MAGIC)
+    if list(tensors) != ["grids"]:
         raise UnsupportedFormatError(
-            f"{path}: payload is {len(payload)} bytes, dims {dims} need {expected}"
-        )
-    return np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float64)
+            f"{path}: feature maps hold tensors {sorted(tensors)}, expected ['grids']")
+    grids = tensors["grids"]
+    if grids.ndim != 4:
+        raise UnsupportedFormatError(f"{path}: grids have shape {grids.shape}, not (views, H, W, C)")
+    return grids
 
 
 def write_trial_file(path, channels: dict) -> None:
@@ -188,8 +180,9 @@ def write_trial_file(path, channels: dict) -> None:
     Channels are columns in the fixed order; columns shorter than the
     longest one (P_AC runs ~22x longer than the 100 Hz channels) simply end,
     with trailing empty cells trimmed from each row.  Lengths must not grow
-    along that order, so every row fills a prefix of the columns.  A JSON
-    sidecar carries the per-channel sample rates.
+    along that order, so every row fills a prefix of the columns.  The sample
+    rates are fixed by the format (``haptic.PAC_RATE``, ``haptic.BASE_RATE``)
+    and are not stored.
     """
     missing = [c for c in CHANNELS if c not in channels]
     if missing:
@@ -212,13 +205,6 @@ def write_trial_file(path, channels: dict) -> None:
         lines.append(",".join(row[:last]))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    rates = {c: (PAC_RATE if c == "P_AC" else BASE_RATE) for c in CHANNELS}
-    with open(sidecar_path(path), "w") as fh:
-        fh.write(json.dumps({"sample_rates": rates}, sort_keys=True, indent=1) + "\n")
-
-
-def sidecar_path(path):
-    return str(path) + ".meta.json"
 
 
 def read_trial_file(path) -> dict:

@@ -7,13 +7,13 @@ from pathlib import Path
 from ..errors import InvalidInputError
 from ..evaluation import ADJECTIVES
 from ..haptic import (
-    BASE_RATE,
     DECIMATION,
     EPS,
     FINGERS,
     OFFSETS,
     PCA_COMPONENTS,
     RESAMPLE_LEN,
+    block_problems,
 )
 from ..visual import N_VIEWS
 from . import formats
@@ -81,11 +81,32 @@ _ENTRY_FIELDS = {
 _TYPE_NAMES = {str: "a string", int: "an integer", list: "a list", dict: "an object"}
 
 
-def _check_type(path, where, value, kind):
+def _type_problem(value, kind):
+    """Why ``value`` is not of ``kind``, or None."""
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise InvalidInputError(
-            f"{path}: manifest field {where} must be {_TYPE_NAMES[kind]}, "
-            f"got {type(value).__name__}")
+        return f"must be {_TYPE_NAMES[kind]}, got {type(value).__name__}"
+    return None
+
+
+def _field_problems(fields):
+    """[(field, message)] for each top-level field in ``fields`` that lacks its type."""
+    return [(key, problem) for key, kind in _FIELD_TYPES.items()
+            if key in fields and (problem := _type_problem(fields[key], kind))]
+
+
+def _entry_problem(key, i, entry):
+    """(field, message) for the first way entry ``i`` of the ``key`` list is
+    not an object holding its fields with their types, or None."""
+    problem = _type_problem(entry, dict)
+    if problem:
+        return f"{key}[{i}]", problem
+    for name, kind in _ENTRY_FIELDS[key].items():
+        if name not in entry:
+            return f"{key}[{i}]", f"lacks field {name!r}"
+        problem = _type_problem(entry[name], kind)
+        if problem:
+            return f"{key}[{i}].{name}", problem
+    return None
 
 
 def load_manifest(path) -> DatasetManifest:
@@ -108,17 +129,14 @@ def load_manifest(path) -> DatasetManifest:
     missing = [k for k in required if k not in data]
     if missing:
         raise InvalidInputError(f"{path}: manifest missing fields {missing}")
-    for key, kind in _FIELD_TYPES.items():
-        if key in data:
-            _check_type(path, key, data[key], kind)
-    for key, entry_fields in _ENTRY_FIELDS.items():
+    problems = _field_problems(data)
+    if problems:
+        raise InvalidInputError(f"{path}: manifest field {problems[0][0]} {problems[0][1]}")
+    for key in _ENTRY_FIELDS:
         for i, entry in enumerate(data[key]):
-            _check_type(path, f"{key}[{i}]", entry, dict)
-            for name, kind in entry_fields.items():
-                if name not in entry:
-                    raise InvalidInputError(
-                        f"{path}: manifest field {key}[{i}] lacks field {name!r}")
-                _check_type(path, f"{key}[{i}].{name}", entry[name], kind)
+            problem = _entry_problem(key, i, entry)
+            if problem:
+                raise InvalidInputError(f"{path}: manifest field {problem[0]} {problem[1]}")
     return DatasetManifest(
         name=data["name"],
         objects=data["objects"],
@@ -145,14 +163,24 @@ class Finding:
 
 
 def validate(manifest: DatasetManifest, root) -> list:
-    """Check counts, file integrity, sample-rate ratios, label completeness.
+    """Check counts, file integrity, trial blocks, label completeness.
 
     Total: malformed inputs become findings, never exceptions.  An intact
     dataset yields an empty list.
     """
     root = Path(root)
-    findings = []
-    object_ids = manifest.object_ids()
+    findings = [Finding("manifest", *problem) for problem in _field_problems(manifest.to_dict())]
+    if findings:
+        return findings  # nothing below can be read without the fields' types
+    entries = {key: [] for key in _ENTRY_FIELDS}  # the well-formed ones
+    for key, kept in entries.items():
+        for i, entry in enumerate(getattr(manifest, key)):
+            problem = _entry_problem(key, i, entry)
+            if problem:
+                findings.append(Finding("manifest", *problem))
+            else:
+                kept.append(entry)
+    object_ids = [o["id"] for o in entries["objects"]]
     if len(set(object_ids)) != len(object_ids):
         findings.append(Finding("manifest", "objects", "duplicate object ids"))
 
@@ -173,9 +201,9 @@ def validate(manifest: DatasetManifest, root) -> list:
 
     # haptic trial index: per object, trials_per_object x fingers x EPs
     by_object = {obj: set() for obj in object_ids}
-    for entry in manifest.trials:
-        key = (entry.get("trial"), entry.get("finger"), entry.get("ep"))
-        obj = entry.get("object_id")
+    for entry in entries["trials"]:
+        key = (entry["trial"], entry["finger"], entry["ep"])
+        obj = entry["object_id"]
         if obj not in by_object:
             findings.append(Finding("manifest", "trials",
                                     f"trial entry for unknown object {obj}"))
@@ -199,34 +227,24 @@ def validate(manifest: DatasetManifest, root) -> list:
                 f"expected {manifest.trials_per_object} trials "
                 f"({len(expected_keys)} files)"))
 
-    for entry in manifest.trials:
-        path = root / entry.get("path", "")
+    for entry in entries["trials"]:
+        path = root / entry["path"]
         try:
             chans = formats.read_trial_file(path)
         except Exception as e:  # noqa: BLE001
             findings.append(Finding(str(path), "trial-file", str(e)))
             continue
-        base_len = chans["P_DC"].size
-        lens = {c: chans[c].size for c in chans if c not in ("P_AC",)}
-        if len(set(lens.values())) != 1:
-            findings.append(Finding(str(path), "lengths",
-                                    f"100 Hz channels disagree: {sorted(set(lens.values()))}"))
-        if base_len and abs(chans["P_AC"].size - DECIMATION * base_len) > DECIMATION:
-            ratio = chans["P_AC"].size / base_len
-            findings.append(Finding(
-                str(path), "sample-rate",
-                f"P_AC/P_DC length ratio {ratio:.1f}, expected ~{DECIMATION}"))
-        elif not base_len:
-            findings.append(Finding(str(path), "lengths", "empty 100 Hz channels"))
+        findings.extend(Finding(str(path), field, message)
+                        for field, message in block_problems(chans))
 
     # visual feature files: one per object, views_per_object maps each
-    visual_objects = [v.get("object_id") for v in manifest.visual]
+    visual_objects = [v["object_id"] for v in entries["visual"]]
     for obj in object_ids:
         if visual_objects.count(obj) != 1:
             findings.append(Finding("manifest", "visual",
                                     f"object {obj}: {visual_objects.count(obj)} feature files, expected 1"))
-    for entry in manifest.visual:
-        path = root / entry.get("path", "")
+    for entry in entries["visual"]:
+        path = root / entry["path"]
         try:
             grids = formats.read_feature_maps(path)
         except Exception as e:  # noqa: BLE001

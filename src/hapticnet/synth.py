@@ -239,12 +239,6 @@ def make_visual_grids(config, object_id, z) -> np.ndarray:
     return grids
 
 
-def iter_trials(config, ids, z):
-    for i, obj in enumerate(ids):
-        for t in range(config.n_trials):
-            yield make_trial(config, obj, z[i], t)
-
-
 def synth_generate(config: SynthConfig, out_dir) -> Path:
     """Write a complete on-disk dataset; returns the manifest path."""
     out = Path(out_dir)

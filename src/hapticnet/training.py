@@ -29,6 +29,8 @@ class TrainSchedule:
             raise InvalidSpecError(f"unknown phase {self.phase!r}; expected one of {PHASES}")
         if self.finetune_epochs is None:
             self.finetune_epochs = self.epochs
+        elif self.finetune_epochs < 1:
+            raise InvalidSpecError(f"bad schedule: finetune_epochs {self.finetune_epochs} < 1")
 
     def to_dict(self) -> dict:
         return asdict(self)

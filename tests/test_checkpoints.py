@@ -167,6 +167,8 @@ class TestContainerReader:
         ({"meta": {}, "tensors": [{"name": "w"}]}, "tensor 'w' has no valid shape"),
         ({"meta": {}, "tensors": [{"name": "w", "shape": [2, -1]}]}, "tensor 'w' has no valid shape"),
         ({"meta": {}, "tensors": [{"shape": [2]}]}, "tensor entry 0 has no name"),
+        ({"meta": {}, "tensors": [{"name": "w", "shape": [1]}, {"name": "w", "shape": [1]}]},
+         "tensor 'w' is listed twice"),
     ])
     def test_malformed_header_rejected(self, tmp_path, header, message):
         path = tmp_path / "c.bin"

@@ -11,7 +11,6 @@ from hapticnet.errors import (
 )
 from hapticnet.evaluation import (
     ADJECTIVES,
-    AdjectiveLabelSet,
     EvalReport,
     SplitPlan,
     aggregate,
@@ -24,13 +23,7 @@ from oracles import pair_count_auc
 
 
 def label_table(rng, objects, p_positive=0.4):
-    table = {}
-    for obj in objects:
-        table[obj] = AdjectiveLabelSet(
-            object_id=obj,
-            labels={a: bool(rng.random() < p_positive) for a in ADJECTIVES},
-        )
-    return table
+    return {obj: {a: bool(rng.random() < p_positive) for a in ADJECTIVES} for obj in objects}
 
 
 class TestAdjectives:
@@ -38,10 +31,6 @@ class TestAdjectives:
         assert len(ADJECTIVES) == 24
         assert ADJECTIVES[0] == "absorbent"
         assert ADJECTIVES[-1] == "unpleasant"
-
-    def test_label_set_requires_all_24(self):
-        with pytest.raises(InvalidInputError):
-            AdjectiveLabelSet(object_id="x", labels={"absorbent": True})
 
 
 class TestMakeSplit:
@@ -59,13 +48,13 @@ class TestMakeSplit:
         for seed in range(20):
             plan = make_split(objects, labels, "hard", seed=seed)
             for side in (plan.train_ids, plan.test_ids):
-                truths = {labels[o].labels["hard"] for o in side}
+                truths = {labels[o]["hard"] for o in side}
                 assert truths == {True, False}
 
     def test_single_positive_is_infeasible(self):
         objects = [f"o{i}" for i in range(10)]
         labels = label_table(np.random.default_rng(2), objects, p_positive=0.0)
-        labels["o0"].labels["fuzzy"] = True
+        labels["o0"]["fuzzy"] = True
         with pytest.raises(InfeasibleSplitError, match="fuzzy"):
             make_split(objects, labels, "fuzzy", seed=0)
 

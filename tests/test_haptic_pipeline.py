@@ -409,3 +409,12 @@ class TestTrialValidation:
         bad["P_AC"] = np.zeros(10 * len(bad["P_DC"]))
         with pytest.raises(InvalidInputError, match="P_AC"):
             trial.validate()
+
+    def test_empty_100hz_block_rejected(self):
+        trial = synth_trial(np.random.default_rng(24), object_id="mug", trial_index=2)
+        chans = trial.signals[(0, "squeeze")]
+        for c in chans:
+            chans[c] = chans[c][:0]
+        with pytest.raises(InvalidInputError,
+                           match="mug/2 finger 0 ep squeeze: empty 100 Hz channels"):
+            trial.validate()

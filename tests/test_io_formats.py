@@ -1,12 +1,28 @@
-"""Trial text files: round trip, and rejection of cells the reader cannot place."""
+"""Trial files, label tables and feature maps: round trips, and rejection of
+what the readers cannot place."""
+
+import struct
 
 import numpy as np
 import pytest
 
 from hapticnet import synth
 from hapticnet.errors import InvalidInputError, UnsupportedFormatError
+from hapticnet.evaluation import ADJECTIVES
 from hapticnet.haptic import CHANNELS, EPS
-from hapticnet.io import load_manifest, read_trial_file, validate, write_trial_file
+from hapticnet.io import (
+    CHECKPOINT_MAGIC,
+    FEATUREMAP_MAGIC,
+    load_manifest,
+    read_feature_maps,
+    read_labels_csv,
+    read_trial_file,
+    validate,
+    write_container,
+    write_feature_maps,
+    write_labels_csv,
+    write_trial_file,
+)
 
 HEADER = ",".join(CHANNELS)
 
@@ -112,3 +128,81 @@ def test_validate_reports_unreadable_trial_files(tmp_path):
         (str(bad_cell), "trial-file"), (str(gap), "trial-file")]
     assert ":6: column 2 (P_DC): 'nan?" in findings[0].message
     assert ":8: column 3 (T_AC) is empty" in findings[1].message
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: [lines[0].rsplit(",", 1)[0]] + lines[1:], "unexpected label table header"),
+    (lambda lines: lines[:1] + [lines[1] + ",1"], r"labels\.csv:2: wrong column count"),
+    (lambda lines: lines[:1] + [lines[1][:-1] + "2"], r"labels\.csv:2: label cell '2'"),
+])
+def test_label_table_without_24_binary_labels_rejected(tmp_path, edit, message):
+    path = tmp_path / "labels.csv"
+    write_labels_csv(path, [("o1", "mug", {a: i % 2 == 0 for i, a in enumerate(ADJECTIVES)})])
+    assert read_labels_csv(path)[0][2]["absorbent"] is True
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(UnsupportedFormatError, match=message):
+        read_labels_csv(path)
+
+
+def float32_grids(shape=(3, 2, 4, 5), seed=8):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape).astype(np.float32)
+
+
+class TestFeatureMaps:
+    def test_float32_round_trip_is_exact(self, tmp_path):
+        grids = float32_grids()
+        write_feature_maps(tmp_path / "o.vfm", grids)
+        back = read_feature_maps(tmp_path / "o.vfm")
+        assert back.dtype == np.float64
+        assert np.array_equal(back, grids)
+
+    def test_rewrite_is_byte_identical(self, tmp_path):
+        write_feature_maps(tmp_path / "a.vfm", float32_grids())
+        write_feature_maps(tmp_path / "b.vfm", read_feature_maps(tmp_path / "a.vfm"))
+        assert (tmp_path / "a.vfm").read_bytes() == (tmp_path / "b.vfm").read_bytes()
+
+    def test_writer_rejects_grids_that_are_not_4d(self, tmp_path):
+        with pytest.raises(InvalidInputError, match="views, H, W, C"):
+            write_feature_maps(tmp_path / "o.vfm", np.zeros((2, 3, 4)))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw: raw[:-1], "truncated tensor 'grids'"),
+        (lambda raw: raw[:20], "truncated header"),
+        (lambda raw: raw + b"\0\0", "2 trailing bytes"),
+    ])
+    def test_damaged_file_rejected(self, tmp_path, edit, message):
+        path = tmp_path / "o.vfm"
+        write_feature_maps(path, float32_grids())
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(UnsupportedFormatError, match=message) as err:
+            read_feature_maps(path)
+        assert str(path) in str(err.value)
+
+    def test_checkpoint_file_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        write_container(path, CHECKPOINT_MAGIC, {"grids": float32_grids()}, {})
+        with pytest.raises(UnsupportedFormatError, match="magic b'HCKP'"):
+            read_feature_maps(path)
+
+    @pytest.mark.parametrize("tensors, message", [
+        ({"maps": float32_grids()}, r"tensors \['maps'\], expected \['grids'\]"),
+        ({"grids": float32_grids(), "extra": np.zeros(1)}, r"\['extra', 'grids'\]"),
+        ({}, r"tensors \[\]"),
+        ({"grids": np.zeros((2, 3, 4))}, r"shape \(2, 3, 4\)"),
+    ])
+    def test_wrong_tensors_rejected(self, tmp_path, tensors, message):
+        path = tmp_path / "o.vfm"
+        write_container(path, FEATUREMAP_MAGIC, tensors, {})
+        with pytest.raises(UnsupportedFormatError, match=message):
+            read_feature_maps(path)
+
+    def test_old_layout_rejected(self, tmp_path):
+        # magic, version, four uint32 dims, then float32 payload: the dims
+        # read as a header length of at least 2**32 bytes
+        grids = float32_grids()
+        path = tmp_path / "old.vfm"
+        path.write_bytes(FEATUREMAP_MAGIC + struct.pack("<I4I", 1, *grids.shape)
+                         + grids.astype("<f4").tobytes())
+        with pytest.raises(UnsupportedFormatError, match="truncated header"):
+            read_feature_maps(path)

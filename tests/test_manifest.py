@@ -5,9 +5,11 @@ import os
 import shutil
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hapticnet import synth
 from hapticnet.errors import InvalidInputError
+from hapticnet.haptic import CHANNELS, DECIMATION, HapticTrial
 from hapticnet.io import (
     DatasetManifest,
     Finding,
@@ -135,3 +137,77 @@ class TestValidate:
         findings = validate(manifest, tree.parent)
         assert [(f.file, f.field) for f in findings] == [(str(path), "sample-rate")]
         assert "P_AC/P_DC length ratio 2.0" in findings[0].message
+
+    def test_corrupt_feature_file(self, tree):
+        manifest = load_manifest(tree)
+        path = tree.parent / manifest.visual[1]["path"]
+        path.write_bytes(path.read_bytes()[:-4])
+        findings = validate(manifest, tree.parent)
+        assert [(f.file, f.field) for f in findings] == [(str(path), "feature-file")]
+        assert "truncated tensor 'grids'" in findings[0].message
+
+    @pytest.mark.parametrize("key", ["objects", "trials", "visual"])
+    def test_entry_that_is_not_an_object_is_a_finding(self, tree, key):
+        # a manifest built in code skips load_manifest's structural checks
+        manifest = load_manifest(tree)
+        getattr(manifest, key)[1] = "stray/entry"
+        findings = validate(manifest, tree.parent)
+        assert Finding("manifest", f"{key}[1]", "must be an object, got str") in findings
+
+    @pytest.mark.parametrize("field, attr, value, message", [
+        ("labels", "labels_path", 5, "must be a string, got int"),
+        ("trials_per_object", "trials_per_object", "ten", "must be an integer, got str"),
+        ("trials", "trials", None, "must be a list, got NoneType"),
+    ])
+    def test_field_of_the_wrong_type_is_a_finding(self, tree, field, attr, value, message):
+        manifest = load_manifest(tree)
+        setattr(manifest, attr, value)
+        assert validate(manifest, tree.parent) == [Finding("manifest", field, message)]
+
+    def test_entry_with_a_bad_field_is_a_finding(self, tree):
+        manifest = load_manifest(tree)
+        manifest.trials[1] = dict(manifest.trials[1], path=5)
+        findings = validate(manifest, tree.parent)
+        assert Finding("manifest", "trials[1].path", "must be a string, got int") in findings
+
+
+def perturb_block(data, chans):
+    """One drawn edit of a block that the trial writer still accepts:
+    trim the channels from some column on, truncate P_AC, or empty it."""
+    base_len = chans["P_DC"].size
+    kind = data.draw(st.sampled_from(["trim", "truncate P_AC", "empty"]))
+    if kind == "trim":
+        first = data.draw(st.integers(1, len(CHANNELS) - 1))
+        keep = base_len - data.draw(st.integers(0, 2) | st.integers(0, base_len))
+        return dict(chans, **{c: chans[c][:keep] for c in CHANNELS[first:]})
+    if kind == "truncate P_AC":
+        cut = data.draw(st.integers(0, 2 * DECIMATION) | st.integers(0, chans["P_AC"].size))
+        return dict(chans, P_AC=chans["P_AC"][:max(base_len, chans["P_AC"].size - cut)])
+    return {c: v[:0] for c, v in chans.items()}
+
+
+# Deterministic examples keep the suite reproducible; each example restores
+# the file it edits, so sharing the tree is safe.
+@settings(max_examples=20, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_validate_flags_a_block_exactly_when_checked_channels_raises(tree, data):
+    manifest = load_manifest(tree)
+    entry = data.draw(st.sampled_from(manifest.trials))
+    path = tree.parent / entry["path"]
+    original = path.read_bytes()
+    try:
+        write_trial_file(path, perturb_block(data, read_trial_file(path)))
+        chans = read_trial_file(path)
+        flagged = {f.file for f in validate(manifest, tree.parent)}
+    finally:
+        path.write_bytes(original)
+    assert flagged <= {str(path)}
+    block = (entry["finger"], entry["ep"])
+    trial = HapticTrial(entry["object_id"], entry["trial"], {block: chans})
+    try:
+        trial.checked_channels(*block)
+        raised = False
+    except InvalidInputError:
+        raised = True
+    assert raised == (str(path) in flagged)

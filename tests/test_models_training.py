@@ -299,6 +299,13 @@ class TestTraining:
         with pytest.raises(InvalidInputError):
             train(model, np.zeros((4, 3)), np.array([0.0, 1, 1, -1]), TrainSchedule(epochs=1))
 
+    @pytest.mark.parametrize("kwargs", [
+        {"epochs": 0}, {"epochs": 2, "finetune_epochs": 0}, {"epochs": 2, "finetune_epochs": -3},
+    ])
+    def test_schedule_without_epochs_in_a_phase_rejected(self, kwargs):
+        with pytest.raises(InvalidSpecError, match="bad schedule"):
+            TrainSchedule(**kwargs)
+
 
 class TestExtraction:
     def make(self, rng, n=6):

@@ -1,11 +1,16 @@
-"""Packaging metadata: declared console scripts and export lists resolve."""
+"""Packaging metadata: declared console scripts and export lists resolve, and
+every public definition is reached from somewhere."""
 
+import ast
 import importlib
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+ROOT = Path(__file__).resolve().parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def test_console_scripts_import():
@@ -27,3 +32,26 @@ def test_every_exported_name_resolves(module):
     exec(f"from {module} import *", namespace)  # imports listed submodules too
     missing = [name for name in mod.__all__ if name not in namespace]
     assert not missing, f"{module}.__all__ names {missing}, which do not resolve"
+
+
+def test_every_public_def_is_referenced():
+    """Each top-level public def or class in the package is named somewhere
+    in src/, tests/ or perfbench/ outside its own definition."""
+    sources = {path: path.read_text()
+               for folder in ("src", "tests", "perfbench") for path in (ROOT / folder).rglob("*.py")}
+    words = Counter(w for text in sources.values() for w in re.findall(r"\w+", text))
+    unreferenced = []
+    for path, text in sources.items():
+        if not path.is_relative_to(ROOT / "src" / "hapticnet"):
+            continue
+        lines = text.splitlines()
+        for node in ast.parse(text).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_"):
+                continue
+            start = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            own = "\n".join(lines[start - 1:node.end_lineno])
+            if words[node.name] == re.findall(r"\w+", own).count(node.name):
+                unreferenced.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
+    assert not unreferenced, f"public definitions nothing names: {unreferenced}"

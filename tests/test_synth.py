@@ -1,6 +1,8 @@
-"""The synthetic dataset generator writes the same bytes for the same config."""
+"""The synthetic dataset generator writes the same bytes for the same config,
+and nothing its manifest does not list."""
 
 from hapticnet import synth
+from hapticnet.io import load_manifest
 
 
 def tree_bytes(root):
@@ -19,3 +21,12 @@ def test_two_runs_write_byte_identical_trees(tmp_path):
     assert any(name.startswith("visual/") for name in a)
     for name in a:
         assert a[name] == b[name], name
+
+
+def test_tree_holds_only_what_the_manifest_lists(tmp_path):
+    manifest_path = synth.synth_generate(
+        synth.separable_config(n_objects=2, n_trials=1, seed=7), tmp_path)
+    manifest = load_manifest(manifest_path)
+    listed = {manifest_path.name, manifest.labels_path}
+    listed |= {e["path"] for e in manifest.trials + manifest.visual}
+    assert set(tree_bytes(tmp_path)) == listed
