@@ -1,4 +1,8 @@
-"""Binary classification losses on raw scores with labels in {-1, +1}."""
+"""Binary classification losses on raw scores with labels in {-1, +1}.
+
+Each returns (loss, gradient d/ds) as float64 numpy values with the
+broadcast shape of score and label; scalar input gives shape ().
+"""
 
 import numpy as np
 
@@ -24,8 +28,6 @@ def logistic_loss(score, label):
     margin = y * s
     loss = np.logaddexp(0.0, -margin)
     grad = -y * sigmoid(np.asarray(-margin))
-    if np.isscalar(score) or np.asarray(score).ndim == 0:
-        return float(loss), float(grad)
     return loss, grad
 
 
@@ -36,8 +38,6 @@ def hinge_loss(score, label):
     margin = y * s
     loss = np.maximum(0.0, 1.0 - margin)
     grad = np.where(margin < 1.0, -y, 0.0)
-    if np.isscalar(score) or np.asarray(score).ndim == 0:
-        return float(loss), float(grad)
     return loss, grad
 
 

@@ -37,15 +37,6 @@ class SplitPlan:
         if overlap:
             raise LeakageError(f"objects on both sides: {sorted(overlap)}")
 
-    def to_dict(self):
-        return {"adjective": self.adjective, "seed": self.seed,
-                "train_ids": list(self.train_ids), "test_ids": list(self.test_ids)}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(adjective=d["adjective"], seed=int(d["seed"]),
-                   train_ids=tuple(d["train_ids"]), test_ids=tuple(d["test_ids"]))
-
 
 def make_split(objects, labels, adjective, ratio=0.9, seed=0) -> SplitPlan:
     """Seeded stratified 90/10 object split with both classes on both sides.

@@ -1,6 +1,6 @@
 """Activation extraction, instance combination, and multimodal fusion."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,7 +26,7 @@ def extract_activations(model: Model, instances, tap_layer="conv3") -> list:
     Pure function of (model parameters, instance values); taps on fused
     conv+ReLU layers are post-activation, so conv features are >= 0.
     """
-    model.resolve_tap(tap_layer)  # fail fast on unknown taps
+    model.layer(tap_layer)  # fail fast on unknown taps
     out = []
     for start in range(0, len(instances), EXTRACT_BATCH):
         chunk = instances[start:start + EXTRACT_BATCH]
@@ -92,7 +92,8 @@ def fuse_and_train(haptic, visual, labels, schedule: TrainSchedule) -> TrainResu
     """Train the late-fusion classifier: hinge loss over concatenated features.
 
     Upstream features are immutable inputs; only the single affine
-    classification layer is learned.
+    classification layer is learned.  ``schedule`` runs as a hinge-finetune
+    phase of ``schedule.epochs``, whatever its ``phase``.
     """
     fused = fuse_features(haptic, visual)
     missing = [f.object_id for f in fused if f.object_id not in labels]
@@ -100,8 +101,5 @@ def fuse_and_train(haptic, visual, labels, schedule: TrainSchedule) -> TrainResu
         raise InvalidInputError(f"no labels for objects: {missing}")
     x = np.stack([f.values for f in fused])
     y = np.asarray([labels[f.object_id] for f in fused], dtype=np.float64)
-    model = build_linear_classifier(x.shape[1], seed=schedule.seed, kind="fusion")
-    hinge_schedule = TrainSchedule(
-        epochs=schedule.epochs, batch_size=schedule.batch_size, lr=schedule.lr,
-        momentum=schedule.momentum, seed=schedule.seed, phase="hinge-finetune")
-    return train(model, x, y, hinge_schedule)
+    model = build_linear_classifier(x.shape[1], seed=schedule.seed)
+    return train(model, x, y, replace(schedule, phase="hinge-finetune"))

@@ -112,21 +112,6 @@ class PcaModel:
     components: np.ndarray     # (19, k), orthonormal columns
     explained_variance_ratio: np.ndarray  # (k,), non-increasing
 
-    def to_dict(self) -> dict:
-        return {
-            "mean": self.mean.tolist(),
-            "components": self.components.tolist(),
-            "explained_variance_ratio": self.explained_variance_ratio.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PcaModel":
-        return cls(
-            mean=np.asarray(d["mean"], dtype=np.float64),
-            components=np.asarray(d["components"], dtype=np.float64),
-            explained_variance_ratio=np.asarray(d["explained_variance_ratio"], dtype=np.float64),
-        )
-
 
 @dataclass
 class InstanceMatrix:

@@ -186,12 +186,12 @@ def write_trial_file(path, channels: dict) -> None:
     """
     missing = [c for c in CHANNELS if c not in channels]
     if missing:
-        raise InvalidInputError(f"trial is missing channels {missing}")
+        raise InvalidInputError(f"{path}: trial is missing channels {missing}")
     series = [np.asarray(channels[c], dtype=np.float64) for c in CHANNELS]
     for j in range(1, len(CHANNELS)):
         if series[j].size > series[j - 1].size:
             raise InvalidInputError(
-                f"channel {CHANNELS[j]} has {series[j].size} samples, more than "
+                f"{path}: channel {CHANNELS[j]} has {series[j].size} samples, more than "
                 f"{CHANNELS[j - 1]} before it ({series[j - 1].size})")
     n_rows = max(s.size for s in series)
     cells = np.full((n_rows, len(CHANNELS)), "", dtype=object)
@@ -277,6 +277,8 @@ def read_labels_csv(path):
 
     with open(path) as fh:
         lines = [line.rstrip("\n") for line in fh if line.strip()]
+    if not lines:
+        raise UnsupportedFormatError(f"{path}: empty label table")
     header = lines[0].split(",")
     if header != ["object_id", "name"] + list(ADJECTIVES):
         raise UnsupportedFormatError(f"{path}: unexpected label table header")

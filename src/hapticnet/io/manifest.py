@@ -1,38 +1,26 @@
 """Dataset manifests: strict loading and total validation."""
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..errors import InvalidInputError
-from ..evaluation import ADJECTIVES
-from ..haptic import (
-    DECIMATION,
-    EPS,
-    FINGERS,
-    OFFSETS,
-    PCA_COMPONENTS,
-    RESAMPLE_LEN,
-    block_problems,
-)
+from ..haptic import EPS, FINGERS, block_problems
 from ..visual import N_VIEWS
 from . import formats
 
 MANIFEST_VERSION = 1
 
 
-def default_preprocessing() -> dict:
-    return {
-        "resample_len": RESAMPLE_LEN,
-        "decimation": DECIMATION,
-        "pca_components": PCA_COMPONENTS,
-        "offsets": list(OFFSETS),
-    }
-
-
 @dataclass
 class DatasetManifest:
-    """Index of everything a dataset provides, all paths relative to root."""
+    """Index of everything a dataset provides, all paths relative to root.
+
+    It lists data only.  The preprocessing recipe (``haptic.RESAMPLE_LEN``,
+    ``DECIMATION``, ``PCA_COMPONENTS``, ``OFFSETS``) and the visual trunk's
+    normalization (``visual.image_norm_params``) are package constants, so
+    a manifest does not copy them.
+    """
 
     name: str
     objects: list                 # [{"id", "name"}]
@@ -41,8 +29,6 @@ class DatasetManifest:
     visual: list                  # [{"object_id", "path"}]
     trials_per_object: int = 10
     views_per_object: int = N_VIEWS
-    preprocessing: dict = field(default_factory=default_preprocessing)
-    visual_preprocessing: dict = field(default_factory=dict)
 
     def object_ids(self):
         return [o["id"] for o in self.objects]
@@ -57,8 +43,6 @@ class DatasetManifest:
             "visual": self.visual,
             "trials_per_object": self.trials_per_object,
             "views_per_object": self.views_per_object,
-            "preprocessing": self.preprocessing,
-            "visual_preprocessing": self.visual_preprocessing,
         }
 
 
@@ -71,7 +55,6 @@ def save_manifest(path, manifest: DatasetManifest) -> None:
 _FIELD_TYPES = {
     "name": str, "labels": str, "objects": list, "trials": list, "visual": list,
     "trials_per_object": int, "views_per_object": int,
-    "preprocessing": dict, "visual_preprocessing": dict,
 }
 _ENTRY_FIELDS = {
     "objects": {"id": str},
@@ -114,7 +97,8 @@ def load_manifest(path) -> DatasetManifest:
 
     Every field must have its type, and every object, trial and visual entry
     must be an object holding its fields.  Problems raise InvalidInputError
-    naming the manifest path and the field.
+    naming the manifest path and the field.  Keys the manifest does not use,
+    such as the preprocessing blocks that older manifests carry, are ignored.
     """
     try:
         with open(path) as fh:
@@ -145,8 +129,6 @@ def load_manifest(path) -> DatasetManifest:
         visual=data["visual"],
         trials_per_object=data.get("trials_per_object", 10),
         views_per_object=data.get("views_per_object", N_VIEWS),
-        preprocessing=data.get("preprocessing", default_preprocessing()),
-        visual_preprocessing=data.get("visual_preprocessing", {}),
     )
 
 
@@ -181,8 +163,9 @@ def validate(manifest: DatasetManifest, root) -> list:
             else:
                 kept.append(entry)
     object_ids = [o["id"] for o in entries["objects"]]
-    if len(set(object_ids)) != len(object_ids):
-        findings.append(Finding("manifest", "objects", "duplicate object ids"))
+    repeated = sorted({obj for obj in object_ids if object_ids.count(obj) > 1})
+    if repeated:
+        findings.append(Finding("manifest", "objects", f"duplicate object ids {repeated}"))
 
     # label table covers all objects
     labels_file = root / manifest.labels_path

@@ -1,4 +1,4 @@
-"""Model graphs: the grouped haptic CNN, the haptic LSTM, and fusion heads.
+"""Model graphs: the grouped haptic CNN, the haptic LSTM, and the fusion head.
 
 A Model is an ordered list of layers.  Layers are parameter holders with
 pure forward/backward functions (the cache returned by forward carries
@@ -50,7 +50,7 @@ class Layer:
 
 
 class Conv1dLayer(Layer):
-    """Grouped temporal convolution with an optional ReLU.
+    """Grouped temporal convolution followed by a ReLU.
 
     A (C, T) instance and a (B, C, T) batch run the same kernel, so an
     instance's output does not depend on the batch it is scored in.
@@ -58,31 +58,26 @@ class Conv1dLayer(Layer):
 
     kind = "conv1d"
 
-    def __init__(self, name, spec: ConvSpec, seed, activation="relu"):
+    def __init__(self, name, spec: ConvSpec, seed):
         self.name = name
         self.spec = spec
-        self.activation = activation
         self.reinit(seed)
 
     def forward(self, x, cache=True):
         pre, conv_cache = conv1d_forward(x, self.spec, self.params)
-        out = relu(pre) if self.activation == "relu" else pre
-        return out, (conv_cache, pre)
+        return relu(pre), (conv_cache, pre)
 
     def backward(self, cache, grad_out, input_grad=True):
         conv_cache, pre = cache
-        if self.activation == "relu":
-            grad_out = relu_backward(pre, grad_out)
-        grad_x, gw, gb = conv1d_backward(self.spec, self.params, conv_cache, grad_out,
-                                         input_grad=input_grad)
+        grad_x, gw, gb = conv1d_backward(self.spec, self.params, conv_cache,
+                                         relu_backward(pre, grad_out), input_grad=input_grad)
         return grad_x, {"weights": gw, "bias": gb}
 
     def reinit(self, seed):
         self.params = LayerParams.for_conv(self.spec, seed)
 
     def describe(self):
-        return {"kind": self.kind, "name": self.name,
-                "spec": self.spec.to_dict(), "activation": self.activation}
+        return {"kind": self.kind, "name": self.name, "spec": self.spec.to_dict()}
 
 
 class DenseLayer(Layer):
@@ -204,10 +199,6 @@ class Model:
                 return l
         raise InvalidSpecError(f"no layer named {name!r} in {self.kind}")
 
-    def resolve_tap(self, tap):
-        self.layer(tap)
-        return tap
-
     def forward(self, x, tap=None):
         """Score of shape lead-dims (last axis squeezed); optionally also the
         output of the tap layer.
@@ -216,12 +207,13 @@ class Model:
         costs work of its own, the LSTM with its per-step BPTT state, skips
         building it.
         """
-        tap_name = self.resolve_tap(tap) if tap is not None else None
+        if tap is not None:
+            self.layer(tap)  # fail fast on unknown taps
         tapped = None
         h = x
         for l in self.layers:
             h, _ = l.forward(h, cache=False)
-            if l.name == tap_name:
+            if l.name == tap:
                 tapped = h
         score = h[..., 0]
         return (score, tapped) if tap is not None else score
@@ -288,7 +280,9 @@ HAPTIC_CONV_SPECS = (
 LSTM_HIDDEN = 10
 
 
-def conv_stack_out_len(t=RESAMPLE_LEN):
+def conv_stack_out_len():
+    """Time steps left after the conv stack: 150 -> 19."""
+    t = RESAMPLE_LEN
     for spec in HAPTIC_CONV_SPECS:
         t = spec.out_len(t)
     return t
@@ -320,15 +314,14 @@ def build_haptic_lstm(seed=0) -> Model:
     return Model(layers, input_shape=(INSTANCE_CHANNELS, RESAMPLE_LEN), kind="haptic_lstm")
 
 
-def build_linear_classifier(feature_dim, seed=0, kind="fusion") -> Model:
+def build_linear_classifier(feature_dim, seed=0) -> Model:
     """Single affine scorer over a fixed feature vector (the fusion head)."""
     layers = [DenseLayer("fc", feature_dim, 1, derive_seed(seed, "fc.weights"))]
-    return Model(layers, input_shape=(feature_dim,), kind=kind)
+    return Model(layers, input_shape=(feature_dim,), kind="fusion")
 
 
 _LAYER_BUILDERS = {
-    "conv1d": lambda d: Conv1dLayer(d["name"], ConvSpec(**d["spec"]), seed=0,
-                                    activation=d["activation"]),
+    "conv1d": lambda d: Conv1dLayer(d["name"], ConvSpec(**d["spec"]), seed=0),
     "dense": lambda d: DenseLayer(d["name"], d["in_dim"], d["out_dim"], seed=0,
                                   activation=d["activation"]),
     "lstm": lambda d: LstmLayer(d["name"], d["input_size"], d["hidden_size"], seed=0),
@@ -342,7 +335,8 @@ def model_from_description(desc: dict) -> Model:
 
     Parameters are initialized with seed 0 placeholders and must be loaded
     from checkpoint tensors afterwards.  Keys the graph does not use, such as
-    the empty tap alias map that older descriptions carry, are ignored.  A
+    the empty tap alias map and the conv layers' ``"activation": "relu"``
+    that older descriptions carry, are ignored.  A
     zero input of ``input_shape`` is run through the rebuilt layers, so an
     input shape or a flatten shape that the graph cannot take fails here,
     naming the layer, rather than at the first score.

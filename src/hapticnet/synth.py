@@ -4,12 +4,15 @@ Objects carry a small latent factor vector; adjective labels are signs of
 linear functionals of the factors.  Haptic channels are smooth shared
 templates morphed by the factors (to the degree the per-factor haptic leak
 allows), and visual feature grids are low-rank patterns whose per-view gain
-makes some factors invisible from single viewpoints.  Everything derives
-from the config seed, so datasets are byte-identical across runs.
+makes some factors invisible from single viewpoints.  Signal lengths, the
+cue amplitude and the feature-grid shape are fixed module constants; the
+config sets the dataset size, the latent structure and what each modality
+sees.  Everything derives from the config seed, so datasets are
+byte-identical across runs.
 """
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,12 +30,17 @@ from .haptic import (
 )
 from .io import formats
 from .io.manifest import DatasetManifest, save_manifest
-from .visual import N_VIEWS, image_norm_params
+from .visual import N_VIEWS
+
+CUE_AMP = 0.8                  # amplitude of a factor's cue in either modality
+BASE_LEN = 165                 # 100 Hz samples of a hold or slide (+-2 per trial)
+SQUEEZE_LEN_RANGE = (160, 215)  # inclusive 100 Hz length range of a squeeze
+FEATURE_GRID = (4, 4, 12)      # H, W, C of the ingested feature maps
 
 
 @dataclass
 class SynthConfig:
-    """Knobs for dataset shape, latent structure, and modality visibility."""
+    """Dataset size, latent structure, and what each modality sees of it."""
 
     n_objects: int = 20
     n_trials: int = 3
@@ -41,10 +49,6 @@ class SynthConfig:
     seed: int = 0
     haptic_leak: tuple = (1.0, 0.15)
     visual_leak: tuple = (0.15, 1.0)
-    cue_amp: float = 0.8
-    base_len: int = 165                  # 100 Hz samples for hold/slides
-    squeeze_len_range: tuple = (160, 215)
-    feature_grid: tuple = (4, 4, 12)     # H, W, C of the ingested maps
     name: str = "synthetic"
 
     def __post_init__(self):
@@ -54,9 +58,6 @@ class SynthConfig:
             raise InvalidInputError(f"noise must be >= 0, got {self.noise}")
         if len(self.haptic_leak) != self.n_factors or len(self.visual_leak) != self.n_factors:
             raise InvalidInputError("leak vectors must have one entry per factor")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def separable_config(n_objects=24, n_trials=3, seed=0) -> SynthConfig:
@@ -154,16 +155,16 @@ def _cue(config, z, morphs, leak):
     total = np.zeros_like(morphs[0])
     for f in range(config.n_factors):
         total += z[f] * leak[f] * morphs[f]
-    return config.cue_amp * total
+    return CUE_AMP * total
 
 
 def _ep_lengths(config, object_id, trial_index, ep):
     rng = _rng(config, "length", object_id, trial_index, ep)
     if ep == "squeeze":
-        lo, hi = config.squeeze_len_range
+        lo, hi = SQUEEZE_LEN_RANGE
         base = int(rng.integers(lo, hi + 1))
     else:
-        base = config.base_len + int(rng.integers(-2, 3))
+        base = BASE_LEN + int(rng.integers(-2, 3))
     pac = DECIMATION * base + int(rng.integers(-DECIMATION // 2, DECIMATION // 2 + 1))
     return base, pac
 
@@ -222,14 +223,14 @@ def _view_gain(view: int, factor: int) -> float:
 
 def make_visual_grids(config, object_id, z) -> np.ndarray:
     """(views, H, W, C) feature grids with factor cues gated per view."""
-    h, w, c = config.feature_grid
+    h, w, c = FEATURE_GRID
     grids = np.zeros((N_VIEWS, h, w, c))
     noise_rng = _rng(config, "visual-noise", object_id)
     for f_idx in range(config.n_factors):
         pattern_rng = _rng(config, "visual-pattern", f_idx)
         channel_pattern = pattern_rng.standard_normal(c)
         spatial = 1.0 + 0.2 * pattern_rng.standard_normal((h, w))
-        cue = config.cue_amp * z[f_idx] * config.visual_leak[f_idx]
+        cue = CUE_AMP * z[f_idx] * config.visual_leak[f_idx]
         for v in range(N_VIEWS):
             grids[v] += _view_gain(v, f_idx) * cue * spatial[:, :, None] * channel_pattern
     for v in range(N_VIEWS):
@@ -273,9 +274,7 @@ def synth_generate(config: SynthConfig, out_dir) -> Path:
         visual=visual_index,
         trials_per_object=config.n_trials,
         views_per_object=N_VIEWS,
-        visual_preprocessing=dict(image_norm_params(), crops={}),
     )
-    manifest.visual_preprocessing["input_size"] = list(manifest.visual_preprocessing["input_size"])
     path = out / "manifest.json"
     save_manifest(path, manifest)
     return path

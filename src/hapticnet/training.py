@@ -1,6 +1,6 @@
 """Two-phase training: logistic-loss pretraining, hinge-loss fine-tuning."""
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,9 +32,6 @@ class TrainSchedule:
         elif self.finetune_epochs < 1:
             raise InvalidSpecError(f"bad schedule: finetune_epochs {self.finetune_epochs} < 1")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class TrainResult:
@@ -42,11 +39,6 @@ class TrainResult:
     loss_curve: list            # per-epoch mean training loss, both phases
     phase_boundaries: dict      # phase name -> (start epoch, end epoch)
     diverged: bool = False
-    final_loss: float = None
-
-    def __post_init__(self):
-        if self.final_loss is None and self.loss_curve:
-            self.final_loss = self.loss_curve[-1]
 
 
 def _check_training_inputs(instances, labels):

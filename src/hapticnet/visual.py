@@ -15,7 +15,7 @@ from .errors import InvalidInputError, PlateNotFoundError
 N_VIEWS = 8
 
 # Per-channel RGB means subtracted before the external extractor, and its
-# fixed input size.  Plain configuration, echoed verbatim into manifests.
+# fixed input size.
 DEFAULT_RGB_MEANS = (123.68, 116.78, 103.94)
 EXTRACTOR_INPUT_SIZE = (224, 224)
 

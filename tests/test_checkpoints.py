@@ -111,10 +111,14 @@ class TestCheckpointRoundTrip:
         assert list(ckpt.tensors) == [name for name, _ in model.named_params()]
 
     def test_graph_with_empty_tap_aliases_still_loads(self, kind, tmp_path):
-        # checkpoints written before tap aliases were removed carry an empty map
+        # checkpoints written before tap aliases were removed carry an empty
+        # map, and those written before every conv layer was conv+ReLU name
+        # the conv layers' activation
         model = trained_looking(kind)
         ckpt = checkpoint_from_model(model, {})
-        graph = dict(ckpt.graph, tap_aliases={})
+        layers = [dict(d, activation="relu") if d["kind"] == "conv1d" else d
+                  for d in ckpt.graph["layers"]]
+        graph = dict(ckpt.graph, tap_aliases={}, layers=layers)
         save_checkpoint(tmp_path / "old.ckpt", Checkpoint(graph, ckpt.tensors, {}))
         loaded = model_from_checkpoint(load_checkpoint(tmp_path / "old.ckpt"))
         round_params_to_float32(model)

@@ -358,6 +358,14 @@ class TestAugment:
             assert inst.object_id == "mug"
             assert inst.trial_index == 7
 
+    def test_ep_without_pca_model_is_named(self):
+        rng = np.random.default_rng(25)
+        trial = synth_trial(rng)
+        pca = fit_all_eps(rng)
+        del pca["fast_slide"]
+        with pytest.raises(InvalidInputError, match=r"no PCA model for EPs: \['fast_slide'\]"):
+            augment(trial, pca)
+
     def test_53_objects_10_trials_give_5300(self):
         # counting only: augmentation factor is exactly 10 per trial
         per_trial = 2 * 5

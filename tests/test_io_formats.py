@@ -48,6 +48,13 @@ class TestReadTrialFile:
             expected = np.array([float("%.8g" % v) for v in chans[name]])
             assert np.array_equal(back[name], expected), name
 
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("")
+        with pytest.raises(UnsupportedFormatError, match="empty trial file") as err:
+            read_trial_file(path)
+        assert str(path) in str(err.value)
+
     def test_ragged_prefix_rows(self, tmp_path):
         # columns end from the right; trailing empty cells are ignored
         path = write_rows(tmp_path / "t.csv", "1.0,2.0,3.0", "4.0,5.0,", "6.0")
@@ -106,6 +113,16 @@ def test_writer_rejects_lengths_rising_along_the_columns(tmp_path):
     assert not (tmp_path / "t.csv").exists()
 
 
+def test_writer_rejects_a_missing_channel(tmp_path):
+    chans = dict(small_trial().channels(0, EPS[0]))
+    del chans["T_AC"]
+    path = tmp_path / "t.csv"
+    with pytest.raises(InvalidInputError, match=r"missing channels \['T_AC'\]") as err:
+        write_trial_file(path, chans)
+    assert str(path) in str(err.value)
+    assert not path.exists()
+
+
 def test_validate_reports_unreadable_trial_files(tmp_path):
     manifest_path = synth.synth_generate(
         synth.separable_config(n_objects=2, n_trials=1, seed=5), tmp_path)
@@ -134,6 +151,7 @@ def test_validate_reports_unreadable_trial_files(tmp_path):
     (lambda lines: [lines[0].rsplit(",", 1)[0]] + lines[1:], "unexpected label table header"),
     (lambda lines: lines[:1] + [lines[1] + ",1"], r"labels\.csv:2: wrong column count"),
     (lambda lines: lines[:1] + [lines[1][:-1] + "2"], r"labels\.csv:2: label cell '2'"),
+    (lambda lines: [], r"labels\.csv: empty label table"),
 ])
 def test_label_table_without_24_binary_labels_rejected(tmp_path, edit, message):
     path = tmp_path / "labels.csv"

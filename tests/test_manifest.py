@@ -14,10 +14,12 @@ from hapticnet.io import (
     DatasetManifest,
     Finding,
     load_manifest,
+    read_feature_maps,
     read_labels_csv,
     read_trial_file,
     save_manifest,
     validate,
+    write_feature_maps,
     write_labels_csv,
     write_trial_file,
 )
@@ -65,13 +67,23 @@ class TestLoadManifest:
 
     def test_optional_fields_take_their_defaults(self, tree, tmp_path):
         data = json.loads(tree.read_text())
-        for key in ("trials_per_object", "views_per_object", "preprocessing",
-                    "visual_preprocessing"):
+        for key in ("trials_per_object", "views_per_object"):
             del data[key]
         loaded = load_manifest(write_json(tmp_path / "m.json", data))
         bare = DatasetManifest(data["name"], data["objects"], data["labels"],
                                data["trials"], data["visual"])
         assert loaded == bare
+
+    def test_old_preprocessing_blocks_are_ignored(self, tree, tmp_path):
+        # manifests used to copy the package's preprocessing constants
+        data = json.loads(tree.read_text())
+        data["preprocessing"] = {"resample_len": 150, "decimation": 22,
+                                 "pca_components": 4, "offsets": [0, 1, 2, 3, 4]}
+        data["visual_preprocessing"] = {"rgb_means": [123.68, 116.78, 103.94],
+                                        "input_size": [224, 224], "crops": {}}
+        old = load_manifest(write_json(tmp_path / "old.json", data))
+        assert old == load_manifest(tree)
+        assert validate(old, tree.parent) == []
 
     @pytest.mark.parametrize("version", [None, 0, 2, "1"])
     def test_bad_version_rejected(self, tree, tmp_path, version):
@@ -120,6 +132,39 @@ class TestValidate:
         write_labels_csv(labels, rows[1:])
         assert validate(manifest, tree.parent) == [Finding(
             str(labels), "object_id", f"object {rows[0][0]} has no label row")]
+
+    def test_duplicate_object_ids(self, tree):
+        manifest = load_manifest(tree)
+        manifest.objects.append(dict(manifest.objects[1]))
+        assert validate(manifest, tree.parent) == [Finding(
+            "manifest", "objects", f"duplicate object ids ['{manifest.objects[1]['id']}']")]
+
+    @pytest.mark.parametrize("text", [None, "", "object_id,name\n"],
+                             ids=["missing", "empty", "bad-header"])
+    def test_unreadable_label_table(self, tree, text):
+        manifest = load_manifest(tree)
+        labels = tree.parent / manifest.labels_path
+        if text is None:
+            os.remove(labels)
+        else:
+            labels.write_text(text)
+        findings = validate(manifest, tree.parent)
+        assert [(f.file, f.field) for f in findings] == [(str(labels), "labels")]
+        assert str(labels) in findings[0].message
+
+    def test_trial_entry_for_unknown_object(self, tree):
+        manifest = load_manifest(tree)
+        manifest.trials[0] = dict(manifest.trials[0], object_id="ghost")
+        assert Finding("manifest", "trials", "trial entry for unknown object ghost") in \
+            validate(manifest, tree.parent)
+
+    def test_feature_file_with_wrong_view_count(self, tree):
+        manifest = load_manifest(tree)
+        path = tree.parent / manifest.visual[0]["path"]
+        write_feature_maps(path, read_feature_maps(path)[:-1])
+        findings = validate(manifest, tree.parent)
+        assert findings == [Finding(str(path), "views", "7 views, expected 8")]
+        assert str(findings[0]) == f"{path} [views]: 7 views, expected 8"
 
     def test_missing_trial_file(self, tree):
         manifest = load_manifest(tree)

@@ -4,7 +4,6 @@ every public definition is reached from somewhere."""
 import ast
 import importlib
 import re
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -34,24 +33,38 @@ def test_every_exported_name_resolves(module):
     assert not missing, f"{module}.__all__ names {missing}, which do not resolve"
 
 
+def _def_spans(tree):
+    """{name: [(first line, last line)]} of every def and class, nested ones too,
+    decorators included."""
+    spans = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            start = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            spans.setdefault(node.name, []).append((start, node.end_lineno))
+    return spans
+
+
 def test_every_public_def_is_referenced():
-    """Each top-level public def or class in the package is named somewhere
-    in src/, tests/ or perfbench/ outside its own definition."""
+    """Each public def or class in the package (a function, class, method,
+    property or nested def) is named somewhere in src/, tests/ or
+    perfbench/ outside every definition of that name, so two unused
+    definitions of one name do not count as references to each other."""
     sources = {path: path.read_text()
                for folder in ("src", "tests", "perfbench") for path in (ROOT / folder).rglob("*.py")}
-    words = Counter(w for text in sources.values() for w in re.findall(r"\w+", text))
-    unreferenced = []
+    spans = {path: _def_spans(ast.parse(text)) for path, text in sources.items()}
+    lines_of = {path: {} for path in sources}  # word -> lines it occurs on
     for path, text in sources.items():
-        if not path.is_relative_to(ROOT / "src" / "hapticnet"):
-            continue
-        lines = text.splitlines()
-        for node in ast.parse(text).body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            if node.name.startswith("_"):
-                continue
-            start = min([node.lineno] + [d.lineno for d in node.decorator_list])
-            own = "\n".join(lines[start - 1:node.end_lineno])
-            if words[node.name] == re.findall(r"\w+", own).count(node.name):
-                unreferenced.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
+        for number, line in enumerate(text.splitlines(), start=1):
+            for word in set(re.findall(r"\w+", line)):
+                lines_of[path].setdefault(word, []).append(number)
+
+    def referenced(name):
+        return any(not any(lo <= number <= hi for lo, hi in spans[path].get(name, ()))
+                   for path in sources for number in lines_of[path].get(name, ()))
+
+    unreferenced = sorted(
+        f"{path.relative_to(ROOT)}:{lo} {name}"
+        for path in sources if path.is_relative_to(ROOT / "src" / "hapticnet")
+        for name, defs in spans[path].items() if not name.startswith("_")
+        for lo, _ in defs if not referenced(name))
     assert not unreferenced, f"public definitions nothing names: {unreferenced}"
