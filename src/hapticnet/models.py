@@ -329,6 +329,9 @@ _LAYER_BUILDERS = {
     "time_major": lambda d: TimeMajorLayer(d["name"]),
 }
 
+# the activations each layer kind runs; a conv layer is always conv+ReLU
+_ACTIVATIONS = {"conv1d": ("relu",), "dense": (None, "relu")}
+
 
 def model_from_description(desc: dict) -> Model:
     """Rebuild a Model skeleton from Model.describe() output.
@@ -336,7 +339,9 @@ def model_from_description(desc: dict) -> Model:
     Parameters are initialized with seed 0 placeholders and must be loaded
     from checkpoint tensors afterwards.  Keys the graph does not use, such as
     the empty tap alias map and the conv layers' ``"activation": "relu"``
-    that older descriptions carry, are ignored.  A
+    that older descriptions carry, are ignored.  An activation the layer
+    does not run (anything but ``None`` or ``"relu"`` on a dense layer, or
+    anything but ``"relu"`` on a conv layer) fails, naming the layer.  A
     zero input of ``input_shape`` is run through the rebuilt layers, so an
     input shape or a flatten shape that the graph cannot take fails here,
     naming the layer, rather than at the first score.
@@ -351,14 +356,16 @@ def model_from_description(desc: dict) -> Model:
         kind = d.get("kind") if isinstance(d, dict) else None
         if kind not in _LAYER_BUILDERS:
             raise InvalidSpecError(f"graph layer {i}: unknown layer kind {kind!r}")
+        where = f"graph layer {i} ({kind} {d.get('name')!r})"
         try:
             layers.append(_LAYER_BUILDERS[kind](d))
         except KeyError as e:
-            raise InvalidSpecError(
-                f"graph layer {i} ({kind} {d.get('name')!r}) lacks field {e}") from None
+            raise InvalidSpecError(f"{where} lacks field {e}") from None
         except TypeError as e:  # a field of the wrong type, or one the layer does not take
-            raise InvalidSpecError(
-                f"graph layer {i} ({kind} {d.get('name')!r}) has a bad field: {e}") from None
+            raise InvalidSpecError(f"{where} has a bad field: {e}") from None
+        if kind in _ACTIVATIONS and d.get("activation", "relu") not in _ACTIVATIONS[kind]:
+            raise InvalidSpecError(f"{where} has activation {d['activation']!r}, which it "
+                                   f"does not run; it runs {list(_ACTIVATIONS[kind])}")
     shape = desc["input_shape"]
     if not isinstance(shape, list) or not all(
             isinstance(d, int) and not isinstance(d, bool) and d > 0 for d in shape):

@@ -1,7 +1,8 @@
 """Independent reference implementations used to check the fast paths.
 
 Everything here is deliberately naive (nested loops, per-coordinate finite
-differences, pairwise counting) and stays independent of the code under test.
+differences, pairwise counting, one row of text at a time) and stays
+independent of the code under test.
 """
 
 import numpy as np
@@ -307,3 +308,74 @@ def reference_two_phase_sgd(x, y, model_seed, schedule):
         b = 0.0
         phase("hinge", schedule.finetune_epochs)
     return curve, w, b
+
+
+def rowwise_write_trial_file(path, channels: dict) -> None:
+    """Trial-file writer that formats one cell at a time and trims each row's
+    trailing empty cells in a loop: the reference for ``write_trial_file``
+    on finite channels whose lengths do not grow along ``CHANNELS``."""
+    from hapticnet.haptic import CHANNELS
+
+    series = [np.asarray(channels[c], dtype=np.float64) for c in CHANNELS]
+    n_rows = max(s.size for s in series)
+    cells = np.full((n_rows, len(CHANNELS)), "", dtype=object)
+    for j, s in enumerate(series):
+        cells[:s.size, j] = np.char.mod("%.8g", s)
+    lines = [",".join(CHANNELS)]
+    for row in cells:
+        last = len(row)
+        while last > 0 and row[last - 1] == "":
+            last -= 1
+        lines.append(",".join(row[:last]))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def rowwise_read_trial_file(path) -> dict:
+    """Trial-file reader that splits and converts one line at a time: the
+    reference for ``read_trial_file``, except that it accepts cells that
+    parse to NaN or infinity."""
+    from hapticnet.errors import UnsupportedFormatError
+    from hapticnet.haptic import CHANNELS
+
+    with open(path) as fh:
+        lines = [line.rstrip("\n") for line in fh]
+    if not lines:
+        raise UnsupportedFormatError(f"{path}: empty trial file")
+    names = lines[0].split(",")
+    if len(names) != len(CHANNELS) or set(names) != set(CHANNELS):
+        raise UnsupportedFormatError(f"{path}: header does not list the expected channels")
+    columns = [[] for _ in names]
+    width = len(names)  # columns still running
+    for ln, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")  # a blank line is a row in which every column has ended
+        if len(cells) != width or "" in cells:
+            cells = _row_prefix(path, ln, names, cells, width)
+            width = len(cells)
+        try:
+            for column, cell in zip(columns, cells):
+                column.append(float(cell))
+        except ValueError:
+            j = cells.index(cell)  # an equal cell further left would have failed first
+            raise UnsupportedFormatError(
+                f"{path}:{ln}: column {j + 1} ({names[j]}): {cell!r} is not a number") from None
+    return {n: np.asarray(v, dtype=np.float64) for n, v in zip(names, columns)}
+
+
+def _row_prefix(path, ln, names, cells, width) -> list:
+    """The filled cells of a row that is not a full row of ``width`` cells."""
+    from hapticnet.errors import UnsupportedFormatError
+
+    n = len(cells)
+    while n and cells[n - 1] == "":
+        n -= 1
+    if "" in cells[:n]:
+        j = cells.index("")
+        raise UnsupportedFormatError(
+            f"{path}:{ln}: column {j + 1} ({names[j]}) is empty but a column right of it is not")
+    if n > len(names):
+        raise UnsupportedFormatError(f"{path}:{ln}: more cells than header columns")
+    if n > width:
+        raise UnsupportedFormatError(
+            f"{path}:{ln}: column {width + 1} ({names[width]}) has a value after it ended")
+    return cells[:n]

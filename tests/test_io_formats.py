@@ -147,6 +147,20 @@ def test_validate_reports_unreadable_trial_files(tmp_path):
     assert ":8: column 3 (T_AC) is empty" in findings[1].message
 
 
+def test_validate_reports_a_non_finite_trial_cell(tmp_path):
+    manifest_path = synth.synth_generate(
+        synth.separable_config(n_objects=2, n_trials=1, seed=5), tmp_path)
+    manifest = load_manifest(manifest_path)
+    path = tmp_path / manifest.trials[3]["path"]
+    lines = path.read_text().split("\n")
+    lines[-3] = "nan"  # a row of P_AC alone, near the end
+    path.write_text("\n".join(lines))
+
+    findings = validate(manifest, tmp_path)
+    assert [(f.file, f.field) for f in findings] == [(str(path), "trial-file")]
+    assert f":{len(lines) - 2}: column 1 (P_AC): 'nan' is not finite" in findings[0].message
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda lines: [lines[0].rsplit(",", 1)[0]] + lines[1:], "unexpected label table header"),
     (lambda lines: lines[:1] + [lines[1] + ",1"], r"labels\.csv:2: wrong column count"),
@@ -196,6 +210,18 @@ class TestFeatureMaps:
         with pytest.raises(UnsupportedFormatError, match=message) as err:
             read_feature_maps(path)
         assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("value", [1e39, -np.inf, np.nan])
+    def test_writer_rejects_grids_that_float32_cannot_hold(self, tmp_path, value):
+        # under the suite's RuntimeWarning filter, a cast that overflowed
+        # would fail here before the error is raised
+        grids = float32_grids().astype(np.float64)
+        grids[1, 0, 2, 3] = value
+        path = tmp_path / "o.vfm"
+        with pytest.raises(InvalidInputError, match=r"tensor 'grids' holds .* index 53,") as err:
+            write_feature_maps(path, grids)
+        assert str(path) in str(err.value)
+        assert not path.exists()
 
     def test_checkpoint_file_rejected(self, tmp_path):
         path = tmp_path / "m.ckpt"
