@@ -2,9 +2,10 @@
 
 The forward step makes one matmul for the hidden-to-gate terms and one
 ``sigmoid`` call over the stacked [input | forget | output] pre-activations;
-the candidate gate gets its own ``tanh``.  For one sequence the three gates
-are views of the sigmoid result; for a batch they come from one gate-major
-copy of it, so that each gate is contiguous.  At hidden size 10 a step
+the candidate gate gets its own ``tanh``.  The step input's gate terms are
+added into the matmul's result in place.  For one sequence the gates are
+views of the pre-activations; for a batch the pre-activations get one
+gate-major copy first, so that each gate is contiguous.  At hidden size 10 a step
 works on a few dozen numbers, so the fixed cost of each numpy call, not
 arithmetic, sets its time.
 """
@@ -22,12 +23,13 @@ def sigmoid(z) -> np.ndarray:
 
     With e = exp(-|z|) <= 1 this is 1/(1+e) for z >= 0 and e/(1+e) below,
     so exp never overflows.  The numerator is picked per element, without
-    masks or gathers.
+    masks or gathers.  Takes any shape, 0-d included.
     """
     z = np.asarray(z, dtype=np.float64)
     # min(z, -z) is -|z|, but keeps the sign bit of a NaN input
     e = np.exp(np.minimum(z, -z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    # e <= 1, so the larger of e and (z >= 0) is 1 there and e below
+    return np.maximum(e, z >= 0) / (1.0 + e)
 
 
 @dataclass
@@ -86,20 +88,24 @@ def lstm_forward(sequence: np.ndarray, params: LstmParams, return_cache: bool = 
     # One big matmul for all input-to-gate terms, then step the recurrence.
     zx = sequence @ params.w_x.T + params.bias  # (..., T, 4H)
     w_h_t = params.w_h.T
-    gate_shape = (3,) + lead + (h_size,)
+    gate_shape = (4,) + lead + (h_size,)
     h = np.zeros(lead + (h_size,))
     c = np.zeros(lead + (h_size,))
     steps = []
     for t in range(t_len):
-        z = zx[..., t, :] + h @ w_h_t
-        ifo = sigmoid(z[..., :3 * h_size])
+        z = h @ w_h_t
+        z += zx[..., t, :]
         if lead:
             # one gate-major copy makes each batched gate contiguous, which
             # the elementwise work here and in lstm_backward runs faster on
-            i, f, o = ifo.reshape(-1, 3, h_size).swapaxes(0, 1).copy().reshape(gate_shape)
+            z = z.reshape(-1, 4, h_size).swapaxes(0, 1).copy().reshape(gate_shape)
+            i, f, o = sigmoid(z[:3])
+            g = np.tanh(z[3])
         else:
+            # 1-D slices: a ufunc call on a (3, H) array costs more than on 3H
+            ifo = sigmoid(z[:3 * h_size])
             i, f, o = ifo[:h_size], ifo[h_size:2 * h_size], ifo[2 * h_size:]
-        g = np.tanh(z[..., 3 * h_size:4 * h_size])
+            g = np.tanh(z[3 * h_size:])
         c_prev = c
         h_prev = h
         c = f * c_prev + i * g

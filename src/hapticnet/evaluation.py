@@ -47,6 +47,8 @@ def make_split(objects, labels, adjective, ratio=0.9, seed=0) -> SplitPlan:
     The counts do not depend on the seed, which only picks the objects.
     """
     objects = list(objects)
+    if not 0.0 < ratio < 1.0:  # NaN fails this too
+        raise InvalidInputError(f"split ratio must lie strictly between 0 and 1, got {ratio!r}")
     if adjective not in ADJECTIVES:
         raise InvalidInputError(f"unknown adjective {adjective!r}")
 
@@ -89,11 +91,15 @@ def roc_auc(scores, labels) -> float:
     Equals the fraction of (positive, negative) pairs with score_pos >
     score_neg, counting ties as one half; identical to brute-force pair
     counting (both produce exact multiples of 0.5 before the division).
+    A NaN score raises InvalidInputError naming its index.
     """
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels)
     if s.shape != y.shape or s.ndim != 1:
         raise InvalidInputError(f"scores {s.shape} and labels {y.shape} must be 1-D and equal")
+    nan = np.flatnonzero(np.isnan(s))
+    if nan.size:
+        raise InvalidInputError(f"score {nan[0]} is NaN, which has no rank")
     pos_mask = y > 0
     n_pos = int(pos_mask.sum())
     n_neg = s.size - n_pos

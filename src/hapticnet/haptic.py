@@ -141,11 +141,16 @@ def zscore_normalize(series: np.ndarray) -> np.ndarray:
     s = np.asarray(series, dtype=np.float64)
     if s.ndim == 0 or s.size == 0:
         raise InvalidInputError(f"cannot normalize an empty series (shape {s.shape})")
-    std = s.std(axis=-1, keepdims=True)
+    # one mean serves the centring and the std; the sums, the divisions by n
+    # and the squaring are ndarray.mean's and ndarray.std's own, so the
+    # result is bitwise theirs
+    n = s.shape[-1]
+    centred = s - np.add.reduce(s, axis=-1, keepdims=True) / n
+    std = np.sqrt(np.add.reduce(np.square(centred), axis=-1, keepdims=True) / n)
     # the mean of a constant such as 0.1 can round off it, which leaves a
     # std of ~1e-17 and would blow the rounding error up to +/-1
     flat = (std == 0.0) | (s.max(axis=-1, keepdims=True) == s.min(axis=-1, keepdims=True))
-    return np.where(flat, 0.0, (s - s.mean(axis=-1, keepdims=True)) / np.where(flat, 1.0, std))
+    return np.where(flat, 0.0, centred / np.where(flat, 1.0, std))
 
 
 def decimate_pac(series: np.ndarray) -> np.ndarray:

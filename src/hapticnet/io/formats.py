@@ -252,9 +252,10 @@ def read_trial_file(path) -> dict:
     an ended column, or to the right of an empty cell, would sit at a
     different time step than its neighbours; it raises
     UnsupportedFormatError naming the line and column.  So does a cell that
-    Python's ``float`` does not parse, or parses to a NaN or an infinity.
-    Empty cells at the end of a row are ignored, and a blank line ends every
-    column.
+    Python's ``float`` does not parse, or parses to a NaN or an infinity, and
+    so do bytes that are not UTF-8 text.  Empty cells at the end of a row are
+    ignored, and a blank line ends every column.  Line endings may be
+    ``\n``, ``\r\n`` or ``\r``.
 
     The file is read once.  One pass over its bytes finds each row's filled
     width and checks the prefix rule for all rows; then every block of rows
@@ -262,15 +263,14 @@ def read_trial_file(path) -> dict:
     fails is scanned row by row, to name the first bad cell.  Errors are
     reported in file order: the first line with a problem raises.
     """
-    with open(path) as fh:
-        text = fh.read()
-    if not text:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if not raw:
         raise UnsupportedFormatError(f"{path}: empty trial file")
-    header, _, body = text.partition("\n")
-    names = header.split(",")
+    header, _, data = _lf_lines(raw).partition(b"\n")
+    names = _text(path, 1, header).split(",")
     if len(names) != len(CHANNELS) or set(names) != set(CHANNELS):
         raise UnsupportedFormatError(f"{path}: header does not list the expected channels")
-    data = body.encode()
     if data and not data.endswith(b"\n"):
         data += b"\n"
     raw = np.frombuffer(data, dtype=np.uint8)
@@ -287,7 +287,10 @@ def read_trial_file(path) -> dict:
         w = int(widths[a])
         if w == 0:  # blank rows, after every column has ended
             continue
-        cells = data[starts[a]:ends[b - 1]].decode().replace("\n", ",").split(",")
+        try:
+            cells = data[starts[a]:ends[b - 1]].decode().replace("\n", ",").split(",")
+        except UnicodeDecodeError:
+            raise _bad_cell(path, names, data, starts[a:b], ends[a:b], a + 2) from None
         if len(cells) != (b - a) * w:
             # rows ending in empty cells; no row before ``stop`` has another
             cells = [c for c in cells if c]
@@ -300,7 +303,7 @@ def read_trial_file(path) -> dict:
         for column, values in zip(columns, block.reshape(b - a, w).T):
             column.append(values)
     if stop < widths.size:
-        cells = data[starts[stop]:ends[stop]].decode().split(",")
+        cells = _text(path, stop + 2, data[starts[stop]:ends[stop]]).split(",")
         raise _misplaced_cell(path, stop + 2, names, cells, int(running[stop]))
     return {n: np.concatenate(c) if c else np.empty(0) for n, c in zip(names, columns)}
 
@@ -341,9 +344,10 @@ def _misplaced_cell(path, ln, names, cells, width) -> UnsupportedFormatError:
 
 
 def _bad_cell(path, names, data, starts, ends, first_line) -> UnsupportedFormatError:
-    """The error for the first cell of these rows that is not a finite number."""
+    """The error for the first cell of these rows that is not a finite number;
+    a row that is not UTF-8 text raises its own error when it comes first."""
     for ln, (a, b) in enumerate(zip(starts, ends), start=first_line):
-        for j, cell in enumerate(data[a:b].decode().split(",")):
+        for j, cell in enumerate(_text(path, ln, data[a:b]).split(",")):
             try:
                 value = float(cell)
             except ValueError:
@@ -355,6 +359,21 @@ def _bad_cell(path, names, data, starts, ends, first_line) -> UnsupportedFormatE
                 return UnsupportedFormatError(
                     f"{path}:{ln}: column {j + 1} ({names[j]}): {cell!r} is not finite")
     raise AssertionError("no bad cell in a block that failed to convert")
+
+
+def _lf_lines(raw: bytes) -> bytes:
+    """``raw`` with ``\r\n`` and ``\r`` line endings made ``\n``, as text mode reads them."""
+    return raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in raw else raw
+
+
+def _text(path, ln, line: bytes) -> str:
+    """One line of a text file, decoded; bytes that are not UTF-8 raise
+    UnsupportedFormatError naming the file and line."""
+    try:
+        return line.decode()
+    except UnicodeDecodeError as e:
+        raise UnsupportedFormatError(
+            f"{path}:{ln}: byte {e.start + 1} ({line[e.start]:#04x}) is not UTF-8 text") from None
 
 
 def write_labels_csv(path, label_rows) -> None:
@@ -370,18 +389,26 @@ def write_labels_csv(path, label_rows) -> None:
 
 
 def read_labels_csv(path):
-    """Returns [(object_id, name, {adjective: bool})] in file order."""
+    """Returns [(object_id, name, {adjective: bool})] in file order.
+
+    Blank lines are skipped.  Errors name the line as it is numbered in the
+    file, and the first line with a problem raises.
+    """
     from ..evaluation import ADJECTIVES
 
-    with open(path) as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    if not lines:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    # decoded one line at a time, as the checks reach it
+    lines = ((ln, _text(path, ln, line))
+             for ln, line in enumerate(_lf_lines(raw).split(b"\n"), start=1))
+    lines = ((ln, line) for ln, line in lines if line.strip())
+    first = next(lines, None)
+    if first is None:
         raise UnsupportedFormatError(f"{path}: empty label table")
-    header = lines[0].split(",")
-    if header != ["object_id", "name"] + list(ADJECTIVES):
+    if first[1].split(",") != ["object_id", "name"] + list(ADJECTIVES):
         raise UnsupportedFormatError(f"{path}: unexpected label table header")
     rows = []
-    for ln, line in enumerate(lines[1:], start=2):
+    for ln, line in lines:
         cells = line.split(",")
         if len(cells) != 2 + len(ADJECTIVES):
             raise UnsupportedFormatError(f"{path}:{ln}: wrong column count")

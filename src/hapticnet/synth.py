@@ -9,8 +9,25 @@ cue amplitude and the feature-grid shape are fixed module constants; the
 config sets the dataset size, the latent structure and what each modality
 sees.  Everything derives from the config seed, so datasets are
 byte-identical across runs.
+
+Each random stream is a PCG64 generator keyed by the config seed and a path
+(``_rng``), and each is drawn in a fixed order; a changed key or draw order
+changes every dataset.  Two kinds of stream make a trial:
+
+- Per-config templates, independent of the object: ``shape/<ep>/<channel>``
+  (two sinusoids for each of P_AC, P_DC, T_AC and T_DC; eight, two per
+  latent, for ``latent``), ``morph/<ep>/<channel>/<factor>`` (a bump, then
+  one sinusoid, for P_AC, P_DC, T_AC, T_DC and ``latent0``) and
+  ``mixing/<ep>`` (the 19x4 electrode mixing).  They are drawn once per
+  (seed, n_factors) and cached as parameters, never as evaluated signals.
+- Per-trial streams, keyed by object, trial, finger and EP:
+  ``length/<object>/<trial>/<finger>/<ep>``,
+  ``noise/<object>/<trial>/<finger>/<ep>`` (P_AC, then P_DC, T_AC and T_DC,
+  then the electrode panel) and ``wobble/...`` on the same path (one
+  sinusoid each for P_AC, P_DC, T_AC, T_DC and the panel, in that order).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,6 +53,12 @@ CUE_AMP = 0.8                  # amplitude of a factor's cue in either modality
 BASE_LEN = 165                 # 100 Hz samples of a hold or slide (+-2 per trial)
 SQUEEZE_LEN_RANGE = (160, 215)  # inclusive 100 Hz length range of a squeeze
 FEATURE_GRID = (4, 4, 12)      # H, W, C of the ingested feature maps
+
+# P_AC's fast carrier at the longest P_AC the length rules allow (the longest
+# squeeze and half a window); a trial's carrier is a prefix of it
+_CARRIER = 0.5 * np.sin(
+    2 * np.pi * 0.21 * np.arange(DECIMATION * SQUEEZE_LEN_RANGE[1] + DECIMATION // 2))
+_CARRIER.setflags(write=False)
 
 
 @dataclass
@@ -74,9 +97,9 @@ def two_cue_config(n_objects=48, n_trials=3, seed=0) -> SynthConfig:
         seed=seed, haptic_leak=(1.0, 0.15), visual_leak=(0.15, 1.0), name="two-cue")
 
 
-def _rng(config, *parts) -> np.random.Generator:
+def _rng(seed, *parts) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(
-        derive_seed(config.seed, "synth/" + "/".join(str(p) for p in parts))))
+        derive_seed(seed, "synth/" + "/".join(str(p) for p in parts))))
 
 
 def adjective_weights(config) -> np.ndarray:
@@ -87,7 +110,7 @@ def adjective_weights(config) -> np.ndarray:
     """
     f = config.n_factors
     w = np.zeros((len(ADJECTIVES), f))
-    rng = _rng(config, "adjective-weights")
+    rng = _rng(config.seed, "adjective-weights")
     for k in range(len(ADJECTIVES)):
         if k < f:
             w[k, k] = 1.0
@@ -110,7 +133,7 @@ def object_factors(config):
     weights = adjective_weights(config)
     guarded = min(config.n_factors + 1, len(ADJECTIVES))
     for attempt in range(64):
-        rng = _rng(config, "factors", attempt)
+        rng = _rng(config.seed, "factors", attempt)
         z = rng.uniform(-1.0, 1.0, size=(config.n_objects, config.n_factors))
         signs = z @ weights.T > 0  # (N, 24)
         counts_ok = all(
@@ -125,41 +148,93 @@ def object_factors(config):
     return ids, z, labels
 
 
-def _smooth_shape(rng, u, components=2):
-    out = np.zeros_like(u)
-    for _ in range(components):
+def _draw_sines(rng, n) -> np.ndarray:
+    """(3, n) amplitude, angular frequency and phase of n sinusoids, drawn
+    from one stream in the order amplitude, frequency, phase per sinusoid."""
+    rows = []
+    for _ in range(n):
         amp = rng.uniform(0.4, 1.0)
         freq = rng.uniform(0.5, 3.0)
         phase = rng.uniform(0, 2 * np.pi)
-        out += amp * np.sin(2 * np.pi * freq * u + phase)
-    return out
+        rows.append((amp, 2 * np.pi * freq, phase))
+    return np.array(rows).T
 
 
-def _bump(rng, u):
-    center = rng.uniform(0.15, 0.85)
-    width = rng.uniform(0.06, 0.15)
-    sign = rng.choice([-1.0, 1.0])
-    return sign * np.exp(-0.5 * ((u - center) / width) ** 2)
+def _sines(params, u) -> np.ndarray:
+    """Each sinusoid of ``params`` (3, n) over the time base u, as (n, len(u)) rows."""
+    amp, w, phase = params
+    return amp[:, None] * np.sin(w[:, None] * u + phase[:, None])
 
 
-def _factor_morphs(config, ep, channel, u):
-    """One fixed morph shape per factor for this (ep, channel)."""
-    morphs = []
+def _bumps(params, u) -> np.ndarray:
+    """Each Gaussian bump of ``params`` (3, n) (centre, width, sign) over u, as rows."""
+    center, width, sign = params
+    return sign[:, None] * np.exp(-0.5 * ((u - center[:, None]) / width[:, None]) ** 2)
+
+
+def _morph_params(seed, ep, channels, n_factors):
+    """Bumps (3, C*F) and sinusoids (3, C*F) of each channel's factor morphs,
+    channel-major: one stream per (channel, factor)."""
+    bumps, sines = [], []
+    for name in channels:
+        for f in range(n_factors):
+            rng = _rng(seed, "morph", ep, name, f)
+            bumps.append((rng.uniform(0.15, 0.85), rng.uniform(0.06, 0.15),
+                          rng.choice([-1.0, 1.0])))
+            sines.append(_draw_sines(rng, 1))
+    return np.array(bumps).T, np.concatenate(sines, axis=1)
+
+
+@dataclass(frozen=True)
+class _EpTemplate:
+    """The object-independent parameters of one EP's channels."""
+
+    pac: np.ndarray         # (3, 2 + F): P_AC's two shape sinusoids, then its morphs'
+    pac_bumps: np.ndarray   # (3, F)
+    base: np.ndarray        # (3, 14 + 4F): two shape sinusoids each of P_DC, T_AC,
+                            # T_DC and latents 0-3, then the morphs' of P_DC, T_AC,
+                            # T_DC and latent 0, factor-minor
+    base_bumps: np.ndarray  # (3, 4F)
+    mixing: np.ndarray      # (19, 4): latent -> electrode
+
+
+@functools.lru_cache(maxsize=8)
+def _templates(seed, n_factors) -> tuple:
+    """One _EpTemplate per EP, in EPS order, with read-only arrays.
+
+    Only parameters are kept: evaluating them needs each trial's lengths.
+    """
+    templates = []
+    for ep in EPS:
+        pac_bumps, pac_morphs = _morph_params(seed, ep, ("P_AC",), n_factors)
+        base_bumps, base_morphs = _morph_params(seed, ep, BASE_CHANNELS[1:] + ("latent0",),
+                                                n_factors)
+        shapes = [_draw_sines(_rng(seed, "shape", ep, name), 2) for name in BASE_CHANNELS[1:]]
+        shapes.append(_draw_sines(_rng(seed, "shape", ep, "latent"), 8))
+        arrays = dict(
+            pac=np.concatenate((_draw_sines(_rng(seed, "shape", ep, "P_AC"), 2), pac_morphs),
+                               axis=1),
+            pac_bumps=pac_bumps,
+            base=np.concatenate(shapes + [base_morphs], axis=1),
+            base_bumps=base_bumps,
+            mixing=_rng(seed, "mixing", ep).standard_normal((len(ELECTRODES), 4)),
+        )
+        for a in arrays.values():
+            a.setflags(write=False)
+        templates.append(_EpTemplate(**arrays))
+    return tuple(templates)
+
+
+def _cues(config, z, morphs) -> np.ndarray:
+    """Each channel's cue from its (C, F, T) factor morphs, as (C, T) rows."""
+    total = np.zeros((morphs.shape[0], morphs.shape[2]))
     for f in range(config.n_factors):
-        rng = _rng(config, "morph", ep, channel, f)
-        morphs.append(_bump(rng, u) + 0.3 * _smooth_shape(rng, u, components=1))
-    return morphs
-
-
-def _cue(config, z, morphs, leak):
-    total = np.zeros_like(morphs[0])
-    for f in range(config.n_factors):
-        total += z[f] * leak[f] * morphs[f]
+        total += z[f] * config.haptic_leak[f] * morphs[:, f]
     return CUE_AMP * total
 
 
 def _ep_lengths(config, object_id, trial_index, ep):
-    rng = _rng(config, "length", object_id, trial_index, ep)
+    rng = _rng(config.seed, "length", object_id, trial_index, ep)
     if ep == "squeeze":
         lo, hi = SQUEEZE_LEN_RANGE
         base = int(rng.integers(lo, hi + 1))
@@ -170,45 +245,49 @@ def _ep_lengths(config, object_id, trial_index, ep):
 
 
 def make_trial(config, object_id, z, trial_index) -> HapticTrial:
-    """Generate one full trial (both fingers, all EPs) for an object."""
+    """Generate one full trial (both fingers, all EPs) for an object.
+
+    Per (finger, EP) the sinusoids of one time base go through one ``np.sin``
+    call; each channel still sums its terms in a fixed order.
+    """
+    f = config.n_factors
+    noise = config.noise
     signals = {}
     for finger in FINGERS:
-        for ep in EPS:
+        for ep, tpl in zip(EPS, _templates(config.seed, f)):
             base_len, pac_len = _ep_lengths(config, object_id, f"{trial_index}/{finger}", ep)
             u = np.linspace(0.0, 1.0, base_len)
             u_pac = np.linspace(0.0, 1.0, pac_len)
-            noise_rng = _rng(config, "noise", object_id, trial_index, finger, ep)
-            wobble_rng = _rng(config, "wobble", object_id, trial_index, finger, ep)
+            noise_rng = _rng(config.seed, "noise", object_id, trial_index, finger, ep)
+            wobble = _draw_sines(
+                _rng(config.seed, "wobble", object_id, trial_index, finger, ep), 5)
             chans = {}
+            # Sums start from 0.0, as accumulating into zeros did, which turns
+            # a -0.0 term into +0.0; every channel keeps its order of terms.
 
-            # high-rate pressure: smooth base + cue + fast carrier
-            shape_rng = _rng(config, "shape", ep, "P_AC")
-            base = _smooth_shape(shape_rng, u_pac)
-            cue = _cue(config, z, _factor_morphs(config, ep, "P_AC", u_pac),
-                       config.haptic_leak)
-            carrier = 0.5 * np.sin(2 * np.pi * 0.21 * np.arange(pac_len))
-            wobble = config.noise * _smooth_shape(wobble_rng, u_pac, components=1)
-            chans["P_AC"] = base + cue + carrier + wobble + \
-                config.noise * noise_rng.standard_normal(pac_len)
+            # high-rate pressure: smooth base + cue + fast carrier + wobble
+            rows = _sines(np.concatenate((tpl.pac, wobble[:, :1]), axis=1), u_pac)
+            morphs = _bumps(tpl.pac_bumps, u_pac) + 0.3 * (0.0 + rows[2:2 + f])
+            chans["P_AC"] = (0.0 + rows[0] + rows[1]) + _cues(config, z, morphs[None])[0] \
+                + _CARRIER[:pac_len] + noise * (0.0 + rows[-1]) \
+                + noise * noise_rng.standard_normal(pac_len)
 
-            for name in BASE_CHANNELS[1:]:
-                shape_rng = _rng(config, "shape", ep, name)
-                base = _smooth_shape(shape_rng, u)
-                cue = _cue(config, z, _factor_morphs(config, ep, name, u),
-                           config.haptic_leak)
-                wobble = config.noise * _smooth_shape(wobble_rng, u, components=1)
-                chans[name] = base + cue + wobble + \
-                    config.noise * noise_rng.standard_normal(base_len)
+            # 100 Hz: P_DC, T_AC, T_DC and the four electrode latents
+            rows = _sines(np.concatenate((tpl.base, wobble[:, 1:]), axis=1), u)
+            shapes = 0.0 + rows[0:14:2] + rows[1:14:2]
+            morphs = _bumps(tpl.base_bumps, u) + 0.3 * (0.0 + rows[14:14 + 4 * f])
+            cues = _cues(config, z, morphs.reshape(4, f, base_len))
+            wobbles = noise * (0.0 + rows[14 + 4 * f:])
+            for k, name in enumerate(BASE_CHANNELS[1:]):
+                chans[name] = shapes[k] + cues[k] + wobbles[k] + \
+                    noise * noise_rng.standard_normal(base_len)
 
             # electrodes: rank-4 latent panel, cue injected into the first latent
-            latent_rng = _rng(config, "shape", ep, "latent")
-            latent = np.stack([_smooth_shape(latent_rng, u) for _ in range(4)], axis=1)
-            latent[:, 0] += _cue(config, z, _factor_morphs(config, ep, "latent0", u),
-                                 config.haptic_leak)
-            mixing = _rng(config, "mixing", ep).standard_normal((19, 4))
-            panel = latent @ mixing.T
-            panel += config.noise * noise_rng.standard_normal(panel.shape)
-            panel += config.noise * _smooth_shape(wobble_rng, u, components=1)[:, None]
+            latent = shapes[3:].T.copy()  # C-contiguous (T, 4), as the matmul has always had
+            latent[:, 0] += cues[3]
+            panel = latent @ tpl.mixing.T
+            panel += noise * noise_rng.standard_normal(panel.shape)
+            panel += wobbles[3][:, None]
             for i, name in enumerate(ELECTRODES):
                 chans[name] = panel[:, i]
 
@@ -225,16 +304,16 @@ def make_visual_grids(config, object_id, z) -> np.ndarray:
     """(views, H, W, C) feature grids with factor cues gated per view."""
     h, w, c = FEATURE_GRID
     grids = np.zeros((N_VIEWS, h, w, c))
-    noise_rng = _rng(config, "visual-noise", object_id)
+    noise_rng = _rng(config.seed, "visual-noise", object_id)
     for f_idx in range(config.n_factors):
-        pattern_rng = _rng(config, "visual-pattern", f_idx)
+        pattern_rng = _rng(config.seed, "visual-pattern", f_idx)
         channel_pattern = pattern_rng.standard_normal(c)
         spatial = 1.0 + 0.2 * pattern_rng.standard_normal((h, w))
         cue = CUE_AMP * z[f_idx] * config.visual_leak[f_idx]
         for v in range(N_VIEWS):
             grids[v] += _view_gain(v, f_idx) * cue * spatial[:, :, None] * channel_pattern
     for v in range(N_VIEWS):
-        base_rng = _rng(config, "visual-base", v)
+        base_rng = _rng(config.seed, "visual-base", v)
         grids[v] += 1.5 + 0.5 * base_rng.standard_normal((h, w, c))
         grids[v] += config.noise * noise_rng.standard_normal((h, w, c))
     return grids

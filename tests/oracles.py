@@ -379,3 +379,118 @@ def _row_prefix(path, ln, names, cells, width) -> list:
         raise UnsupportedFormatError(
             f"{path}:{ln}: column {width + 1} ({names[width]}) has a value after it ended")
     return cells[:n]
+
+
+def reference_zscore_normalize(series):
+    """z-score along the last axis by ``ndarray.std`` and ``ndarray.mean``:
+    the reference for ``zscore_normalize``, which shares one mean between the
+    two and must match this bit for bit."""
+    s = np.asarray(series, dtype=np.float64)
+    std = s.std(axis=-1, keepdims=True)
+    flat = (std == 0.0) | (s.max(axis=-1, keepdims=True) == s.min(axis=-1, keepdims=True))
+    return np.where(flat, 0.0, (s - s.mean(axis=-1, keepdims=True)) / np.where(flat, 1.0, std))
+
+
+def _synth_rng(config, *parts):
+    from hapticnet.engine import derive_seed
+
+    return np.random.Generator(np.random.PCG64(
+        derive_seed(config.seed, "synth/" + "/".join(str(p) for p in parts))))
+
+
+def _smooth_shape(rng, u, components=2):
+    out = np.zeros_like(u)
+    for _ in range(components):
+        amp = rng.uniform(0.4, 1.0)
+        freq = rng.uniform(0.5, 3.0)
+        phase = rng.uniform(0, 2 * np.pi)
+        out += amp * np.sin(2 * np.pi * freq * u + phase)
+    return out
+
+
+def _bump(rng, u):
+    center = rng.uniform(0.15, 0.85)
+    width = rng.uniform(0.06, 0.15)
+    sign = rng.choice([-1.0, 1.0])
+    return sign * np.exp(-0.5 * ((u - center) / width) ** 2)
+
+
+def _factor_morphs(config, ep, channel, u):
+    morphs = []
+    for f in range(config.n_factors):
+        rng = _synth_rng(config, "morph", ep, channel, f)
+        morphs.append(_bump(rng, u) + 0.3 * _smooth_shape(rng, u, components=1))
+    return morphs
+
+
+def _cue(config, z, morphs, leak):
+    from hapticnet.synth import CUE_AMP
+
+    total = np.zeros_like(morphs[0])
+    for f in range(config.n_factors):
+        total += z[f] * leak[f] * morphs[f]
+    return CUE_AMP * total
+
+
+def _ep_lengths(config, object_id, trial_index, ep):
+    from hapticnet.haptic import DECIMATION
+    from hapticnet.synth import BASE_LEN, SQUEEZE_LEN_RANGE
+
+    rng = _synth_rng(config, "length", object_id, trial_index, ep)
+    if ep == "squeeze":
+        lo, hi = SQUEEZE_LEN_RANGE
+        base = int(rng.integers(lo, hi + 1))
+    else:
+        base = BASE_LEN + int(rng.integers(-2, 3))
+    pac = DECIMATION * base + int(rng.integers(-DECIMATION // 2, DECIMATION // 2 + 1))
+    return base, pac
+
+
+def reference_make_trial(config, object_id, z, trial_index):
+    """One synthetic trial with a fresh generator per drawn shape, evaluated
+    one sinusoid at a time: the reference for ``synth.make_trial``, which
+    draws the object-independent shapes once per config, evaluates them in
+    batches and must match this bit for bit."""
+    from hapticnet.haptic import BASE_CHANNELS, ELECTRODES, EPS, FINGERS, HapticTrial
+
+    signals = {}
+    for finger in FINGERS:
+        for ep in EPS:
+            base_len, pac_len = _ep_lengths(config, object_id, f"{trial_index}/{finger}", ep)
+            u = np.linspace(0.0, 1.0, base_len)
+            u_pac = np.linspace(0.0, 1.0, pac_len)
+            noise_rng = _synth_rng(config, "noise", object_id, trial_index, finger, ep)
+            wobble_rng = _synth_rng(config, "wobble", object_id, trial_index, finger, ep)
+            chans = {}
+
+            shape_rng = _synth_rng(config, "shape", ep, "P_AC")
+            base = _smooth_shape(shape_rng, u_pac)
+            cue = _cue(config, z, _factor_morphs(config, ep, "P_AC", u_pac),
+                       config.haptic_leak)
+            carrier = 0.5 * np.sin(2 * np.pi * 0.21 * np.arange(pac_len))
+            wobble = config.noise * _smooth_shape(wobble_rng, u_pac, components=1)
+            chans["P_AC"] = base + cue + carrier + wobble + \
+                config.noise * noise_rng.standard_normal(pac_len)
+
+            for name in BASE_CHANNELS[1:]:
+                shape_rng = _synth_rng(config, "shape", ep, name)
+                base = _smooth_shape(shape_rng, u)
+                cue = _cue(config, z, _factor_morphs(config, ep, name, u),
+                           config.haptic_leak)
+                wobble = config.noise * _smooth_shape(wobble_rng, u, components=1)
+                chans[name] = base + cue + wobble + \
+                    config.noise * noise_rng.standard_normal(base_len)
+
+            latent_rng = _synth_rng(config, "shape", ep, "latent")
+            latent = np.stack([_smooth_shape(latent_rng, u) for _ in range(4)], axis=1)
+            latent[:, 0] += _cue(config, z, _factor_morphs(config, ep, "latent0", u),
+                                 config.haptic_leak)
+            mixing = _synth_rng(config, "mixing", ep).standard_normal((19, 4))
+            panel = latent @ mixing.T
+            panel += config.noise * noise_rng.standard_normal(panel.shape)
+            panel += config.noise * _smooth_shape(wobble_rng, u, components=1)[:, None]
+            for i, name in enumerate(ELECTRODES):
+                chans[name] = panel[:, i]
+
+            signals[(finger, ep)] = chans
+    return HapticTrial(object_id=object_id, trial_index=trial_index, signals=signals)

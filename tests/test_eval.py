@@ -97,6 +97,13 @@ class TestMakeSplit:
         assert test_ids(12, 5, 0.9, 2) == ("o1", "o10")
         assert test_ids(10, 4, 0.7, 1) == ("o2", "o6", "o8")
 
+    @pytest.mark.parametrize("ratio", [0.0, 1.0, 1.5, 2.0, -0.1, float("nan")])
+    def test_ratio_outside_the_open_unit_interval_rejected(self, ratio):
+        objects = [f"o{i}" for i in range(10)]
+        labels = {o: {"bumpy": i < 5} for i, o in enumerate(objects)}
+        with pytest.raises(InvalidInputError, match=f"ratio .*got {ratio!r}"):
+            make_split(objects, labels, "bumpy", ratio=ratio)
+
     def test_split_plan_rejects_overlap(self):
         with pytest.raises(LeakageError):
             SplitPlan(adjective="soft", seed=0, train_ids=("a", "b"), test_ids=("b",))
@@ -140,6 +147,14 @@ class TestRocAuc:
         labels = np.where(rng.random(31) < 0.5, 1, -1)
         labels[0], labels[1] = 1, -1
         assert roc_auc(scores, labels) + roc_auc(-scores, labels) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("scores, index", [
+        ([float("nan"), 0.5, 0.1], 0),
+        ([0.9, 0.5, float("nan"), float("nan")], 2),
+    ])
+    def test_nan_score_rejected(self, scores, index):
+        with pytest.raises(InvalidInputError, match=f"score {index} is NaN"):
+            roc_auc(scores, [1, -1, -1, 1][:len(scores)])
 
     def test_single_class_undefined(self):
         with pytest.raises(UndefinedAUCError):

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hapticnet import synth
 from hapticnet.errors import InvalidInputError
@@ -25,7 +27,7 @@ from hapticnet.haptic import (
     zscore_normalize,
 )
 
-from oracles import eigh_pca, reference_instance
+from oracles import eigh_pca, reference_instance, reference_zscore_normalize
 
 
 def synth_channels(rng, base_len=340):
@@ -97,6 +99,30 @@ class TestZscore:
         for got, row in zip(out, rows):
             assert np.array_equal(got, zscore_normalize(row))
         assert not out[1].any()
+
+    @settings(max_examples=60)
+    @given(rows=st.integers(1, 4), length=st.integers(1, 400),
+           scale=st.sampled_from([1e-100, 1e-8, 1.0, 3e4, 1e100]),
+           kinds=st.lists(st.sampled_from(["noise", "offset", "constant", "ulp"]),
+                          min_size=4, max_size=4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bitwise_the_std_formula(self, rows, length, scale, kinds, seed):
+        rng = np.random.default_rng(seed)
+        series = np.empty((rows, length))
+        for row, kind in zip(series, kinds):
+            value = rng.uniform(-9.0, 9.0) * scale
+            if kind == "noise":
+                row[:] = rng.standard_normal(length) * scale
+            elif kind == "offset":  # a large mean over a small spread
+                row[:] = value + rng.standard_normal(length) * scale * 1e-6
+            elif kind == "constant":
+                row[:] = value
+            else:  # one ulp apart, so the mean can round off every sample
+                row[:] = value
+                row[rng.integers(0, length)] = np.nextafter(value, np.inf)
+        for s in (series, series[0]):
+            expected = reference_zscore_normalize(s)
+            assert np.array_equal(zscore_normalize(s).view(np.int64), expected.view(np.int64))
 
     def test_empty_rejected(self):
         for empty in (np.array([]), np.zeros((3, 0)), np.zeros((0, 5)), np.float64(1.0)):

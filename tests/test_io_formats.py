@@ -98,6 +98,29 @@ class TestReadTrialFile:
         with pytest.raises(UnsupportedFormatError, match="more cells than header columns"):
             read_trial_file(path)
 
+    @pytest.mark.parametrize("rows, line", [
+        ((b"1.0\xff",), 2),
+        ((b"1.0,2.0", b"3.0,2.0", b"4.0\xc3\x28"), 4),
+        ((b"1.0,2.0", b"3.0", b"4.0,\xff"), 4),  # a misplaced row that is not text
+    ])
+    def test_bytes_that_are_not_text_name_the_line(self, tmp_path, rows, line):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"\n".join((HEADER.encode(),) + rows) + b"\n")
+        with pytest.raises(UnsupportedFormatError, match=rf"t\.csv:{line}: .* is not UTF-8 text"):
+            read_trial_file(path)
+
+    def test_header_that_is_not_text_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(HEADER.encode() + b"\xff\n1.0\n")
+        with pytest.raises(UnsupportedFormatError, match=r"t\.csv:1: .* is not UTF-8 text"):
+            read_trial_file(path)
+
+    def test_bad_cell_before_undecodable_bytes_is_reported_first(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(HEADER.encode() + b"\n1.0\nx1\n2.0\xff\n")
+        with pytest.raises(UnsupportedFormatError, match=r"t\.csv:3: column 1 \(P_AC\): 'x1'"):
+            read_trial_file(path)
+
     def test_repeated_header_name_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text(HEADER + ",P_AC\n1.0\n")
@@ -174,6 +197,39 @@ def test_label_table_without_24_binary_labels_rejected(tmp_path, edit, message):
     path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
     with pytest.raises(UnsupportedFormatError, match=message):
         read_labels_csv(path)
+
+
+def test_label_table_that_is_not_text_names_the_line(tmp_path):
+    path = tmp_path / "labels.csv"
+    write_labels_csv(path, [(f"o{i}", "mug", {a: True for a in ADJECTIVES}) for i in range(3)])
+    path.write_bytes(path.read_bytes().replace(b"o1,", b"o\xff1,"))
+    with pytest.raises(UnsupportedFormatError, match=r"labels\.csv:3: .* is not UTF-8 text"):
+        read_labels_csv(path)
+
+
+def test_label_table_errors_name_the_line_in_the_file(tmp_path):
+    path = tmp_path / "labels.csv"
+    write_labels_csv(path, [(f"o{i}", "mug", {a: True for a in ADJECTIVES}) for i in range(3)])
+    lines = path.read_text().split("\n")
+    lines[2] = lines[2][:-1] + "2"
+    path.write_text("\n".join(lines[:1] + ["", " "] + lines[1:]))
+    with pytest.raises(UnsupportedFormatError, match=r"labels\.csv:5: label cell '2'"):
+        read_labels_csv(path)
+
+
+def test_label_table_header_is_checked_before_later_lines_are_decoded(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_bytes(b"object_id,name\no1,mug\xff\n")
+    with pytest.raises(UnsupportedFormatError, match="unexpected label table header"):
+        read_labels_csv(path)
+
+
+def test_label_table_with_crlf_line_endings_reads(tmp_path):
+    path = tmp_path / "labels.csv"
+    rows = [(f"o{i}", "mug", {a: i % 2 == 0 for a in ADJECTIVES}) for i in range(2)]
+    write_labels_csv(path, rows)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert read_labels_csv(path) == rows
 
 
 def float32_grids(shape=(3, 2, 4, 5), seed=8):

@@ -1,13 +1,30 @@
 """The synthetic dataset generator writes the same bytes for the same config,
-and nothing its manifest does not list."""
+and nothing its manifest does not list; its trials are bitwise those of the
+one-generator-per-shape reference."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hapticnet import synth
 from hapticnet.io import load_manifest
+
+from oracles import reference_make_trial
 
 
 def tree_bytes(root):
     return {p.relative_to(root).as_posix(): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def assert_same_trial(trial, expected):
+    assert sorted(trial.signals) == sorted(expected.signals)
+    for key, chans in expected.signals.items():
+        assert list(trial.signals[key]) == list(chans), key
+        for name, want in chans.items():
+            got = trial.signals[key][name]
+            assert got.shape == want.shape, (key, name)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (key, name)
 
 
 def test_two_runs_write_byte_identical_trees(tmp_path):
@@ -30,3 +47,41 @@ def test_tree_holds_only_what_the_manifest_lists(tmp_path):
     listed = {manifest_path.name, manifest.labels_path}
     listed |= {e["path"] for e in manifest.trials + manifest.visual}
     assert set(tree_bytes(tmp_path)) == listed
+
+
+@settings(max_examples=25)
+@given(n_factors=st.integers(1, 3), seed=st.integers(0, 2**31 - 1),
+       object_id=st.sampled_from(["obj000", "obj017", "x"]), trial_index=st.integers(0, 5),
+       noise=st.sampled_from([0.0, 0.05, 0.4]),
+       leak=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+       z=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+def test_trials_are_bitwise_the_reference(n_factors, seed, object_id, trial_index, noise,
+                                          leak, z):
+    config = synth.SynthConfig(n_factors=n_factors, noise=noise, seed=seed,
+                               haptic_leak=tuple(leak[:n_factors]),
+                               visual_leak=(1.0,) * n_factors)
+    z = np.array(z[:n_factors])
+    assert_same_trial(synth.make_trial(config, object_id, z, trial_index),
+                      reference_make_trial(config, object_id, z, trial_index))
+
+
+def test_trials_do_not_share_memory_between_calls():
+    config = synth.two_cue_config(n_objects=3, n_trials=1, seed=4)
+    ids, z, _ = synth.object_factors(config)
+    first = synth.make_trial(config, ids[0], z[0], 0)
+    for chans in first.signals.values():
+        for series in chans.values():
+            series[:] = 0.0
+    assert_same_trial(synth.make_trial(config, ids[0], z[0], 0),
+                      reference_make_trial(config, ids[0], z[0], 0))
+
+
+def test_tree_is_byte_identical_to_one_from_reference_trials(tmp_path, monkeypatch):
+    config = synth.two_cue_config(n_objects=3, n_trials=2, seed=11)
+    synth.synth_generate(config, tmp_path / "fast")
+    monkeypatch.setattr(synth, "make_trial", reference_make_trial)
+    synth.synth_generate(config, tmp_path / "reference")
+    fast, reference = tree_bytes(tmp_path / "fast"), tree_bytes(tmp_path / "reference")
+    assert sorted(fast) == sorted(reference)
+    for name in reference:
+        assert fast[name] == reference[name], name
