@@ -13,10 +13,6 @@ class InvalidInputError(HapticNetError):
     """Runtime data violates an operation's preconditions."""
 
 
-class PlateNotFoundError(HapticNetError):
-    """No plate-colored region was found in an image."""
-
-
 class InfeasibleSplitError(HapticNetError):
     """A train/test split satisfying the stratification constraint does not exist."""
 

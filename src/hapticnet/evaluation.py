@@ -125,6 +125,8 @@ def evaluate(score_fn, features, labels, split: SplitPlan) -> float:
     ``features`` is a list of (object_id, x) pairs (one or many per object);
     ``labels`` maps object id -> bool for the split's adjective.  Training
     objects are never scored, and any id on both sides is a hard failure.
+    A test object without features or without a label raises
+    InvalidInputError before anything is scored.
     """
     overlap = set(split.train_ids) & set(split.test_ids)
     if overlap:
@@ -134,6 +136,9 @@ def evaluate(score_fn, features, labels, split: SplitPlan) -> float:
     missing = test_ids - covered
     if missing:
         raise InvalidInputError(f"no features for test objects: {sorted(missing)}")
+    unlabeled = test_ids - set(labels)
+    if unlabeled:
+        raise InvalidInputError(f"no labels for test objects: {sorted(unlabeled)}")
     scores, truth = [], []
     for obj, x in features:
         if obj in test_ids:

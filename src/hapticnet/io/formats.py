@@ -21,11 +21,10 @@ and converts, one block at a time rather than one cell at a time.
 import json
 import math
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InvalidInputError, UnsupportedFormatError
+from ..errors import InvalidInputError, InvalidSpecError, UnsupportedFormatError
 from ..haptic import CHANNELS
 
 CONTAINER_VERSION = 1
@@ -91,7 +90,7 @@ def read_container(path, magic: bytes):
     offset = start + header_len
     tensors = {}
     for name, shape in entries:
-        nbytes = int(np.prod(shape)) * 4
+        nbytes = math.prod(shape) * 4  # Python ints: a huge shape cannot wrap
         chunk = raw[offset:offset + nbytes]
         if len(chunk) != nbytes:
             raise UnsupportedFormatError(f"{path}: truncated tensor {name!r}")
@@ -125,57 +124,45 @@ def _container_header(path, header):
     return entries, header["meta"]
 
 
-@dataclass
-class Checkpoint:
-    """Serializable model state: graph, named tensors, training metadata."""
-
-    graph: dict
-    tensors: dict
-    meta: dict
+def save_model(path, model, meta: dict) -> None:
+    """A checkpoint: ``model``'s parameters as float32 tensors, and ``meta``
+    with the model's graph description added as ``meta["graph"]``."""
+    write_container(path, CHECKPOINT_MAGIC, dict(model.named_params()),
+                    dict(meta, graph=model.describe()))
 
 
-def checkpoint_from_model(model, meta: dict) -> Checkpoint:
-    return Checkpoint(graph=model.describe(), tensors=dict(model.named_params()), meta=meta)
-
-
-def save_checkpoint(path, checkpoint: Checkpoint) -> None:
-    meta = dict(checkpoint.meta)
-    meta["graph"] = checkpoint.graph
-    write_container(path, CHECKPOINT_MAGIC, checkpoint.tensors, meta)
-
-
-def load_checkpoint(path) -> Checkpoint:
-    tensors, meta = read_container(path, CHECKPOINT_MAGIC)
-    if "graph" not in meta:
-        raise UnsupportedFormatError(f"{path}: checkpoint meta has no 'graph'")
-    graph = meta.pop("graph")
-    return Checkpoint(graph=graph, tensors=tensors, meta=meta)
-
-
-def model_from_checkpoint(checkpoint: Checkpoint):
-    """Rebuild the model graph and load its weights.
+def load_model(path):
+    """(model, meta) of a checkpoint: the graph rebuilt with its weights
+    loaded, and the meta without its graph.
 
     Every tensor must name a parameter of the graph.  The one exception is
     the ``<param>.vel`` momentum tensor that checkpoints once carried: it
     is ignored, since training starts each phase's momentum from zero.
+    Every error names the file.
     """
     from ..models import model_from_description
 
-    model = model_from_description(checkpoint.graph)
+    tensors, meta = read_container(path, CHECKPOINT_MAGIC)
+    if "graph" not in meta:
+        raise UnsupportedFormatError(f"{path}: checkpoint meta has no 'graph'")
+    try:
+        model = model_from_description(meta.pop("graph"))
+    except InvalidSpecError as e:
+        raise InvalidSpecError(f"{path}: {e}") from None
     params = dict(model.named_params())
-    unknown = sorted(set(checkpoint.tensors) - set(params)
-                     - {name + ".vel" for name in params})
+    unknown = sorted(set(tensors) - set(params) - {name + ".vel" for name in params})
     if unknown:
-        raise UnsupportedFormatError(f"checkpoint tensors {unknown} name no parameter of the graph")
+        raise UnsupportedFormatError(
+            f"{path}: checkpoint tensors {unknown} name no parameter of the graph")
     for name, value in params.items():
-        if name not in checkpoint.tensors:
-            raise UnsupportedFormatError(f"checkpoint missing tensor {name!r}")
-        stored = checkpoint.tensors[name]
-        if stored.shape != value.shape:
+        if name not in tensors:
+            raise UnsupportedFormatError(f"{path}: checkpoint missing tensor {name!r}")
+        if tensors[name].shape != value.shape:
             raise UnsupportedFormatError(
-                f"tensor {name!r} has shape {stored.shape}, model expects {value.shape}")
-        value[:] = stored
-    return model
+                f"{path}: tensor {name!r} has shape {tensors[name].shape}, "
+                f"model expects {value.shape}")
+        value[:] = tensors[name]
+    return model, meta
 
 
 def write_feature_maps(path, grids: np.ndarray) -> None:

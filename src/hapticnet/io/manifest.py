@@ -17,9 +17,9 @@ class DatasetManifest:
     """Index of everything a dataset provides, all paths relative to root.
 
     It lists data only.  The preprocessing recipe (``haptic.RESAMPLE_LEN``,
-    ``DECIMATION``, ``PCA_COMPONENTS``, ``OFFSETS``) and the visual trunk's
-    normalization (``visual.image_norm_params``) are package constants, so
-    a manifest does not copy them.
+    ``DECIMATION``, ``PCA_COMPONENTS``, ``OFFSETS``) and the number of views
+    per object (``visual.N_VIEWS``) are package constants, so a manifest
+    does not copy them.
     """
 
     name: str
@@ -28,7 +28,6 @@ class DatasetManifest:
     trials: list                  # [{"object_id", "trial", "finger", "ep", "path"}]
     visual: list                  # [{"object_id", "path"}]
     trials_per_object: int = 10
-    views_per_object: int = N_VIEWS
 
     def object_ids(self):
         return [o["id"] for o in self.objects]
@@ -42,7 +41,6 @@ class DatasetManifest:
             "trials": self.trials,
             "visual": self.visual,
             "trials_per_object": self.trials_per_object,
-            "views_per_object": self.views_per_object,
         }
 
 
@@ -54,7 +52,7 @@ def save_manifest(path, manifest: DatasetManifest) -> None:
 # Type of every top-level field, and of the fields each list entry must hold.
 _FIELD_TYPES = {
     "name": str, "labels": str, "objects": list, "trials": list, "visual": list,
-    "trials_per_object": int, "views_per_object": int,
+    "trials_per_object": int,
 }
 _ENTRY_FIELDS = {
     "objects": {"id": str},
@@ -98,7 +96,8 @@ def load_manifest(path) -> DatasetManifest:
     Every field must have its type, and every object, trial and visual entry
     must be an object holding its fields.  Problems raise InvalidInputError
     naming the manifest path and the field.  Keys the manifest does not use,
-    such as the preprocessing blocks that older manifests carry, are ignored.
+    such as the preprocessing blocks and the view count that older manifests
+    carry, are ignored.
     """
     try:
         with open(path) as fh:
@@ -128,7 +127,6 @@ def load_manifest(path) -> DatasetManifest:
         trials=data["trials"],
         visual=data["visual"],
         trials_per_object=data.get("trials_per_object", 10),
-        views_per_object=data.get("views_per_object", N_VIEWS),
     )
 
 
@@ -220,7 +218,7 @@ def validate(manifest: DatasetManifest, root) -> list:
         findings.extend(Finding(str(path), field, message)
                         for field, message in block_problems(chans))
 
-    # visual feature files: one per object, views_per_object maps each
+    # visual feature files: one per object, N_VIEWS maps each
     visual_objects = [v["object_id"] for v in entries["visual"]]
     for obj in object_ids:
         if visual_objects.count(obj) != 1:
@@ -233,7 +231,7 @@ def validate(manifest: DatasetManifest, root) -> list:
         except Exception as e:  # noqa: BLE001
             findings.append(Finding(str(path), "feature-file", str(e)))
             continue
-        if grids.shape[0] != manifest.views_per_object:
+        if grids.shape[0] != N_VIEWS:
             findings.append(Finding(str(path), "views",
-                                    f"{grids.shape[0]} views, expected {manifest.views_per_object}"))
+                                    f"{grids.shape[0]} views, expected {N_VIEWS}"))
     return findings

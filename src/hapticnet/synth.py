@@ -352,7 +352,6 @@ def synth_generate(config: SynthConfig, out_dir) -> Path:
         trials=trial_index,
         visual=visual_index,
         trials_per_object=config.n_trials,
-        views_per_object=N_VIEWS,
     )
     path = out / "manifest.json"
     save_manifest(path, manifest)

@@ -1,5 +1,6 @@
 """Tensor containers and checkpoints: byte round trips and strict readers."""
 
+import hashlib
 import json
 import re
 import struct
@@ -11,12 +12,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hapticnet.errors import InvalidInputError, InvalidSpecError, UnsupportedFormatError
 from hapticnet.io import (
     CHECKPOINT_MAGIC,
-    Checkpoint,
-    checkpoint_from_model,
-    load_checkpoint,
-    model_from_checkpoint,
+    load_model,
     read_container,
-    save_checkpoint,
+    save_model,
     write_container,
 )
 from hapticnet.models import (
@@ -73,6 +71,13 @@ round_trip_settings = settings(
     max_examples=20, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
+def write_checkpoint(path, graph, tensors):
+    """A checkpoint of ``graph`` holding ``tensors``, as older or damaged
+    files may."""
+    write_container(path, CHECKPOINT_MAGIC, tensors, {"graph": graph})
+    return path
+
+
 def container_bytes(blob):
     """A version-1 checkpoint container with header bytes ``blob`` and no tensor bytes."""
     return struct.pack("<4sIQ", CHECKPOINT_MAGIC, 1, len(blob)) + blob
@@ -84,19 +89,18 @@ class TestCheckpointRoundTrip:
     @given(data=st.data())
     def test_save_load_save_is_byte_identical(self, kind, tmp_path, data):
         model = data.draw(float32_model(kind))
-        save_checkpoint(tmp_path / "a.ckpt", checkpoint_from_model(model, {"epochs": 4}))
-        loaded_ckpt = load_checkpoint(tmp_path / "a.ckpt")
-        assert loaded_ckpt.meta == {"epochs": 4}
-        loaded = model_from_checkpoint(loaded_ckpt)
-        save_checkpoint(tmp_path / "b.ckpt", checkpoint_from_model(loaded, loaded_ckpt.meta))
+        save_model(tmp_path / "a.ckpt", model, {"epochs": 4})
+        loaded, meta = load_model(tmp_path / "a.ckpt")
+        assert meta == {"epochs": 4}
+        save_model(tmp_path / "b.ckpt", loaded, meta)
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
     @round_trip_settings
     @given(data=st.data())
     def test_loaded_model_scores_like_the_float32_original(self, kind, tmp_path, data):
         model = data.draw(float32_model(kind))
-        save_checkpoint(tmp_path / "m.ckpt", checkpoint_from_model(model, {}))
-        loaded = model_from_checkpoint(load_checkpoint(tmp_path / "m.ckpt"))
+        save_model(tmp_path / "m.ckpt", model, {})
+        loaded, _ = load_model(tmp_path / "m.ckpt")
         for (n1, v1), (n2, v2) in zip(model.named_params(), loaded.named_params()):
             assert n1 == n2
             assert np.array_equal(v1, v2)
@@ -104,26 +108,46 @@ class TestCheckpointRoundTrip:
         assert np.array_equal(loaded.forward(xs[0]), model.forward(xs[0]))
         assert np.array_equal(loaded.forward(xs), model.forward(xs))
 
-    def test_checkpoint_holds_one_tensor_per_parameter(self, kind):
+    def test_checkpoint_holds_one_tensor_per_parameter(self, kind, tmp_path):
+        # the container stores tensors sorted by name, and the graph in meta
         model = BUILDERS[kind]()
-        ckpt = checkpoint_from_model(model, {})
-        assert list(ckpt.tensors) == [name for name, _ in model.named_params()]
+        save_model(tmp_path / "m.ckpt", model, {})
+        tensors, meta = read_container(tmp_path / "m.ckpt", CHECKPOINT_MAGIC)
+        assert list(tensors) == sorted(name for name, _ in model.named_params())
+        assert meta == {"graph": model.describe()}
 
     def test_graph_with_empty_tap_aliases_still_loads(self, kind, tmp_path):
         # checkpoints written before tap aliases were removed carry an empty
         # map, and those written before every conv layer was conv+ReLU name
         # the conv layers' activation
         model = trained_looking(kind)
-        ckpt = checkpoint_from_model(model, {})
+        desc = model.describe()
         layers = [dict(d, activation="relu") if d["kind"] == "conv1d" else d
-                  for d in ckpt.graph["layers"]]
-        graph = dict(ckpt.graph, tap_aliases={}, layers=layers)
-        save_checkpoint(tmp_path / "old.ckpt", Checkpoint(graph, ckpt.tensors, {}))
-        loaded = model_from_checkpoint(load_checkpoint(tmp_path / "old.ckpt"))
+                  for d in desc["layers"]]
+        graph = dict(desc, tap_aliases={}, layers=layers)
+        path = write_checkpoint(tmp_path / "old.ckpt", graph, dict(model.named_params()))
+        loaded, _ = load_model(path)
         round_params_to_float32(model)
         x = np.random.default_rng(13).standard_normal((3,) + model.input_shape)
         assert np.array_equal(loaded.forward(x), model.forward(x))
         assert loaded.describe() == model.describe()
+
+
+# sha256 of each builder's trained_looking checkpoint; they pin the format:
+# container head, canonical JSON header with the graph in meta, then
+# little-endian float32 tensors sorted by name
+CHECKPOINT_SHA256 = {
+    "fusion": "3c33fae82472a53320252e448babe458c52dd4ad29460644e9ca30f282e6bf7a",
+    "haptic_cnn": "3bb5e0726f5b37b2d0a49c3d33a885f7777d8991bcf03d7210517d0d5f263b78",
+    "haptic_lstm": "74efcbd9383d69148ec022ba52df91d15925b36f3b2bf4fc0cfb84d623db9eab",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CHECKPOINT_SHA256))
+def test_checkpoint_bytes_are_pinned(tmp_path, kind):
+    save_model(tmp_path / "m.ckpt", trained_looking(kind), {"epochs": 4, "note": "x"})
+    digest = hashlib.sha256((tmp_path / "m.ckpt").read_bytes()).hexdigest()
+    assert digest == CHECKPOINT_SHA256[kind]
 
 
 class TestContainerReader:
@@ -172,6 +196,9 @@ class TestContainerReader:
         ({"meta": {}, "tensors": [{"shape": [2]}]}, "tensor entry 0 has no name"),
         ({"meta": {}, "tensors": [{"name": "w", "shape": [1]}, {"name": "w", "shape": [1]}]},
          "tensor 'w' is listed twice"),
+        # 2**80 elements, which an int64 product wraps to 0
+        ({"meta": {}, "tensors": [{"name": "w", "shape": [2**40, 2**40]}]},
+         "truncated tensor 'w'"),
     ])
     def test_malformed_header_rejected(self, tmp_path, header, message):
         path = tmp_path / "c.bin"
@@ -194,7 +221,7 @@ def test_weight_that_float32_cannot_hold_rejected(tmp_path, value):
     model.layer("fc").params.weights[0, 7] = value
     path = tmp_path / "m.ckpt"
     with pytest.raises(InvalidInputError, match=r"tensor 'fc\.weights' holds .* index 7") as err:
-        save_checkpoint(path, checkpoint_from_model(model, {}))
+        save_model(path, model, {})
     assert str(path) in str(err.value)
     assert not path.exists()
 
@@ -203,8 +230,8 @@ def test_weight_at_the_float32_limit_is_kept(tmp_path):
     model = trained_looking("fusion")
     limit = float(np.finfo(np.float32).max)
     model.layer("fc").params.weights[0, :2] = [limit, -limit]
-    save_checkpoint(tmp_path / "m.ckpt", checkpoint_from_model(model, {}))
-    loaded = load_checkpoint(tmp_path / "m.ckpt").tensors["fc.weights"]
+    save_model(tmp_path / "m.ckpt", model, {})
+    loaded = load_model(tmp_path / "m.ckpt")[0].layer("fc").params.weights
     assert loaded[0, :2].tolist() == [limit, -limit]
 
 
@@ -213,27 +240,44 @@ class TestCheckpointReader:
         path = tmp_path / "m.ckpt"
         write_container(path, CHECKPOINT_MAGIC, {"fc.weights": np.zeros((1, 4))}, {})
         with pytest.raises(UnsupportedFormatError, match="'graph'") as err:
-            load_checkpoint(path)
+            load_model(path)
         assert str(path) in str(err.value)
 
-    def test_weight_of_wrong_shape_rejected(self):
-        ckpt = checkpoint_from_model(build_linear_classifier(4), {})
-        ckpt.tensors["fc.weights"] = np.zeros((1, 5))
-        with pytest.raises(UnsupportedFormatError, match="'fc.weights' has shape"):
-            model_from_checkpoint(ckpt)
+    def test_weight_of_wrong_shape_rejected(self, tmp_path):
+        model = build_linear_classifier(4)
+        tensors = dict(model.named_params(), **{"fc.weights": np.zeros((1, 5))})
+        path = write_checkpoint(tmp_path / "m.ckpt", model.describe(), tensors)
+        with pytest.raises(UnsupportedFormatError, match="'fc.weights' has shape") as err:
+            load_model(path)
+        assert str(path) in str(err.value)
 
-    def test_missing_weight_rejected(self):
-        ckpt = checkpoint_from_model(build_linear_classifier(4), {})
-        del ckpt.tensors["fc.bias"]
-        with pytest.raises(UnsupportedFormatError, match="missing tensor 'fc.bias'"):
-            model_from_checkpoint(ckpt)
+    def test_missing_weight_rejected(self, tmp_path):
+        model = build_linear_classifier(4)
+        tensors = dict(model.named_params())
+        del tensors["fc.bias"]
+        path = write_checkpoint(tmp_path / "m.ckpt", model.describe(), tensors)
+        with pytest.raises(UnsupportedFormatError, match="missing tensor 'fc.bias'") as err:
+            load_model(path)
+        assert str(path) in str(err.value)
 
     @pytest.mark.parametrize("stray", ["fc2.weights", "fc.scale", "fc2.weights.vel"])
-    def test_tensor_naming_no_parameter_rejected(self, stray):
-        ckpt = checkpoint_from_model(build_linear_classifier(4), {})
-        ckpt.tensors[stray] = np.zeros((1, 4))
-        with pytest.raises(UnsupportedFormatError, match=re.escape(f"[{stray!r}] name no parameter")):
-            model_from_checkpoint(ckpt)
+    def test_tensor_naming_no_parameter_rejected(self, tmp_path, stray):
+        model = build_linear_classifier(4)
+        tensors = dict(model.named_params(), **{stray: np.zeros((1, 4))})
+        path = write_checkpoint(tmp_path / "m.ckpt", model.describe(), tensors)
+        with pytest.raises(UnsupportedFormatError,
+                           match=re.escape(f"[{stray!r}] name no parameter")) as err:
+            load_model(path)
+        assert str(path) in str(err.value)
+
+    def test_graph_the_package_cannot_build_names_the_file(self, tmp_path):
+        model = build_linear_classifier(4)
+        desc = model.describe()
+        desc["layers"][0]["kind"] = "attention"
+        path = write_checkpoint(tmp_path / "m.ckpt", desc, dict(model.named_params()))
+        with pytest.raises(InvalidSpecError, match="unknown layer kind 'attention'") as err:
+            load_model(path)
+        assert str(path) in str(err.value)
 
     def test_momentum_tensors_of_old_checkpoints_are_ignored(self, tmp_path):
         # checkpoints once stored a "<param>.vel" momentum tensor per parameter
@@ -244,8 +288,7 @@ class TestCheckpointReader:
         tensors = {"fc.weights": fc.weights, "fc.bias": fc.bias,
                    "fc.weights.vel": rng.standard_normal((1, 6)),
                    "fc.bias.vel": rng.standard_normal(1)}
-        save_checkpoint(tmp_path / "old.ckpt", Checkpoint(model.describe(), tensors, {}))
-        loaded = model_from_checkpoint(load_checkpoint(tmp_path / "old.ckpt"))
+        loaded, _ = load_model(write_checkpoint(tmp_path / "old.ckpt", model.describe(), tensors))
 
         # training starts its momentum from zero, so it cannot tell the two apart
         x = rng.standard_normal((40, 6))

@@ -1,5 +1,7 @@
 """Split construction, ROC-AUC, evaluation, and report aggregation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,17 @@ class TestEvaluate:
         subset = [f for f in features if f[0] != split.test_ids[0]]
         with pytest.raises(InvalidInputError):
             evaluate(lambda x: 0.0, subset, truth, split)
+
+    def test_unlabeled_test_objects_rejected_before_scoring(self):
+        features, truth, split = self.setup_features(np.random.default_rng(12))
+        gone = sorted(split.test_ids[1:3])
+        for obj in gone:
+            del truth[obj]
+        scored = []
+        with pytest.raises(InvalidInputError,
+                           match=re.escape(f"no labels for test objects: {gone}")):
+            evaluate(lambda x: scored.append(x) or 0.0, features, truth, split)
+        assert scored == []
 
     def test_matches_pair_counting_on_instance_scores(self):
         rng = np.random.default_rng(11)

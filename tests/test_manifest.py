@@ -50,7 +50,7 @@ BAD_EDITS = {
     "objects[1]": lambda d: d["objects"][1].pop("id"),
     "visual[0]": lambda d: d["visual"].__setitem__(0, "visual/a.vfm"),
     "trials_per_object": lambda d: d.__setitem__("trials_per_object", "ten"),
-    "views_per_object": lambda d: d.__setitem__("views_per_object", True),
+    "labels": lambda d: d.__setitem__("labels", ["labels.csv"]),
     "trials": lambda d: d.__setitem__("trials", {}),
     "trials[2]": lambda d: d["trials"][2].pop("ep"),
     "visual[1].object_id": lambda d: d["visual"][1].__setitem__("object_id", 3),
@@ -67,16 +67,18 @@ class TestLoadManifest:
 
     def test_optional_fields_take_their_defaults(self, tree, tmp_path):
         data = json.loads(tree.read_text())
-        for key in ("trials_per_object", "views_per_object"):
-            del data[key]
+        del data["trials_per_object"]
         loaded = load_manifest(write_json(tmp_path / "m.json", data))
         bare = DatasetManifest(data["name"], data["objects"], data["labels"],
                                data["trials"], data["visual"])
         assert loaded == bare
 
     def test_old_preprocessing_blocks_are_ignored(self, tree, tmp_path):
-        # manifests used to copy the package's preprocessing constants
+        # manifests used to copy the package's preprocessing constants, and
+        # to carry a view count; the feature files are checked against
+        # visual.N_VIEWS whatever that count says
         data = json.loads(tree.read_text())
+        data["views_per_object"] = 4
         data["preprocessing"] = {"resample_len": 150, "decimation": 22,
                                  "pca_components": 4, "offsets": [0, 1, 2, 3, 4]}
         data["visual_preprocessing"] = {"rgb_means": [123.68, 116.78, 103.94],
@@ -165,6 +167,16 @@ class TestValidate:
         findings = validate(manifest, tree.parent)
         assert findings == [Finding(str(path), "views", "7 views, expected 8")]
         assert str(findings[0]) == f"{path} [views]: 7 views, expected 8"
+
+    def test_view_count_of_an_old_manifest_does_not_excuse_feature_files(self, tree, tmp_path):
+        data = json.loads(tree.read_text())
+        data["views_per_object"] = 4
+        manifest = load_manifest(write_json(tmp_path / "m.json", data))
+        paths = [tree.parent / entry["path"] for entry in manifest.visual]
+        for path in paths:
+            write_feature_maps(path, read_feature_maps(path)[:4])
+        assert validate(manifest, tree.parent) == [
+            Finding(str(path), "views", "4 views, expected 8") for path in paths]
 
     def test_missing_trial_file(self, tree):
         manifest = load_manifest(tree)

@@ -68,3 +68,27 @@ def test_every_public_def_is_referenced():
         for name, defs in spans[path].items() if not name.startswith("_")
         for lo, _ in defs if not referenced(name))
     assert not unreferenced, f"public definitions nothing names: {unreferenced}"
+
+
+def test_every_error_type_is_raised():
+    """Each exception class in errors.py, the base class aside, is constructed
+    in src/ outside errors.py: raised, or returned by a helper that builds
+    the error a caller raises."""
+    package = ROOT / "src" / "hapticnet"
+    errors = {node.name for node in ast.parse((package / "errors.py").read_text()).body
+              if isinstance(node, ast.ClassDef)} - {"HapticNetError"}
+    built = set()
+    for path in package.rglob("*.py"):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise):
+                value = node.exc
+            elif isinstance(node, ast.Return):
+                value = node.value
+            else:
+                continue
+            if isinstance(value, ast.Call) and isinstance(value.func, ast.Name):
+                built.add(value.func.id)
+    assert errors, "errors.py defines no exception class"
+    assert not errors - built, f"error types nothing in src/ raises: {sorted(errors - built)}"

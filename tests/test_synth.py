@@ -3,7 +3,7 @@ and nothing its manifest does not list; its trials are bitwise those of the
 one-generator-per-shape reference."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from hapticnet import synth
@@ -49,7 +49,10 @@ def test_tree_holds_only_what_the_manifest_lists(tmp_path):
     assert set(tree_bytes(tmp_path)) == listed
 
 
-@settings(max_examples=25)
+# No shrinking: each shrink step re-runs a whole-trial comparison, so a
+# failure would take minutes to report, and assert_same_trial already names
+# the (finger, EP) block and the channel that differ.
+@settings(max_examples=25, phases=(Phase.explicit, Phase.generate))
 @given(n_factors=st.integers(1, 3), seed=st.integers(0, 2**31 - 1),
        object_id=st.sampled_from(["obj000", "obj017", "x"]), trial_index=st.integers(0, 5),
        noise=st.sampled_from([0.0, 0.05, 0.4]),

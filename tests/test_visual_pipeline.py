@@ -1,91 +1,16 @@
-"""Plate detection geometry and the pooled visual-feature head."""
+"""The pooled visual-feature head: pooling, normalization, view combination."""
 
 import numpy as np
 import pytest
 
 from hapticnet.engine import avg_pool, l2_normalize
-from hapticnet.errors import InvalidInputError, PlateNotFoundError
+from hapticnet.errors import InvalidInputError
 from hapticnet.visual import (
-    DEFAULT_RGB_MEANS,
-    PlateGeometry,
     VisualFeature,
     VisualFeatureMap,
     combine_views,
-    crop_rect,
-    detect_plate,
-    image_norm_params,
     pool_normalize,
 )
-
-
-def render_disk(shape, center, radius, color=(170, 170, 170), background=(30, 60, 90)):
-    img = np.zeros(shape + (3,), dtype=np.uint8)
-    img[:, :] = background
-    yy, xx = np.mgrid[0:shape[0], 0:shape[1]]
-    mask = (xx - center[0]) ** 2 + (yy - center[1]) ** 2 <= radius ** 2
-    img[mask] = color
-    return img, mask
-
-
-class TestDetectPlate:
-    def test_rendered_disk_recovered(self):
-        img, _ = render_disk((480, 640), center=(300, 200), radius=100)
-        geo = detect_plate(img)
-        assert abs(geo.center[0] - 300) < 2
-        assert abs(geo.center[1] - 200) < 2
-        assert abs(geo.radius - 100) < 3
-
-    def test_no_plate_color_raises(self):
-        img = np.zeros((100, 100, 3), dtype=np.uint8)
-        with pytest.raises(PlateNotFoundError):
-            detect_plate(img)
-
-    def test_occlusion_shrinks_radius_estimate(self):
-        img, mask = render_disk((480, 640), center=(320, 240), radius=120)
-        img[:, 320:][mask[:, 320:]] = (200, 30, 30)  # object covers half the plate
-        geo = detect_plate(img)
-        assert geo.radius < 120 - 3  # documented underestimation bias
-        ys, xs = np.nonzero(np.all(img == (170, 170, 170), axis=2))
-        assert abs(geo.center[0] - xs.mean()) < 1e-6
-        assert abs(geo.center[1] - ys.mean()) < 1e-6
-
-
-class TestCropRect:
-    def test_closed_form_geometry(self):
-        rect = crop_rect(PlateGeometry(center=(500, 500), radius=100), (1000, 1000))
-        assert (rect.x0, rect.x1) == (400, 600)
-        assert (rect.y0, rect.y1) == (350, 450)
-        assert not rect.clamped
-
-    def test_clamped_at_top_edge(self):
-        rect = crop_rect(PlateGeometry(center=(500, 100), radius=90), (1000, 1000))
-        assert rect.y0 == 0.0
-        assert rect.clamped
-
-    def test_doubling_radius_doubles_dimensions(self):
-        small = crop_rect(PlateGeometry(center=(2000, 2000), radius=50), (4000, 4000))
-        big = crop_rect(PlateGeometry(center=(2000, 2000), radius=100), (4000, 4000))
-        assert big.width == 2 * small.width
-        assert big.height == 2 * small.height
-
-    def test_unclamped_area_is_two_r_squared(self):
-        for r in (10.0, 55.5, 200.0):
-            rect = crop_rect(PlateGeometry(center=(1000, 1000), radius=r), (4000, 4000))
-            assert rect.width * rect.height == pytest.approx(2 * r * r)
-
-    def test_rejects_non_positive_radius(self):
-        with pytest.raises(InvalidInputError):
-            PlateGeometry(center=(0, 0), radius=0.0)
-
-
-class TestImageNormParams:
-    def test_target_size_is_224(self):
-        assert image_norm_params()["input_size"] == (224, 224)
-
-    def test_means_echoed_verbatim(self):
-        params = image_norm_params(rgb_means=(1.5, 2.5, 3.5))
-        assert params["rgb_means"] == (1.5, 2.5, 3.5)
-        assert image_norm_params()["rgb_means"] == DEFAULT_RGB_MEANS
 
 
 class TestPoolNormalize:
