@@ -13,6 +13,20 @@ from hapticnet.visual import (
 )
 
 
+class TestVisualFeatureMap:
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 2, 3, 1), (0, 2, 3), (2, 2, 0)])
+    def test_grid_must_be_non_empty_hxwxc(self, shape):
+        with pytest.raises(InvalidInputError, match="HxWxC"):
+            VisualFeatureMap(object_id="a", view_index=0, grid=np.ones(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_grid_rejected(self, bad):
+        grid = np.ones((2, 2, 3))
+        grid[1, 0, 2] = bad
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            VisualFeatureMap(object_id="a", view_index=0, grid=grid)
+
+
 class TestPoolNormalize:
     def test_1x1_map_is_plain_normalization(self):
         rng = np.random.default_rng(0)
@@ -75,3 +89,23 @@ class TestCombineViews:
         views[2].object_id = "other"
         with pytest.raises(InvalidInputError):
             combine_views(views)
+
+    def test_duplicate_view_index_rejected(self):
+        views = self.make_views(np.random.default_rng(7))
+        views[4].view_index = 2
+        with pytest.raises(InvalidInputError, match="duplicate view index 2"):
+            combine_views(views)
+
+    def test_differing_feature_lengths_rejected(self):
+        views = self.make_views(np.random.default_rng(8))
+        views[6].vector = np.ones(5) / np.sqrt(5)
+        with pytest.raises(InvalidInputError, match=r"differing feature lengths: \[5, 6\]"):
+            combine_views(views)
+
+    def test_one_degenerate_view_marks_the_combination(self):
+        views = self.make_views(np.random.default_rng(9))
+        assert not combine_views(views).degenerate
+        views[3].vector = np.zeros(6)
+        views[3].degenerate = True
+        combined = combine_views(views)
+        assert combined.degenerate and combined.view_index is None
