@@ -118,7 +118,12 @@ def _im2col(x, spec: ConvSpec):
     k_len = spec.kernel_len
     xc = xb.transpose(1, 0, 2)  # (C, B, T)
     if spec.pad:
-        xc = np.pad(xc, ((0, 0), (0, 0), (spec.pad, spec.pad)))
+        p = spec.pad
+        padded = np.empty((spec.in_channels, b, t + 2 * p), dtype=xc.dtype)
+        padded[..., :p] = 0.0
+        padded[..., p + t:] = 0.0
+        padded[..., p:p + t] = xc
+        xc = padded
     xg = xc.reshape(spec.groups, spec.in_per_group, b, -1)
     cols = np.empty((spec.groups, spec.in_per_group, k_len, b, t_out))
     stop = spec.stride * (t_out - 1) + 1

@@ -12,8 +12,17 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """Pass gradient where input > 0; subgradient at 0 is 0."""
-    return np.where(x > 0.0, grad_out, 0.0)
+    """Pass gradient where input > 0; subgradient at 0 is 0.
+
+    Bitwise ``np.where(x > 0.0, grad_out, 0.0)`` for float64 gradients, NaN
+    payloads and -0.0 included, computed as an AND of the gradient's bits
+    with a mask that is all ones where x > 0 and all zeros elsewhere.
+    """
+    mask = (x > 0.0).astype(np.uint64)
+    np.negative(mask, out=mask)  # 1 -> 0xFF..FF, 0 -> 0
+    grad = np.asarray(grad_out, dtype=np.float64)
+    np.bitwise_and(grad.view(np.uint64), mask, out=mask)
+    return mask.view(np.float64)
 
 
 def inner_product(x: np.ndarray, params: LayerParams) -> np.ndarray:

@@ -7,10 +7,12 @@ a fixed channel order.  Two fingers x five subsampling offsets turn each
 trial into 10 training instances.
 
 Only the subsampling depends on the offset, so each (finger, EP) block is
-normalized, decimated and projected once at full length and then indexed
-once per offset.  ``zscore_normalize`` and ``resample_fixed`` work along the
-last axis, so the 22 channels at the common rate go through them as one
-(22, T) array; row by row the result is bitwise what a 1-D call gives.
+normalized, decimated and projected once at full length.  One index table
+then holds every offset's sample indices, and one gather per block fills
+that block's rows of all of a finger's instances at once.  ``zscore_normalize``
+and the subsampling work along the last axis, so the 22 channels at the
+common rate go through them as one (22, T) array; row by row the result is
+bitwise what a 1-D ``zscore_normalize`` or ``resample_fixed`` call gives.
 """
 
 from dataclasses import dataclass
@@ -149,7 +151,10 @@ def zscore_normalize(series: np.ndarray) -> np.ndarray:
     std = np.sqrt(np.add.reduce(np.square(centred), axis=-1, keepdims=True) / n)
     # the mean of a constant such as 0.1 can round off it, which leaves a
     # std of ~1e-17 and would blow the rounding error up to +/-1
-    flat = (std == 0.0) | (s.max(axis=-1, keepdims=True) == s.min(axis=-1, keepdims=True))
+    flat = (std == 0.0) | (np.maximum.reduce(s, axis=-1, keepdims=True)
+                           == np.minimum.reduce(s, axis=-1, keepdims=True))
+    if not flat.any():
+        return np.divide(centred, std, out=centred)
     return np.where(flat, 0.0, centred / np.where(flat, 1.0, std))
 
 
@@ -175,16 +180,24 @@ def resample_fixed(series: np.ndarray, length: int = RESAMPLE_LEN, offset: int =
     input sample is always included.  Rounding is half-to-even.
     """
     s = np.asarray(series, dtype=np.float64)
-    if offset < 0:
-        raise InvalidInputError(f"offset must be non-negative, got {offset}")
-    n = s.shape[-1] if s.ndim else 0
-    if n < length + offset:
+    return s[..., _subsample_index(s.shape[-1] if s.ndim else 0, length, (offset,))[0]]
+
+
+def _subsample_index(n: int, length: int, offsets) -> np.ndarray:
+    """(len(offsets), length) int64 table: row i holds ``resample_fixed``'s
+    indices into a series of length ``n`` at ``offsets[i]``."""
+    low, high = min(offsets), max(offsets)
+    if low < 0:
+        raise InvalidInputError(f"offset must be non-negative, got {low}")
+    if n < length + high:
         raise InvalidInputError(
-            f"series of length {n} too short for length={length}, offset={offset}"
+            f"series of length {n} too short for length={length}, offset={high}"
         )
+    off = np.asarray(offsets, dtype=np.int64)[:, None]
     j = np.arange(length, dtype=np.float64)
-    idx = offset + np.rint(j * (n - 1 - offset) / (length - 1)).astype(np.int64)
-    return s[..., idx]
+    # int64 spans convert to float64 exactly, so each row is bitwise the
+    # scalar-offset arithmetic
+    return off + np.rint(j * (n - 1 - off) / (length - 1)).astype(np.int64)
 
 
 def pca_fit(samples: np.ndarray, k: int = PCA_COMPONENTS) -> PcaModel:
@@ -254,18 +267,21 @@ def _full_length_blocks(trial: HapticTrial, finger: int, pca: dict) -> list:
     return blocks
 
 
-def _subsampled_instance(trial: HapticTrial, finger: int, offset: int, blocks: list) -> InstanceMatrix:
-    rows = []
-    for pac, others in blocks:
-        rows.append(resample_fixed(pac, RESAMPLE_LEN, offset))
-        rows.append(resample_fixed(others, RESAMPLE_LEN, offset))
-    return InstanceMatrix(
-        values=np.vstack(rows),
-        object_id=trial.object_id,
-        trial_index=trial.trial_index,
-        finger=finger,
-        offset=offset,
-    )
+def _subsampled_instances(trial: HapticTrial, finger: int, offsets, blocks: list) -> list:
+    """One finger's instances at each of ``offsets``, from its ``blocks``.
+
+    Each block is read by one gather over every offset's index table, into
+    one (len(offsets), 32, 150) array whose rows, disjoint, are the values.
+    """
+    values = np.empty((len(offsets), INSTANCE_CHANNELS, RESAMPLE_LEN))
+    rows = INSTANCE_CHANNELS // len(EPS)
+    for start, (pac, others) in zip(range(0, INSTANCE_CHANNELS, rows), blocks):
+        values[:, start] = pac[_subsample_index(pac.shape[-1], RESAMPLE_LEN, offsets)]
+        idx = _subsample_index(others.shape[-1], RESAMPLE_LEN, offsets)
+        values[:, start + 1:start + rows] = others[:, idx].swapaxes(0, 1)
+    return [InstanceMatrix(values=v, object_id=trial.object_id, trial_index=trial.trial_index,
+                           finger=finger, offset=offset)
+            for v, offset in zip(values, offsets)]
 
 
 def assemble_instance(trial: HapticTrial, finger: int, offset: int, pca: dict) -> InstanceMatrix:
@@ -274,7 +290,7 @@ def assemble_instance(trial: HapticTrial, finger: int, offset: int, pca: dict) -
     ``pca`` maps EP name -> fitted PcaModel.  Channel order per EP is
     (P_AC, P_DC, T_AC, T_DC, E-pc1..E-pc4), EPs stacked in EPS order.
     """
-    return _subsampled_instance(trial, finger, offset, _full_length_blocks(trial, finger, pca))
+    return _subsampled_instances(trial, finger, [offset], _full_length_blocks(trial, finger, pca))[0]
 
 
 def augment(trial: HapticTrial, pca: dict) -> list:
@@ -282,8 +298,6 @@ def augment(trial: HapticTrial, pca: dict) -> list:
 
     Each finger's blocks are preprocessed once and subsampled at every offset.
     """
-    instances = []
-    for finger in FINGERS:
-        blocks = _full_length_blocks(trial, finger, pca)
-        instances.extend(_subsampled_instance(trial, finger, offset, blocks) for offset in OFFSETS)
-    return instances
+    return [inst for finger in FINGERS
+            for inst in _subsampled_instances(trial, finger, OFFSETS,
+                                              _full_length_blocks(trial, finger, pca))]

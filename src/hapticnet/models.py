@@ -351,6 +351,9 @@ def model_from_description(desc: dict) -> Model:
     for key in ("layers", "input_shape"):
         if key not in desc:
             raise InvalidSpecError(f"graph description lacks field {key!r}")
+    if not isinstance(desc["layers"], list):
+        raise InvalidSpecError(
+            f"graph field 'layers' is a {type(desc['layers']).__name__}, not a list")
     layers = []
     for i, d in enumerate(desc["layers"]):
         kind = d.get("kind") if isinstance(d, dict) else None

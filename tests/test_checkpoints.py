@@ -270,6 +270,14 @@ class TestCheckpointReader:
             load_model(path)
         assert str(path) in str(err.value)
 
+    def test_graph_whose_layers_are_not_a_list_names_the_file(self, tmp_path):
+        model = build_linear_classifier(4)
+        desc = dict(model.describe(), layers=5)
+        path = write_checkpoint(tmp_path / "m.ckpt", desc, dict(model.named_params()))
+        with pytest.raises(InvalidSpecError, match="'layers' is a int, not a list") as err:
+            load_model(path)
+        assert str(path) in str(err.value)
+
     def test_graph_the_package_cannot_build_names_the_file(self, tmp_path):
         model = build_linear_classifier(4)
         desc = model.describe()
@@ -358,6 +366,15 @@ class TestCheckpointReader:
         desc = build().describe()
         desc["layers"][index]["activation"] = activation
         with pytest.raises(InvalidSpecError, match=re.escape(f"{layer} has activation")):
+            model_from_description(desc)
+
+    @pytest.mark.parametrize("value, kind", [(5, "int"), (None, "NoneType"),
+                                             ({"kind": "dense"}, "dict")])
+    def test_layers_that_are_not_a_list_named(self, value, kind):
+        desc = build_linear_classifier(4).describe()
+        desc["layers"] = value
+        with pytest.raises(InvalidSpecError,
+                           match=re.escape(f"graph field 'layers' is a {kind}, not a list")):
             model_from_description(desc)
 
     def test_missing_graph_field_named(self):

@@ -1,9 +1,12 @@
 """Grouped conv1d: forward examples, oracles, gradients, batch invariance."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from hapticnet.engine import ConvSpec, LayerParams, conv1d_backward, conv1d_forward
+from hapticnet.engine.conv import _im2col
 from hapticnet.errors import InvalidInputError, InvalidSpecError
 from hapticnet.haptic import RESAMPLE_LEN
 from hapticnet.models import HAPTIC_CONV_SPECS, build_haptic_cnn
@@ -143,6 +146,47 @@ class TestConvForward:
         batched = forward(xs, spec, params)
         for i in range(5):
             assert np.array_equal(batched[i], forward(xs[i], spec, params))
+
+
+class TestIm2col:
+    """The window tensor equals one gathered by loops from an ``np.pad`` copy."""
+
+    @staticmethod
+    def reference(x, spec):
+        xb = x[None] if x.ndim == 2 else x
+        padded = np.pad(xb, ((0, 0), (0, 0), (spec.pad, spec.pad)))
+        b, t_out = xb.shape[0], spec.out_len(xb.shape[-1])
+        ipg, k_len = spec.in_per_group, spec.kernel_len
+        stop = spec.stride * (t_out - 1) + 1
+        cols = np.empty((spec.groups, ipg * k_len, b * t_out))
+        for g in range(spec.groups):
+            for c in range(ipg):
+                for k in range(k_len):
+                    for i in range(b):
+                        cols[g, c * k_len + k, i * t_out:(i + 1) * t_out] = \
+                            padded[i, g * ipg + c, k:k + stop:spec.stride]
+        return cols
+
+    @pytest.mark.parametrize("batch", [None, 1, 6])
+    @pytest.mark.parametrize("pad", [0, 1, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_specs_match_np_pad_reference(self, seed, pad, batch):
+        rng = np.random.default_rng(seed)
+        spec, t = random_spec(rng)
+        spec = replace(spec, pad=pad)
+        x = rng.standard_normal((spec.in_channels, t) if batch is None
+                                else (batch, spec.in_channels, t))
+        cols, _ = _im2col(x, spec)
+        assert np.array_equal(cols.view(np.int64), self.reference(x, spec).view(np.int64))
+
+    @pytest.mark.parametrize("layer", range(len(HAPTIC_CONV_SPECS)))
+    def test_haptic_layers_match_np_pad_reference(self, layer):
+        spec = HAPTIC_CONV_SPECS[layer]
+        x = np.random.default_rng(layer).standard_normal(
+            (3, spec.in_channels, haptic_layer_input_len(layer)))
+        for xs in (x, x[0]):
+            cols, _ = _im2col(xs, spec)
+            assert np.array_equal(cols.view(np.int64), self.reference(xs, spec).view(np.int64))
 
 
 class TestConvBackward:

@@ -58,6 +58,17 @@ class TestRelu:
         assert np.array_equal(relu(x), x)
         assert np.all(np.isfinite(relu(x)))
 
+    def test_backward_keeps_where_bits_on_special_values(self):
+        payload_nans = np.array([0x7FF8000000000001, 0xFFF0000000000002, 0x7FF4000000000000],
+                                dtype=np.uint64).view(np.float64)
+        values = np.concatenate([[0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan,
+                                  5e-324, -5e-324, 1e308, -1e308], payload_nans])
+        x, g = np.meshgrid(values, values, indexing="ij")
+        for xs, gs in ((x, g), (x.T, g.T)):
+            expected = np.where(xs > 0.0, gs, 0.0)
+            assert np.array_equal(relu_backward(xs, gs).view(np.uint64),
+                                  expected.view(np.uint64))
+
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal(20)

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from hapticnet import synth
@@ -15,6 +15,8 @@ from hapticnet.haptic import (
     ELECTRODES,
     EPS,
     FINGERS,
+    OFFSETS,
+    RESAMPLE_LEN,
     HapticTrial,
     InstanceMatrix,
     PcaModel,
@@ -43,11 +45,11 @@ def synth_channels(rng, base_len=340):
     return chans
 
 
-def synth_trial(rng, object_id="obj0", trial_index=0):
+def synth_trial(rng, object_id="obj0", trial_index=0, base_len=340):
     signals = {}
     for finger in (0, 1):
         for ep in EPS:
-            signals[(finger, ep)] = synth_channels(rng)
+            signals[(finger, ep)] = synth_channels(rng, base_len)
     return HapticTrial(object_id=object_id, trial_index=trial_index, signals=signals)
 
 
@@ -184,6 +186,17 @@ class TestResample:
             resample_fixed(np.zeros(152), 150, 3)
         with pytest.raises(InvalidInputError):
             resample_fixed(np.zeros((400, 152)), 150, 3)
+
+    @settings(max_examples=60)
+    @given(n=st.integers(2, 2000), length=st.integers(2, 150), offset=st.integers(0, 5))
+    def test_indices_are_the_scalar_formula(self, n, length, offset):
+        if n < length + offset:
+            with pytest.raises(InvalidInputError, match=f"length {n} too short"):
+                resample_fixed(np.arange(float(n)), length, offset)
+            return
+        j = np.arange(length, dtype=np.float64)
+        idx = offset + np.rint(j * (n - 1 - offset) / (length - 1)).astype(np.int64)
+        assert np.array_equal(resample_fixed(np.arange(float(n)), length, offset), idx)
 
     def test_rows_match_1d_calls(self):
         rows = np.random.default_rng(5).standard_normal((22, 341))
@@ -332,19 +345,24 @@ class TestAssemble:
         assert np.all(np.abs(inst.values[base_rows].mean(axis=1)) < 0.5)
 
 
+def same_bits(a, b):
+    """Equal bit for bit: unlike ``np.array_equal``, -0.0 differs from 0.0."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 class TestBlockPathMatchesReference:
     """augment and assemble_instance equal the channel-by-channel oracle bit for bit."""
 
     @staticmethod
-    def assert_matches_reference(trial, pca):
+    def assert_matches_reference(trial, pca, alone=((0, 0), (1, 4), (0, 3))):
         instances = augment(trial, pca)
         assert len(instances) == 10
         for inst in instances:
             ref = reference_instance(trial, inst.finger, inst.offset, pca)
-            assert np.array_equal(inst.values, ref), (inst.finger, inst.offset)
-        for finger, offset in ((0, 0), (1, 4), (0, 3)):
+            assert same_bits(inst.values, ref), (inst.finger, inst.offset)
+        for finger, offset in alone:
             ref = reference_instance(trial, finger, offset, pca)
-            assert np.array_equal(assemble_instance(trial, finger, offset, pca).values, ref)
+            assert same_bits(assemble_instance(trial, finger, offset, pca).values, ref)
 
     @pytest.mark.parametrize("config", [
         *(synth.two_cue_config(n_objects=4, n_trials=1, seed=s) for s in (0, 1, 2)),
@@ -366,6 +384,56 @@ class TestBlockPathMatchesReference:
         assert len(decimate_pac(trial.signals[(0, "hold")]["P_AC"])) != 340
         self.assert_matches_reference(trial, fit_all_eps(rng))
 
+    @settings(max_examples=30, phases=(Phase.explicit, Phase.generate))
+    @given(base_len=st.integers(RESAMPLE_LEN + max(OFFSETS), 400),
+           pac_shifts=st.lists(st.sampled_from([-1, 0, 1]), min_size=8, max_size=8),
+           seed=st.integers(0, 2**32 - 1))
+    @example(base_len=RESAMPLE_LEN + max(OFFSETS), pac_shifts=[0, 1, -1, 0, 0, 0, 1, 0], seed=1)
+    @example(base_len=RESAMPLE_LEN + max(OFFSETS) + 1, pac_shifts=[-1] * 8, seed=2)
+    def test_lengths_and_pac_one_sample_off(self, base_len, pac_shifts, seed):
+        # P_AC decimates to base_len + shift samples; a shift of -1 at the
+        # shortest base length leaves it one sample short of the last offset
+        rng = np.random.default_rng(seed)
+        trial = synth_trial(rng, base_len=base_len)
+        for chans, shift in zip(trial.signals.values(), pac_shifts):
+            spare = 0 if shift == 1 else int(rng.integers(0, DECIMATION))
+            chans["P_AC"] = rng.standard_normal(DECIMATION * (base_len + shift) + spare)
+        trial.validate()
+        pca = fit_all_eps(rng)
+        every_offset = [(f, o) for f in FINGERS for o in OFFSETS]
+        if base_len + min(pac_shifts) >= RESAMPLE_LEN + max(OFFSETS):
+            self.assert_matches_reference(trial, pca, alone=every_offset)
+            return
+        short = base_len - 1
+        with pytest.raises(InvalidInputError,
+                           match=f"series of length {short} too short for length="
+                                 f"{RESAMPLE_LEN}, offset={max(OFFSETS)}"):
+            augment(trial, pca)
+        for finger, offset in every_offset:
+            if short >= RESAMPLE_LEN + offset:
+                ref = reference_instance(trial, finger, offset, pca)
+                assert same_bits(assemble_instance(trial, finger, offset, pca).values, ref)
+
+    @pytest.mark.parametrize("base_len", [RESAMPLE_LEN + 2, RESAMPLE_LEN])
+    def test_too_short_block_names_its_length_and_largest_offset(self, base_len):
+        # 152 samples take offsets 0-2 only; block_problems allows any
+        # non-empty length, so the subsampling is what rejects the block
+        rng = np.random.default_rng(base_len)
+        trial = synth_trial(rng, base_len=base_len)
+        for chans in trial.signals.values():
+            chans["P_AC"] = rng.standard_normal(DECIMATION * base_len)
+        trial.validate()
+        pca = fit_all_eps(rng)
+        with pytest.raises(InvalidInputError,
+                           match=f"series of length {base_len} too short for length="
+                                 f"{RESAMPLE_LEN}, offset={max(OFFSETS)}$"):
+            augment(trial, pca)
+        largest = base_len - RESAMPLE_LEN
+        assert assemble_instance(trial, 1, largest, pca).values.shape == (32, RESAMPLE_LEN)
+        with pytest.raises(InvalidInputError,
+                           match=f"length {base_len} too short .*offset={largest + 1}$"):
+            assemble_instance(trial, 1, largest + 1, pca)
+
 
 class TestAugment:
     def test_ten_instances_per_trial(self):
@@ -376,6 +444,14 @@ class TestAugment:
         assert {(i.finger, i.offset) for i in instances} == {
             (f, o) for f in (0, 1) for o in range(5)
         }
+
+    def test_instances_share_no_memory(self):
+        rng = np.random.default_rng(26)
+        instances = augment(synth_trial(rng), fit_all_eps(rng))
+        for i, a in enumerate(instances):
+            for b in instances[i + 1:]:
+                assert not np.shares_memory(a.values, b.values), (a.finger, a.offset,
+                                                                  b.finger, b.offset)
 
     def test_provenance_tags_shared(self):
         rng = np.random.default_rng(18)
