@@ -1,13 +1,14 @@
 """LSTM forward recurrence and backpropagation through time.
 
-The forward step makes one matmul for the hidden-to-gate terms and one
-``sigmoid`` call over the stacked [input | forget | output] pre-activations;
-the candidate gate gets its own ``tanh``.  The step input's gate terms are
-added into the matmul's result in place.  For one sequence the gates are
-views of the pre-activations; for a batch the pre-activations get one
-gate-major copy first, so that each gate is contiguous.  At hidden size 10 a step
-works on a few dozen numbers, so the fixed cost of each numpy call, not
-arithmetic, sets its time.
+One loop body serves one sequence and a batch: the hidden and cell states
+are columns, (H,) or (H, B), so a step's gate pre-activations, ``w_h @ h``
+plus the step input's terms, form one (4H,) or (4H, B) array whose gates
+are contiguous row blocks [input | forget | output | candidate].  One
+``sigmoid`` call covers the first three blocks and one ``tanh`` the last.
+The cache keeps the batch-major (..., H) layout, as transposed views, and
+the backward pass transposes those back to do its elementwise work on rows.
+At hidden size 10 a step works on a few dozen numbers, so the fixed cost of
+each numpy call, not arithmetic, sets its time.
 """
 
 from dataclasses import dataclass
@@ -69,50 +70,42 @@ class LstmParams:
 
 
 def lstm_forward(sequence: np.ndarray, params: LstmParams, return_cache: bool = False):
-    """Run the LSTM over (..., T, D) and return the final hidden state (..., H).
+    """Run the LSTM over (T, D) or (B, T, D) and return the final hidden state, (H,) or (B, H).
 
     Standard recurrence with zero initial hidden and cell states:
     gates i,f,o via sigmoid, candidate g via tanh,
     c_t = f*c_{t-1} + i*g,  h_t = o*tanh(c_t).
     """
-    if sequence.ndim < 2 or sequence.shape[-2] == 0:
-        raise InvalidInputError(f"LSTM needs a non-empty (..., T, D) sequence, got {sequence.shape}")
+    if sequence.ndim not in (2, 3) or sequence.shape[-2] == 0:
+        raise InvalidInputError(
+            f"LSTM needs a non-empty (T, D) sequence or (B, T, D) batch, got shape {sequence.shape}"
+        )
     if sequence.shape[-1] != params.input_size:
         raise InvalidSpecError(
             f"sequence dim {sequence.shape[-1]} != params input size {params.input_size}"
         )
-    t_len = sequence.shape[-2]
     h_size = params.hidden_size
-    lead = sequence.shape[:-2]
 
-    # One big matmul for all input-to-gate terms, then step the recurrence.
-    zx = sequence @ params.w_x.T + params.bias  # (..., T, 4H)
-    w_h_t = params.w_h.T
-    gate_shape = (4,) + lead + (h_size,)
-    h = np.zeros(lead + (h_size,))
-    c = np.zeros(lead + (h_size,))
+    # One big matmul for all input-to-gate terms, (T, 4H) or (T, B, 4H);
+    # zx[t].T is step t's terms as (4H,) or (4H, B) rows.
+    zx = np.swapaxes(sequence @ params.w_x.T + params.bias, 0, -2)
+    h = np.zeros((h_size,) + zx.shape[1:-1])
+    c = np.zeros_like(h)
     steps = []
-    for t in range(t_len):
-        z = h @ w_h_t
-        z += zx[..., t, :]
-        if lead:
-            # one gate-major copy makes each batched gate contiguous, which
-            # the elementwise work here and in lstm_backward runs faster on
-            z = z.reshape(-1, 4, h_size).swapaxes(0, 1).copy().reshape(gate_shape)
-            i, f, o = sigmoid(z[:3])
-            g = np.tanh(z[3])
-        else:
-            # 1-D slices: a ufunc call on a (3, H) array costs more than on 3H
-            ifo = sigmoid(z[:3 * h_size])
-            i, f, o = ifo[:h_size], ifo[h_size:2 * h_size], ifo[2 * h_size:]
-            g = np.tanh(z[3 * h_size:])
+    for t in range(len(zx)):
+        z = params.w_h @ h
+        z += zx[t].T
+        ifo = sigmoid(z[:3 * h_size])
+        i, f, o = ifo[:h_size], ifo[h_size:2 * h_size], ifo[2 * h_size:]
+        g = np.tanh(z[3 * h_size:])
         c_prev = c
         h_prev = h
         c = f * c_prev + i * g
         tc = np.tanh(c)
         h = o * tc
         if return_cache:
-            steps.append((i, f, o, g, c_prev, h_prev, tc))
+            steps.append((i.T, f.T, o.T, g.T, c_prev.T, h_prev.T, tc.T))
+    h = np.ascontiguousarray(h.T)
     if return_cache:
         return h, (sequence, steps)
     return h
@@ -125,25 +118,27 @@ def lstm_backward(params: LstmParams, cache, grad_h_final: np.ndarray, input_gra
     ``input_grad=False`` grad_sequence is not computed and is None.
     """
     sequence, steps = cache
-    t_len = len(steps)
     h_size = params.hidden_size
 
-    dh = grad_h_final
+    dh = grad_h_final.T
     dc = np.zeros_like(dh)
     dz_all = np.zeros(sequence.shape[:-1] + (4 * h_size,))
-    for t in range(t_len - 1, -1, -1):
-        i, f, o, g, c_prev, h_prev, tc = steps[t]
+    for t in range(len(steps) - 1, -1, -1):
+        i, f, o, g, c_prev, _, tc = (a.T for a in steps[t])
         do = dh * tc
         dc = dc + dh * o * (1.0 - tc * tc)
         di = dc * g
         df = dc * c_prev
         dg = dc * i
         dz = dz_all[..., t, :]
-        dz[..., 0 * h_size:1 * h_size] = di * i * (1.0 - i)
-        dz[..., 1 * h_size:2 * h_size] = df * f * (1.0 - f)
-        dz[..., 2 * h_size:3 * h_size] = do * o * (1.0 - o)
-        dz[..., 3 * h_size:4 * h_size] = dg * (1.0 - g * g)
-        dh = dz @ params.w_h
+        rows = dz.T
+        rows[0 * h_size:1 * h_size] = di * i * (1.0 - i)
+        rows[1 * h_size:2 * h_size] = df * f * (1.0 - f)
+        rows[2 * h_size:3 * h_size] = do * o * (1.0 - o)
+        rows[3 * h_size:4 * h_size] = dg * (1.0 - g * g)
+        # BLAS sums in another order when handed the transposed rows, so the
+        # recurrent product runs on the batch-major slice
+        dh = (dz @ params.w_h).T
         dc = dc * f
 
     grad_seq = dz_all @ params.w_x if input_grad else None

@@ -56,7 +56,7 @@ def combine_instances(features, expected_count) -> FeatureVector:
         raise InvalidInputError(f"features have differing lengths: {sorted(lengths)}")
     indices = [f.index for f in features]
     if len(set(indices)) != len(indices):
-        raise InvalidInputError("duplicate feature indices")
+        raise InvalidInputError(f"duplicate feature indices for object {features[0].object_id}")
     ordered = sorted(features, key=lambda f: f.index)
     return FeatureVector(
         object_id=features[0].object_id,

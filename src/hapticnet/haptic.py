@@ -35,6 +35,8 @@ BASE_RATE = 100
 DECIMATION = PAC_RATE // BASE_RATE  # 22
 RESAMPLE_LEN = 150
 PCA_COMPONENTS = 4
+# the shortest 100 Hz block that every subsampling offset fits in
+MIN_BLOCK_LEN = RESAMPLE_LEN + max(OFFSETS)  # 154
 
 INSTANCE_CHANNELS = (len(BASE_CHANNELS) + PCA_COMPONENTS) * len(EPS)  # 32
 
@@ -44,8 +46,9 @@ class HapticTrial:
     """One exploration of one object: all channels for both fingers and EPs.
 
     ``signals[(finger, ep)]`` maps channel name -> 1-D array.  The 100 Hz
-    channels within one (finger, ep) must share a length; P_AC is ~22x
-    longer (one 100 Hz sample of slack tolerated).
+    channels within one (finger, ep) must share a length of at least
+    MIN_BLOCK_LEN; P_AC is ~22x longer (one 100 Hz sample of slack
+    tolerated) and decimates to at least MIN_BLOCK_LEN samples too.
     """
 
     object_id: str
@@ -83,6 +86,9 @@ def block_problems(chans: dict) -> list:
 
     The rule: every channel is present, the 100 Hz channels share one
     non-zero length, and P_AC is ~22x as long (one 100 Hz sample of slack).
+    Both the 100 Hz length and the decimated P_AC length must be at least
+    MIN_BLOCK_LEN, so that ``augment`` can subsample at every offset; a
+    P_AC at the wrong rate is reported as that alone.
     Only lengths are compared, so the check costs nothing next to the data.
     """
     missing = [c for c in CHANNELS if c not in chans]
@@ -103,6 +109,11 @@ def block_problems(chans: dict) -> list:
                          f"channel P_AC length {pac_len} is not ~{DECIMATION}x the "
                          f"100 Hz length {base_len} "
                          f"(P_AC/P_DC length ratio {pac_len / base_len:.1f})"))
+    elif min(base_len, pac_len // DECIMATION) < MIN_BLOCK_LEN:
+        problems.append(("lengths",
+                         f"100 Hz length {base_len} and decimated P_AC length "
+                         f"{pac_len // DECIMATION} must both be at least {MIN_BLOCK_LEN} "
+                         f"to subsample {RESAMPLE_LEN} samples at offsets up to {max(OFFSETS)}"))
     return problems
 
 

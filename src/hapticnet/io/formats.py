@@ -25,7 +25,9 @@ import struct
 import numpy as np
 
 from ..errors import InvalidInputError, InvalidSpecError, UnsupportedFormatError
+from ..evaluation import ADJECTIVES
 from ..haptic import CHANNELS
+from ..models import model_from_description
 
 CONTAINER_VERSION = 1
 CHECKPOINT_MAGIC = b"HCKP"
@@ -140,8 +142,6 @@ def load_model(path):
     is ignored, since training starts each phase's momentum from zero.
     Every error names the file.
     """
-    from ..models import model_from_description
-
     tensors, meta = read_container(path, CHECKPOINT_MAGIC)
     if "graph" not in meta:
         raise UnsupportedFormatError(f"{path}: checkpoint meta has no 'graph'")
@@ -365,8 +365,6 @@ def _text(path, ln, line: bytes) -> str:
 
 def write_labels_csv(path, label_rows) -> None:
     """Label table: one row per object, 24 adjective columns in fixed order."""
-    from ..evaluation import ADJECTIVES
-
     lines = ["object_id,name," + ",".join(ADJECTIVES)]
     for obj_id, name, labels in label_rows:
         bits = ",".join("1" if labels[a] else "0" for a in ADJECTIVES)
@@ -381,8 +379,6 @@ def read_labels_csv(path):
     Blank lines are skipped.  Errors name the line as it is numbered in the
     file, and the first line with a problem raises.
     """
-    from ..evaluation import ADJECTIVES
-
     with open(path, "rb") as fh:
         raw = fh.read()
     # decoded one line at a time, as the checks reach it

@@ -256,7 +256,7 @@ class Model:
         for l in reversed(self.layers):
             if l.param_items():
                 return l
-        raise InvalidSpecError("model has no parameterized layers")
+        raise InvalidSpecError(f"model {self.kind!r} has no parameterized layers")
 
     def parameter_count(self):
         return sum(v.size for _, v in self.named_params())

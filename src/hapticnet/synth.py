@@ -80,7 +80,9 @@ class SynthConfig:
         if self.noise < 0:
             raise InvalidInputError(f"noise must be >= 0, got {self.noise}")
         if len(self.haptic_leak) != self.n_factors or len(self.visual_leak) != self.n_factors:
-            raise InvalidInputError("leak vectors must have one entry per factor")
+            raise InvalidInputError(
+                f"leak vectors must have one entry per factor ({self.n_factors}), got "
+                f"haptic_leak {self.haptic_leak} and visual_leak {self.visual_leak}")
 
 
 def separable_config(n_objects=24, n_trials=3, seed=0) -> SynthConfig:

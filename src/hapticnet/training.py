@@ -62,6 +62,9 @@ def _restore(params, snap):
         v[:] = sv
 
 
+# a diverging step overflows; the checks below report that through the
+# result, so numpy's overflow and invalid-value warnings add nothing
+@np.errstate(over="ignore", invalid="ignore")
 def _run_phase(model, x, y, loss_name, epochs, schedule, rng, curve):
     """One loss phase of minibatch SGD; returns False on divergence.
 

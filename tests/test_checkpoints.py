@@ -377,6 +377,12 @@ class TestCheckpointReader:
                            match=re.escape(f"graph field 'layers' is a {kind}, not a list")):
             model_from_description(desc)
 
+    @pytest.mark.parametrize("desc", [[], "graph", None])
+    def test_description_that_is_not_an_object_named(self, desc):
+        with pytest.raises(InvalidSpecError, match=re.escape(
+                f"graph description is a {type(desc).__name__}, not an object")):
+            model_from_description(desc)
+
     def test_missing_graph_field_named(self):
         desc = build_linear_classifier(4).describe()
         del desc["input_shape"]

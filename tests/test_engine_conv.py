@@ -68,6 +68,10 @@ class TestConvSpec:
         with pytest.raises(InvalidSpecError):
             ConvSpec(in_channels=2, out_channels=2, kernel_len=0)
 
+    def test_rejects_groups_below_one(self):
+        with pytest.raises(InvalidSpecError, match=r"groups must be positive .*groups=0\)"):
+            ConvSpec(in_channels=2, out_channels=2, kernel_len=1, groups=0)
+
     def test_grouped_weight_count(self):
         # groups=G keeps exactly (C_in/G) * C_out * K weights: 1/G of ungrouped
         grouped = ConvSpec(32, 64, 5, groups=32)
@@ -76,6 +80,15 @@ class TestConvSpec:
 
 
 class TestConvForward:
+    def test_rejects_weights_and_bias_of_another_shape(self):
+        spec = ConvSpec(4, 2, 3, groups=2)
+        x = np.zeros((1, 4, 8))
+        with pytest.raises(InvalidSpecError,
+                           match=r"weights \(2, 4, 3\) do not match spec \(2, 2, 3\)"):
+            conv1d_forward(x, spec, LayerParams(weights=np.zeros((2, 4, 3)), bias=np.zeros(2)))
+        with pytest.raises(InvalidSpecError, match=r"bias shape \(4,\) != \(2,\)"):
+            conv1d_forward(x, spec, LayerParams(weights=np.zeros((2, 2, 3)), bias=np.zeros(4)))
+
     def test_identity_kernel(self):
         spec = ConvSpec(1, 1, 1)
         params = LayerParams(weights=np.ones((1, 1, 1)), bias=np.zeros(1))

@@ -93,6 +93,16 @@ class TestInnerProduct:
         with pytest.raises(InvalidSpecError):
             inner_product(np.ones(4), params)
 
+    def test_rejects_bias_of_another_shape(self):
+        params = LayerParams(weights=np.ones((2, 3)), bias=np.zeros(3))
+        with pytest.raises(InvalidSpecError, match=r"bias shape \(3,\) != \(2,\)"):
+            inner_product(np.ones(3), params)
+
+    def test_backward_rejects_grad_of_another_shape(self):
+        params = LayerParams(weights=np.ones((2, 3)), bias=np.zeros(2))
+        with pytest.raises(InvalidSpecError, match=r"grad_out shape \(5, 3\) does not match"):
+            inner_product_backward(np.ones((5, 3)), params, np.ones((5, 3)))
+
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(11)
         params = LayerParams(weights=rng.standard_normal((4, 6)), bias=rng.standard_normal(4))

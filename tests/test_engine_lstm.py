@@ -1,10 +1,12 @@
 """LSTM recurrence and BPTT gradients."""
 
+import re
+
 import numpy as np
 import pytest
 
 from hapticnet.engine import LstmParams, logistic_loss, lstm_backward, lstm_forward, sigmoid
-from hapticnet.errors import InvalidInputError
+from hapticnet.errors import InvalidInputError, InvalidSpecError
 from hapticnet.models import build_haptic_lstm
 from hapticnet.training import TrainSchedule, train
 
@@ -45,6 +47,27 @@ class TestLstmForward:
         params = LstmParams.create(3, 2, seed=0)
         with pytest.raises(InvalidInputError):
             lstm_forward(np.zeros((0, 3)), params)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 4, 3), (3,)])
+    def test_rejects_a_sequence_of_another_rank(self, shape):
+        params = LstmParams.create(3, 2, seed=0)
+        with pytest.raises(InvalidInputError, match=re.escape(f"got shape {shape}")):
+            lstm_forward(np.zeros(shape), params)
+
+    def test_rejects_input_of_another_size(self):
+        params = LstmParams.create(3, 2, seed=0)
+        with pytest.raises(InvalidSpecError, match="sequence dim 4 != params input size 3"):
+            lstm_forward(np.zeros((5, 4)), params)
+
+    @pytest.mark.parametrize("w_x, w_h, bias", [
+        ((6, 3), (6, 1), (6,)),     # 4H not a multiple of 4
+        ((8, 3), (8, 3), (8,)),     # w_h not (4H, H)
+        ((8, 3), (8, 2), (4,)),     # bias not (4H,)
+    ])
+    def test_params_reject_inconsistent_gate_shapes(self, w_x, w_h, bias):
+        with pytest.raises(InvalidSpecError, match=re.escape(
+                f"inconsistent gate shapes: w_x {w_x}, w_h {w_h}, bias {bias}")):
+            LstmParams(w_x=np.zeros(w_x), w_h=np.zeros(w_h), bias=np.zeros(bias))
 
     def test_finite_for_huge_inputs(self):
         params = LstmParams.create(4, 3, seed=5)
@@ -199,6 +222,28 @@ def _assert_same_forward_and_bptt(seq, params, probe):
     for got, want in zip(lstm_backward(params, cache, probe),
                          lstm_backward(params, cache_ref, probe)):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("scale", [1.0, 191.0, 1e6])
+def test_batch_of_one_is_bitwise_the_sequence(scale):
+    rng = np.random.default_rng(31)
+    params = LstmParams.create(32, 10, seed=7)
+    params.bias[:] = rng.standard_normal(params.bias.shape)
+    seq = scale * rng.standard_normal((150, 32))
+    probe = rng.standard_normal(10)
+    h, cache = lstm_forward(seq, params, return_cache=True)
+    h1, cache1 = lstm_forward(seq[None], params, return_cache=True)
+    assert h.shape == (10,) and h1.shape == (1, 10)
+    assert np.array_equal(bits(h1[0]), bits(h))
+    for step, step1 in zip(cache[1], cache1[1], strict=True):
+        for got, want in zip(step1, step, strict=True):
+            assert got.shape == (1,) + want.shape
+            assert np.array_equal(bits(got[0]), bits(want))
+    grads = lstm_backward(params, cache, probe)
+    grads1 = lstm_backward(params, cache1, probe[None])
+    assert np.array_equal(bits(grads1[0][0]), bits(grads[0]))
+    for got, want in zip(grads1[1:], grads[1:]):
+        assert np.array_equal(bits(got), bits(want))
 
 
 class TestStackedGatesMatchReference:

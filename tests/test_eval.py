@@ -53,6 +53,12 @@ class TestMakeSplit:
                 truths = {labels[o]["hard"] for o in side}
                 assert truths == {True, False}
 
+    def test_unknown_adjective_rejected(self):
+        objects = [f"o{i}" for i in range(10)]
+        labels = label_table(np.random.default_rng(3), objects)
+        with pytest.raises(InvalidInputError, match="unknown adjective 'wet'"):
+            make_split(objects, labels, "wet", seed=0)
+
     def test_single_positive_is_infeasible(self):
         objects = [f"o{i}" for i in range(10)]
         labels = label_table(np.random.default_rng(2), objects, p_positive=0.0)
@@ -158,6 +164,15 @@ class TestRocAuc:
         with pytest.raises(InvalidInputError, match=f"score {index} is NaN"):
             roc_auc(scores, [1, -1, -1, 1][:len(scores)])
 
+    @pytest.mark.parametrize("scores, labels", [
+        ([0.1, 0.2, 0.3], [1, -1]),
+        ([[0.1, 0.2]], [[1, -1]]),
+    ])
+    def test_scores_and_labels_of_other_shapes_rejected(self, scores, labels):
+        shapes = f"scores {np.shape(scores)} and labels {np.shape(labels)}"
+        with pytest.raises(InvalidInputError, match=re.escape(shapes)):
+            roc_auc(scores, labels)
+
     def test_single_class_undefined(self):
         with pytest.raises(UndefinedAUCError):
             roc_auc([0.1, 0.2], [1, 1])
@@ -232,6 +247,12 @@ class TestAggregate:
         fwd = aggregate({0: dict(vals)})
         rev = aggregate({0: dict(reversed(list(vals.items())))})
         assert fwd.mean_auc == rev.mean_auc
+
+    def test_no_results_rejected(self):
+        with pytest.raises(InvalidInputError, match="no evaluation results"):
+            aggregate({})
+        with pytest.raises(InvalidInputError, match="no adjectives"):
+            aggregate({1: {}, 2: {}})
 
     def test_missing_adjective_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -1,5 +1,6 @@
 """Haptic preprocessing: normalization, decimation, resampling, PCA, assembly."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from hapticnet.haptic import (
     ELECTRODES,
     EPS,
     FINGERS,
+    MIN_BLOCK_LEN,
     OFFSETS,
     RESAMPLE_LEN,
     HapticTrial,
@@ -187,6 +189,10 @@ class TestResample:
         with pytest.raises(InvalidInputError):
             resample_fixed(np.zeros((400, 152)), 150, 3)
 
+    def test_negative_offset_rejected(self):
+        with pytest.raises(InvalidInputError, match="offset must be non-negative, got -1"):
+            resample_fixed(np.zeros(200), 150, -1)
+
     @settings(max_examples=60)
     @given(n=st.integers(2, 2000), length=st.integers(2, 150), offset=st.integers(0, 5))
     def test_indices_are_the_scalar_formula(self, n, length, offset):
@@ -277,6 +283,16 @@ class TestPca:
     def test_too_few_samples_rejected(self):
         with pytest.raises(InvalidInputError):
             pca_fit(np.zeros((3, 19)), k=4)
+
+    @pytest.mark.parametrize("shape", [(19,), (4, 5, 19)])
+    def test_samples_that_are_not_2d_rejected(self, shape):
+        with pytest.raises(InvalidInputError, match=re.escape(f"2-D, got shape {shape}")):
+            pca_fit(np.zeros(shape))
+
+    def test_projection_of_another_dimension_rejected(self):
+        model = pca_fit(np.random.default_rng(10).standard_normal((50, 19)), k=4)
+        with pytest.raises(InvalidInputError, match="vector dim 18 != model dim 19"):
+            pca_project(model, np.zeros((3, 18)))
 
 
 class TestAssemble:
@@ -385,11 +401,11 @@ class TestBlockPathMatchesReference:
         self.assert_matches_reference(trial, fit_all_eps(rng))
 
     @settings(max_examples=30, phases=(Phase.explicit, Phase.generate))
-    @given(base_len=st.integers(RESAMPLE_LEN + max(OFFSETS), 400),
+    @given(base_len=st.integers(MIN_BLOCK_LEN, 400),
            pac_shifts=st.lists(st.sampled_from([-1, 0, 1]), min_size=8, max_size=8),
            seed=st.integers(0, 2**32 - 1))
-    @example(base_len=RESAMPLE_LEN + max(OFFSETS), pac_shifts=[0, 1, -1, 0, 0, 0, 1, 0], seed=1)
-    @example(base_len=RESAMPLE_LEN + max(OFFSETS) + 1, pac_shifts=[-1] * 8, seed=2)
+    @example(base_len=MIN_BLOCK_LEN, pac_shifts=[0, 1, -1, 0, 0, 0, 1, 0], seed=1)
+    @example(base_len=MIN_BLOCK_LEN + 1, pac_shifts=[-1] * 8, seed=2)
     def test_lengths_and_pac_one_sample_off(self, base_len, pac_shifts, seed):
         # P_AC decimates to base_len + shift samples; a shift of -1 at the
         # shortest base length leaves it one sample short of the last offset
@@ -398,41 +414,39 @@ class TestBlockPathMatchesReference:
         for chans, shift in zip(trial.signals.values(), pac_shifts):
             spare = 0 if shift == 1 else int(rng.integers(0, DECIMATION))
             chans["P_AC"] = rng.standard_normal(DECIMATION * (base_len + shift) + spare)
-        trial.validate()
         pca = fit_all_eps(rng)
-        every_offset = [(f, o) for f in FINGERS for o in OFFSETS]
-        if base_len + min(pac_shifts) >= RESAMPLE_LEN + max(OFFSETS):
+        if base_len + min(pac_shifts) >= MIN_BLOCK_LEN:
+            trial.validate()
+            every_offset = [(f, o) for f in FINGERS for o in OFFSETS]
             self.assert_matches_reference(trial, pca, alone=every_offset)
             return
-        short = base_len - 1
-        with pytest.raises(InvalidInputError,
-                           match=f"series of length {short} too short for length="
-                                 f"{RESAMPLE_LEN}, offset={max(OFFSETS)}"):
+        # signals are in FINGERS x EPS order, the order both checks walk
+        finger, ep = next(key for key, shift in zip(trial.signals, pac_shifts) if shift == -1)
+        named = (f"trial obj0/0 finger {finger} ep {ep}: 100 Hz length {base_len} "
+                 f"and decimated P_AC length {base_len - 1} must both be at least {MIN_BLOCK_LEN}")
+        with pytest.raises(InvalidInputError, match=named):
+            trial.validate()
+        with pytest.raises(InvalidInputError, match=named):
             augment(trial, pca)
-        for finger, offset in every_offset:
-            if short >= RESAMPLE_LEN + offset:
-                ref = reference_instance(trial, finger, offset, pca)
-                assert same_bits(assemble_instance(trial, finger, offset, pca).values, ref)
 
-    @pytest.mark.parametrize("base_len", [RESAMPLE_LEN + 2, RESAMPLE_LEN])
+    @pytest.mark.parametrize("base_len", [MIN_BLOCK_LEN - 2, RESAMPLE_LEN])
     def test_too_short_block_names_its_length_and_largest_offset(self, base_len):
-        # 152 samples take offsets 0-2 only; block_problems allows any
-        # non-empty length, so the subsampling is what rejects the block
+        # 152 samples take offsets 0-2 only; block_problems rejects the block
+        # before any subsampling, so the error names the trial, finger and EP
         rng = np.random.default_rng(base_len)
         trial = synth_trial(rng, base_len=base_len)
         for chans in trial.signals.values():
             chans["P_AC"] = rng.standard_normal(DECIMATION * base_len)
-        trial.validate()
         pca = fit_all_eps(rng)
-        with pytest.raises(InvalidInputError,
-                           match=f"series of length {base_len} too short for length="
-                                 f"{RESAMPLE_LEN}, offset={max(OFFSETS)}$"):
+        too_short = (f"100 Hz length {base_len} and decimated P_AC length {base_len} must "
+                     f"both be at least {MIN_BLOCK_LEN} to subsample {RESAMPLE_LEN} samples "
+                     f"at offsets up to {max(OFFSETS)}$")
+        with pytest.raises(InvalidInputError, match=f"obj0/0 finger 0 ep squeeze: {too_short}"):
+            trial.validate()
+        with pytest.raises(InvalidInputError, match=f"obj0/0 finger 0 ep squeeze: {too_short}"):
             augment(trial, pca)
-        largest = base_len - RESAMPLE_LEN
-        assert assemble_instance(trial, 1, largest, pca).values.shape == (32, RESAMPLE_LEN)
-        with pytest.raises(InvalidInputError,
-                           match=f"length {base_len} too short .*offset={largest + 1}$"):
-            assemble_instance(trial, 1, largest + 1, pca)
+        with pytest.raises(InvalidInputError, match=f"obj0/0 finger 1 ep squeeze: {too_short}"):
+            assemble_instance(trial, 1, 0, pca)
 
 
 class TestAugment:

@@ -111,6 +111,12 @@ class TestLoadManifest:
         with pytest.raises(InvalidInputError, match="cannot read manifest"):
             load_manifest(path)
 
+    def test_json_that_is_not_an_object_rejected(self, tmp_path):
+        path = write_json(tmp_path / "m.json", [1, 2])
+        with pytest.raises(InvalidInputError, match="manifest must be a JSON object") as err:
+            load_manifest(path)
+        assert str(path) in str(err.value)
+
     @pytest.mark.parametrize("field", list(BAD_EDITS))
     def test_structurally_bad_manifest_names_path_and_field(self, tree, tmp_path, field):
         data = json.loads(tree.read_text())
@@ -154,6 +160,14 @@ class TestValidate:
         assert [(f.file, f.field) for f in findings] == [(str(labels), "labels")]
         assert str(labels) in findings[0].message
 
+    def test_duplicate_trial_entry(self, tree):
+        manifest = load_manifest(tree)
+        entry = manifest.trials[0]
+        manifest.trials.append(dict(entry))
+        key = (entry["trial"], entry["finger"], entry["ep"])
+        assert validate(manifest, tree.parent) == [Finding(
+            "manifest", "trials", f"duplicate trial entry {entry['object_id']}/{key}")]
+
     def test_trial_entry_for_unknown_object(self, tree):
         manifest = load_manifest(tree)
         manifest.trials[0] = dict(manifest.trials[0], object_id="ghost")
@@ -194,6 +208,17 @@ class TestValidate:
         findings = validate(manifest, tree.parent)
         assert [(f.file, f.field) for f in findings] == [(str(path), "sample-rate")]
         assert "P_AC/P_DC length ratio 2.0" in findings[0].message
+
+    def test_block_too_short_for_every_offset(self, tree):
+        manifest = load_manifest(tree)
+        path = tree.parent / manifest.trials[2]["path"]
+        chans = {c: v[:152] for c, v in read_trial_file(path).items()}
+        chans["P_AC"] = read_trial_file(path)["P_AC"][:22 * 152]
+        write_trial_file(path, chans)
+        findings = validate(manifest, tree.parent)
+        assert [(f.file, f.field) for f in findings] == [(str(path), "lengths")]
+        assert "100 Hz length 152 and decimated P_AC length 152 must both be at least 154" \
+            in findings[0].message
 
     def test_corrupt_feature_file(self, tree):
         manifest = load_manifest(tree)

@@ -17,7 +17,9 @@ from hapticnet.features import (
 from hapticnet.haptic import InstanceMatrix
 from hapticnet.models import (
     HAPTIC_CONV_SPECS,
+    DenseLayer,
     Model,
+    TimeMajorLayer,
     build_haptic_cnn,
     build_haptic_lstm,
     build_linear_classifier,
@@ -226,6 +228,18 @@ class TestGraphKeywords:
         assert asked == {l.name: l is not first for l in model.layers[start:]}
 
 
+class TestModelGraph:
+    def test_duplicate_layer_names_rejected(self):
+        layers = [TimeMajorLayer("swap"), TimeMajorLayer("swap")]
+        with pytest.raises(InvalidSpecError, match=r"duplicate layer names: \['swap', 'swap'\]"):
+            Model(layers, input_shape=(2, 3))
+
+    def test_classifier_layer_needs_a_parameterized_layer(self):
+        model = Model([TimeMajorLayer("swap")], input_shape=(2, 3), kind="reshape")
+        with pytest.raises(InvalidSpecError, match="model 'reshape' has no parameterized layers"):
+            model.classifier_layer()
+
+
 class TestTraining:
     def test_linear_model_converges_on_separable_set(self):
         rng = np.random.default_rng(0)
@@ -294,6 +308,41 @@ class TestTraining:
         for _, value in model.named_params():
             assert np.all(np.isfinite(value))
 
+    def test_non_finite_epoch_loss_restores_the_weights_without_warning(self):
+        # every score is 8e307, so the gradients stay finite but the epoch's
+        # loss sum overflows; tier-1 turns a RuntimeWarning into an error
+        model = build_linear_classifier(2, seed=0)
+        fc = model.layer("fc").params
+        fc.weights[:] = 4e307
+        bias = fc.bias.copy()
+        result = train(model, np.ones((4, 2)), -np.ones(4),
+                       TrainSchedule(epochs=3, phase="hinge-finetune"))
+        assert result.diverged and result.loss_curve == []
+        assert np.all(fc.weights == 4e307) and np.array_equal(fc.bias, bias)
+
+    def test_non_finite_gradient_restores_the_weights_without_warning(self):
+        # the scores are 1e10, but fc1's weight gradient is 1e300 * 1e10
+        model = Model([DenseLayer("fc1", 1, 1, seed=0), DenseLayer("fc2", 1, 1, seed=0)],
+                      input_shape=(1,))
+        model.layer("fc1").params.weights[:] = 1e-300
+        model.layer("fc2").params.weights[:] = 1e300
+        before = [value.copy() for _, value in model.named_params()]
+        result = train(model, np.full((2, 1), 1e10), -np.ones(2),
+                       TrainSchedule(epochs=3, phase="hinge-finetune"))
+        assert result.diverged and result.loss_curve == []
+        for (name, value), old in zip(model.named_params(), before):
+            assert np.array_equal(value, old), name
+
+    def test_rejects_no_instances(self):
+        with pytest.raises(InvalidInputError, match="no training instances"):
+            train(build_linear_classifier(3), np.zeros((0, 3)), np.zeros(0), TrainSchedule(epochs=1))
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 1)])
+    def test_rejects_labels_of_another_shape(self, shape):
+        with pytest.raises(InvalidInputError, match=re.escape(f"labels shape {shape} != (4,)")):
+            train(build_linear_classifier(3), np.zeros((4, 3)), np.ones(shape),
+                  TrainSchedule(epochs=1))
+
     def test_rejects_bad_labels(self):
         model = build_linear_classifier(3, seed=0)
         with pytest.raises(InvalidInputError):
@@ -305,6 +354,10 @@ class TestTraining:
     def test_schedule_without_epochs_in_a_phase_rejected(self, kwargs):
         with pytest.raises(InvalidSpecError, match="bad schedule"):
             TrainSchedule(**kwargs)
+
+    def test_unknown_phase_rejected(self):
+        with pytest.raises(InvalidSpecError, match="unknown phase 'logistic-only'"):
+            TrainSchedule(phase="logistic-only")
 
 
 class TestExtraction:
@@ -374,6 +427,24 @@ class TestCombineInstances:
         with pytest.raises(InvalidInputError):
             combine_instances(feats, expected_count=10)
 
+    def test_features_of_several_objects_rejected(self):
+        feats = self.make_features(np.random.default_rng(4), 4)
+        feats[2] = FeatureVector("other", feats[2].index, feats[2].values)
+        with pytest.raises(InvalidInputError, match=r"multiple objects: \['obj', 'other'\]"):
+            combine_instances(feats, expected_count=4)
+
+    def test_features_of_differing_lengths_rejected(self):
+        feats = self.make_features(np.random.default_rng(5), 4)
+        feats[1] = FeatureVector("obj", feats[1].index, np.zeros(5))
+        with pytest.raises(InvalidInputError, match=r"differing lengths: \[5, 7\]"):
+            combine_instances(feats, expected_count=4)
+
+    def test_duplicate_indices_rejected(self):
+        feats = self.make_features(np.random.default_rng(6), 4)
+        feats[3] = FeatureVector("obj", feats[0].index, feats[3].values)
+        with pytest.raises(InvalidInputError, match="duplicate feature indices for object obj"):
+            combine_instances(feats, expected_count=4)
+
 
 class TestFusion:
     def make_modalities(self, rng, n=20, d_h=6, d_v=4):
@@ -390,6 +461,13 @@ class TestFusion:
         haptic, visual = self.make_modalities(np.random.default_rng(1))
         with pytest.raises(InvalidInputError, match="o3"):
             fuse_features(haptic, [v for v in visual if v.object_id != "o3"])
+
+    def test_duplicate_object_ids_rejected(self):
+        haptic, visual = self.make_modalities(np.random.default_rng(5))
+        with pytest.raises(InvalidInputError, match="duplicate object ids"):
+            fuse_features(haptic + haptic[:1], visual)
+        with pytest.raises(InvalidInputError, match="duplicate object ids"):
+            fuse_features(haptic, visual + visual[2:3])
 
     def test_classifier_score_is_affine(self):
         haptic, visual = self.make_modalities(np.random.default_rng(2))

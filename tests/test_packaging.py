@@ -92,3 +92,14 @@ def test_every_error_type_is_raised():
                 built.add(value.func.id)
     assert errors, "errors.py defines no exception class"
     assert not errors - built, f"error types nothing in src/ raises: {sorted(errors - built)}"
+
+
+def test_no_function_imports():
+    """Every import in src/ sits at module level, where a reader sees a
+    module's dependencies at once; no cycle needs one deferred."""
+    inside = [f"{path.relative_to(ROOT)}:{node.lineno} in {fn.name}"
+              for path in (ROOT / "src").rglob("*.py")
+              for fn in ast.walk(ast.parse(path.read_text()))
+              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not inside, f"imports inside functions: {inside}"

@@ -2,11 +2,15 @@
 and nothing its manifest does not list; its trials are bitwise those of the
 one-generator-per-shape reference."""
 
+import re
+
 import numpy as np
+import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from hapticnet import synth
+from hapticnet.errors import InvalidInputError
 from hapticnet.io import load_manifest
 
 from oracles import reference_make_trial
@@ -25,6 +29,20 @@ def assert_same_trial(trial, expected):
             got = trial.signals[key][name]
             assert got.shape == want.shape, (key, name)
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), (key, name)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"n_objects": 1}, "need >=2 objects and >=1 trial, got SynthConfig(n_objects=1, n_trials=3"),
+    ({"n_trials": 0}, "need >=2 objects and >=1 trial, got SynthConfig(n_objects=20, n_trials=0"),
+    ({"noise": -0.5}, "noise must be >= 0, got -0.5"),
+    ({"n_factors": 3}, "one entry per factor (3), got haptic_leak (1.0, 0.15) "
+                       "and visual_leak (0.15, 1.0)"),
+    ({"visual_leak": (1.0,)}, "one entry per factor (2), got haptic_leak (1.0, 0.15) "
+                              "and visual_leak (1.0,)"),
+])
+def test_config_checks_name_the_bad_field(kwargs, message):
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        synth.SynthConfig(**kwargs)
 
 
 def test_two_runs_write_byte_identical_trees(tmp_path):
