@@ -66,16 +66,6 @@ class ConvSpec:
         # groups=G stores only within-group weights: 1/G of the ungrouped count
         return (self.out_channels, self.in_per_group, self.kernel_len)
 
-    def to_dict(self) -> dict:
-        return {
-            "in_channels": self.in_channels,
-            "out_channels": self.out_channels,
-            "kernel_len": self.kernel_len,
-            "stride": self.stride,
-            "pad": self.pad,
-            "groups": self.groups,
-        }
-
 
 @dataclass
 class LayerParams:

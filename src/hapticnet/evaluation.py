@@ -124,13 +124,10 @@ def evaluate(score_fn, features, labels, split: SplitPlan) -> float:
 
     ``features`` is a list of (object_id, x) pairs (one or many per object);
     ``labels`` maps object id -> bool for the split's adjective.  Training
-    objects are never scored, and any id on both sides is a hard failure.
-    A test object without features or without a label raises
-    InvalidInputError before anything is scored.
+    objects are never scored; ``SplitPlan`` already rejects an id on both
+    sides with LeakageError.  A test object without features or without a
+    label raises InvalidInputError before anything is scored.
     """
-    overlap = set(split.train_ids) & set(split.test_ids)
-    if overlap:
-        raise LeakageError(f"objects on both sides of the split: {sorted(overlap)}")
     test_ids = set(split.test_ids)
     covered = {obj for obj, _ in features}
     missing = test_ids - covered

@@ -9,6 +9,12 @@ anything else instead of guessing; ``write_container`` refuses a tensor with
 a value that is not finite in float32.  Trial files and the label table are
 text.  Writers are deterministic: identical inputs produce identical bytes.
 
+A checkpoint's meta holds, under ``"model"``, the builder entry: the name
+of the builder in ``models.BUILDERS`` that made the model and that
+builder's arguments other than the seed, for example
+``{"builder": "fusion", "feature_dim": 20}``.  Loading calls that builder;
+the file describes no graph of its own.
+
 A trial file is a header naming the channels, then rows of comma-separated
 cells.  Each cell is a finite number in the grammar of Python's ``float``,
 and the writer prints it ``"%.8g" % value``.  Every row fills a prefix of the
@@ -18,16 +24,17 @@ blocks of rows of equal width: about 165 full rows at 100 Hz, then about
 and converts, one block at a time rather than one cell at a time.
 """
 
+import inspect
 import json
 import math
 import struct
 
 import numpy as np
 
-from ..errors import InvalidInputError, InvalidSpecError, UnsupportedFormatError
+from ..errors import InvalidInputError, UnsupportedFormatError
 from ..evaluation import ADJECTIVES
 from ..haptic import CHANNELS
-from ..models import model_from_description
+from ..models import BUILDERS
 
 CONTAINER_VERSION = 1
 CHECKPOINT_MAGIC = b"HCKP"
@@ -128,32 +135,41 @@ def _container_header(path, header):
 
 def save_model(path, model, meta: dict) -> None:
     """A checkpoint: ``model``'s parameters as float32 tensors, and ``meta``
-    with the model's graph description added as ``meta["graph"]``."""
-    write_container(path, CHECKPOINT_MAGIC, dict(model.named_params()),
-                    dict(meta, graph=model.describe()))
+    with the model's builder entry added as ``meta["model"]``.
+
+    A model that no builder made, or a ``meta`` that already holds the key
+    ``"model"``, raises InvalidInputError naming the file before the file
+    is opened.
+    """
+    if "model" in meta:
+        raise InvalidInputError(
+            f"{path}: meta key 'model' is reserved for the checkpoint's builder entry")
+    if model.builder_args is None:
+        raise InvalidInputError(
+            f"{path}: model {model.kind!r} was not made by a builder of {sorted(BUILDERS)}")
+    entry = dict(model.builder_args, builder=model.kind)
+    write_container(path, CHECKPOINT_MAGIC, dict(model.named_params()), dict(meta, model=entry))
 
 
 def load_model(path):
-    """(model, meta) of a checkpoint: the graph rebuilt with its weights
-    loaded, and the meta without its graph.
+    """(model, meta) of a checkpoint: the model its builder entry names,
+    with its weights loaded, and the meta without that entry.
 
-    Every tensor must name a parameter of the graph.  The one exception is
-    the ``<param>.vel`` momentum tensor that checkpoints once carried: it
-    is ignored, since training starts each phase's momentum from zero.
-    Every error names the file.
+    The entry must name a builder of ``models.BUILDERS`` and give exactly
+    that builder's arguments other than the seed.  Each is a positive int
+    no larger than the number of values the checkpoint stores, so a damaged
+    entry cannot make the builder allocate more than the file holds.
+    Every tensor must name a parameter of the built model, and every
+    parameter must have a tensor of its shape.  Every error is an
+    UnsupportedFormatError naming the file.
     """
     tensors, meta = read_container(path, CHECKPOINT_MAGIC)
-    if "graph" not in meta:
-        raise UnsupportedFormatError(f"{path}: checkpoint meta has no 'graph'")
-    try:
-        model = model_from_description(meta.pop("graph"))
-    except InvalidSpecError as e:
-        raise InvalidSpecError(f"{path}: {e}") from None
+    model = _built_model(path, meta, sum(t.size for t in tensors.values()))
     params = dict(model.named_params())
-    unknown = sorted(set(tensors) - set(params) - {name + ".vel" for name in params})
+    unknown = sorted(set(tensors) - set(params))
     if unknown:
         raise UnsupportedFormatError(
-            f"{path}: checkpoint tensors {unknown} name no parameter of the graph")
+            f"{path}: checkpoint tensors {unknown} name no parameter of the model")
     for name, value in params.items():
         if name not in tensors:
             raise UnsupportedFormatError(f"{path}: checkpoint missing tensor {name!r}")
@@ -163,6 +179,37 @@ def load_model(path):
                 f"model expects {value.shape}")
         value[:] = tensors[name]
     return model, meta
+
+
+def _built_model(path, meta, stored):
+    """The model that ``meta``'s builder entry names, with the builder's
+    initial weights; the entry is popped from ``meta``.  ``stored`` is the
+    number of values the checkpoint's tensors hold."""
+    if "model" not in meta:
+        if "graph" in meta:
+            raise UnsupportedFormatError(
+                f"{path}: checkpoint predates builder-named checkpoints: its meta "
+                f"holds a 'graph' and no 'model' builder entry")
+        raise UnsupportedFormatError(f"{path}: checkpoint meta has no 'model' builder entry")
+    entry = meta.pop("model")
+    name = entry.get("builder") if isinstance(entry, dict) else None
+    if name not in BUILDERS:
+        raise UnsupportedFormatError(
+            f"{path}: builder entry {entry!r} names no builder of {sorted(BUILDERS)}")
+    args = {k: v for k, v in entry.items() if k != "builder"}
+    takes = sorted(inspect.signature(BUILDERS[name]).parameters.keys() - {"seed"})
+    if sorted(args) != takes:
+        raise UnsupportedFormatError(
+            f"{path}: builder {name!r} takes arguments {takes}, the checkpoint gives {sorted(args)}")
+    for k, v in args.items():
+        if type(v) is not int or v < 1:
+            raise UnsupportedFormatError(
+                f"{path}: builder {name!r} argument {k}={v!r} is not a positive int")
+        if v > stored:
+            raise UnsupportedFormatError(
+                f"{path}: builder {name!r} argument {k}={v} exceeds the {stored} values "
+                f"the checkpoint stores")
+    return BUILDERS[name](**args)
 
 
 def write_feature_maps(path, grids: np.ndarray) -> None:

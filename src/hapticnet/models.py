@@ -12,6 +12,11 @@ no cache, and ``Model.backward`` asks a layer for its input gradient only
 when a layer before it has parameters.  A layer told not to may return None
 in place of what was not asked for; one whose cache or input gradient is
 cheap ignores the keyword.
+
+The three networks are made only by their builders, which ``BUILDERS``
+names by the kind of model each returns.  A built model records that kind
+and the builder's arguments other than the seed, so a checkpoint stores
+which builder to call instead of a description of the graph.
 """
 
 from dataclasses import fields
@@ -32,7 +37,7 @@ from .engine import (
     relu,
     relu_backward,
 )
-from .errors import HapticNetError, InvalidInputError, InvalidSpecError
+from .errors import InvalidInputError, InvalidSpecError
 from .haptic import INSTANCE_CHANNELS, RESAMPLE_LEN
 
 
@@ -56,8 +61,6 @@ class Conv1dLayer(Layer):
     instance's output does not depend on the batch it is scored in.
     """
 
-    kind = "conv1d"
-
     def __init__(self, name, spec: ConvSpec, seed):
         self.name = name
         self.spec = spec
@@ -76,13 +79,8 @@ class Conv1dLayer(Layer):
     def reinit(self, seed):
         self.params = LayerParams.for_conv(self.spec, seed)
 
-    def describe(self):
-        return {"kind": self.kind, "name": self.name, "spec": self.spec.to_dict()}
-
 
 class DenseLayer(Layer):
-    kind = "dense"
-
     def __init__(self, name, in_dim, out_dim, seed, activation=None):
         self.name = name
         self.in_dim = in_dim
@@ -106,14 +104,8 @@ class DenseLayer(Layer):
     def reinit(self, seed):
         self.params = LayerParams.for_dense(self.in_dim, self.out_dim, seed)
 
-    def describe(self):
-        return {"kind": self.kind, "name": self.name, "in_dim": self.in_dim,
-                "out_dim": self.out_dim, "activation": self.activation}
-
 
 class LstmLayer(Layer):
-    kind = "lstm"
-
     def __init__(self, name, input_size, hidden_size, seed):
         self.name = name
         self.input_size = input_size
@@ -133,14 +125,8 @@ class LstmLayer(Layer):
     def reinit(self, seed):
         self.params = LstmParams.create(self.input_size, self.hidden_size, seed)
 
-    def describe(self):
-        return {"kind": self.kind, "name": self.name,
-                "input_size": self.input_size, "hidden_size": self.hidden_size}
-
 
 class FlattenLayer(Layer):
-    kind = "flatten"
-
     def __init__(self, name, in_shape):
         self.name = name
         self.in_shape = tuple(in_shape)
@@ -156,14 +142,9 @@ class FlattenLayer(Layer):
     def backward(self, cache, grad_out, input_grad=True):
         return grad_out.reshape(cache + self.in_shape), {}
 
-    def describe(self):
-        return {"kind": self.kind, "name": self.name, "in_shape": list(self.in_shape)}
-
 
 class TimeMajorLayer(Layer):
     """(..., C, T) -> (..., T, C) so sequence models read time steps."""
-
-    kind = "time_major"
 
     def __init__(self, name):
         self.name = name
@@ -174,9 +155,6 @@ class TimeMajorLayer(Layer):
     def backward(self, cache, grad_out, input_grad=True):
         return np.swapaxes(grad_out, -1, -2), {}
 
-    def describe(self):
-        return {"kind": self.kind, "name": self.name}
-
 
 class Model:
     """Ordered layer list with a scalar score output.
@@ -184,6 +162,10 @@ class Model:
     A tap names a layer; tapping returns that layer's output, after its
     activation.
     """
+
+    # the arguments, other than the seed, of the builder that made the
+    # model; None for a model put together by hand
+    builder_args = None
 
     def __init__(self, layers, input_shape, kind="model"):
         self.layers = list(layers)
@@ -261,13 +243,6 @@ class Model:
     def parameter_count(self):
         return sum(v.size for _, v in self.named_params())
 
-    def describe(self):
-        return {
-            "kind": self.kind,
-            "input_shape": list(self.input_shape),
-            "layers": [l.describe() for l in self.layers],
-        }
-
 
 # Haptic CNN shape: three stride-2 grouped convolutions keep the 32 signal
 # groups separate (kernel 7/5/3, pads 3/2/1) so 150 steps shrink to 19
@@ -299,7 +274,8 @@ def build_haptic_cnn(seed=0) -> Model:
     layers.append(FlattenLayer("flatten", in_shape=(HAPTIC_CONV_SPECS[-1].out_channels, t_out)))
     layers.append(DenseLayer("fc", flat, 1, derive_seed(seed, "fc.weights")))
     # tapping "conv3" yields the rectified conv3 output
-    return Model(layers, input_shape=(INSTANCE_CHANNELS, RESAMPLE_LEN), kind="haptic_cnn")
+    return _built(Model(layers, input_shape=(INSTANCE_CHANNELS, RESAMPLE_LEN),
+                        kind="haptic_cnn"))
 
 
 def build_haptic_lstm(seed=0) -> Model:
@@ -311,75 +287,26 @@ def build_haptic_lstm(seed=0) -> Model:
                    activation="relu"),
         DenseLayer("fc2", LSTM_HIDDEN, 1, derive_seed(seed, "fc2.weights")),
     ]
-    return Model(layers, input_shape=(INSTANCE_CHANNELS, RESAMPLE_LEN), kind="haptic_lstm")
+    return _built(Model(layers, input_shape=(INSTANCE_CHANNELS, RESAMPLE_LEN),
+                        kind="haptic_lstm"))
 
 
 def build_linear_classifier(feature_dim, seed=0) -> Model:
     """Single affine scorer over a fixed feature vector (the fusion head)."""
     layers = [DenseLayer("fc", feature_dim, 1, derive_seed(seed, "fc.weights"))]
-    return Model(layers, input_shape=(feature_dim,), kind="fusion")
+    return _built(Model(layers, input_shape=(feature_dim,), kind="fusion"),
+                  feature_dim=feature_dim)
 
 
-_LAYER_BUILDERS = {
-    "conv1d": lambda d: Conv1dLayer(d["name"], ConvSpec(**d["spec"]), seed=0),
-    "dense": lambda d: DenseLayer(d["name"], d["in_dim"], d["out_dim"], seed=0,
-                                  activation=d["activation"]),
-    "lstm": lambda d: LstmLayer(d["name"], d["input_size"], d["hidden_size"], seed=0),
-    "flatten": lambda d: FlattenLayer(d["name"], d["in_shape"]),
-    "time_major": lambda d: TimeMajorLayer(d["name"]),
-}
-
-# the activations each layer kind runs; a conv layer is always conv+ReLU
-_ACTIVATIONS = {"conv1d": ("relu",), "dense": (None, "relu")}
-
-
-def model_from_description(desc: dict) -> Model:
-    """Rebuild a Model skeleton from Model.describe() output.
-
-    Parameters are initialized with seed 0 placeholders and must be loaded
-    from checkpoint tensors afterwards.  Keys the graph does not use, such as
-    the empty tap alias map and the conv layers' ``"activation": "relu"``
-    that older descriptions carry, are ignored.  An activation the layer
-    does not run (anything but ``None`` or ``"relu"`` on a dense layer, or
-    anything but ``"relu"`` on a conv layer) fails, naming the layer.  A
-    zero input of ``input_shape`` is run through the rebuilt layers, so an
-    input shape or a flatten shape that the graph cannot take fails here,
-    naming the layer, rather than at the first score.
-    """
-    if not isinstance(desc, dict):
-        raise InvalidSpecError(f"graph description is a {type(desc).__name__}, not an object")
-    for key in ("layers", "input_shape"):
-        if key not in desc:
-            raise InvalidSpecError(f"graph description lacks field {key!r}")
-    if not isinstance(desc["layers"], list):
-        raise InvalidSpecError(
-            f"graph field 'layers' is a {type(desc['layers']).__name__}, not a list")
-    layers = []
-    for i, d in enumerate(desc["layers"]):
-        kind = d.get("kind") if isinstance(d, dict) else None
-        if kind not in _LAYER_BUILDERS:
-            raise InvalidSpecError(f"graph layer {i}: unknown layer kind {kind!r}")
-        where = f"graph layer {i} ({kind} {d.get('name')!r})"
-        try:
-            layers.append(_LAYER_BUILDERS[kind](d))
-        except KeyError as e:
-            raise InvalidSpecError(f"{where} lacks field {e}") from None
-        except TypeError as e:  # a field of the wrong type, or one the layer does not take
-            raise InvalidSpecError(f"{where} has a bad field: {e}") from None
-        if kind in _ACTIVATIONS and d.get("activation", "relu") not in _ACTIVATIONS[kind]:
-            raise InvalidSpecError(f"{where} has activation {d['activation']!r}, which it "
-                                   f"does not run; it runs {list(_ACTIVATIONS[kind])}")
-    shape = desc["input_shape"]
-    if not isinstance(shape, list) or not all(
-            isinstance(d, int) and not isinstance(d, bool) and d > 0 for d in shape):
-        raise InvalidSpecError(f"graph input_shape {shape!r} is not a list of positive sizes")
-    model = Model(layers, input_shape=shape, kind=desc.get("kind", "model"))
-    h = np.zeros(model.input_shape)
-    for i, l in enumerate(model.layers):
-        try:
-            h, _ = l.forward(h, cache=False)
-        except (HapticNetError, ValueError) as e:
-            raise InvalidSpecError(
-                f"graph input_shape {shape} does not fit layer {i} "
-                f"({l.kind} {l.name!r}): {e}") from None
+def _built(model, **args):
+    """``model``, recording ``args`` as its builder's arguments."""
+    model.builder_args = args
     return model
+
+
+# each builder under the kind of the model it returns
+BUILDERS = {
+    "haptic_cnn": build_haptic_cnn,
+    "haptic_lstm": build_haptic_lstm,
+    "fusion": build_linear_classifier,
+}

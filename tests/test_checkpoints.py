@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hapticnet.errors import InvalidInputError, InvalidSpecError, UnsupportedFormatError
+from hapticnet.errors import InvalidInputError, UnsupportedFormatError
 from hapticnet.io import (
     CHECKPOINT_MAGIC,
     load_model,
@@ -17,43 +17,31 @@ from hapticnet.io import (
     save_model,
     write_container,
 )
-from hapticnet.models import (
-    build_haptic_cnn,
-    build_haptic_lstm,
-    build_linear_classifier,
-    model_from_description,
-)
-from hapticnet.training import TrainSchedule, train
+from hapticnet.models import BUILDERS, Model, TimeMajorLayer, build_linear_classifier
 
-BUILDERS = {
-    "haptic_cnn": lambda: build_haptic_cnn(seed=3),
-    "haptic_lstm": lambda: build_haptic_lstm(seed=3),
-    "fusion": lambda: build_linear_classifier(20, seed=3),
-}
+# the arguments other than the seed that the pinned checkpoints are built with
+PINNED_ARGS = {"haptic_cnn": {}, "haptic_lstm": {}, "fusion": {"feature_dim": 20}}
 
 
 def trained_looking(kind):
     """A model with random weights."""
-    model = BUILDERS[kind]()
+    model = BUILDERS[kind](seed=3, **PINNED_ARGS[kind])
     rng = np.random.default_rng(11)
     for _, value in model.named_params():
         value[:] = rng.standard_normal(value.shape)
     return model
 
 
-def round_params_to_float32(model):
-    for _, value in model.named_params():
-        value[:] = value.astype(np.float32)
-
-
 @st.composite
 def float32_model(draw, kind):
     """A model whose parameters are float32 values drawn per tensor.
 
-    Each tensor is a seeded normal draw at a drawn scale, from float32
-    subnormals to 1e30, with a few entries overwritten by any finite float32.
+    The fusion head's feature_dim is drawn from 1 to 64.  Each tensor is a
+    seeded normal draw at a drawn scale, from float32 subnormals to 1e30,
+    with a few entries overwritten by any finite float32.
     """
-    model = BUILDERS[kind]()
+    args = {"feature_dim": draw(st.integers(1, 64))} if kind == "fusion" else {}
+    model = BUILDERS[kind](seed=3, **args)
     for _, value in model.named_params():
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         scale = 10.0 ** draw(st.integers(-45, 30))
@@ -71,10 +59,10 @@ round_trip_settings = settings(
     max_examples=20, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
-def write_checkpoint(path, graph, tensors):
-    """A checkpoint of ``graph`` holding ``tensors``, as older or damaged
+def write_checkpoint(path, meta, tensors):
+    """A checkpoint with ``meta`` holding ``tensors``, as older or damaged
     files may."""
-    write_container(path, CHECKPOINT_MAGIC, tensors, {"graph": graph})
+    write_container(path, CHECKPOINT_MAGIC, tensors, meta)
     return path
 
 
@@ -92,6 +80,7 @@ class TestCheckpointRoundTrip:
         save_model(tmp_path / "a.ckpt", model, {"epochs": 4})
         loaded, meta = load_model(tmp_path / "a.ckpt")
         assert meta == {"epochs": 4}
+        assert (loaded.kind, loaded.builder_args) == (model.kind, model.builder_args)
         save_model(tmp_path / "b.ckpt", loaded, meta)
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
@@ -109,41 +98,29 @@ class TestCheckpointRoundTrip:
         assert np.array_equal(loaded.forward(xs), model.forward(xs))
 
     def test_checkpoint_holds_one_tensor_per_parameter(self, kind, tmp_path):
-        # the container stores tensors sorted by name, and the graph in meta
-        model = BUILDERS[kind]()
+        # the container stores tensors sorted by name, and the builder entry in meta
+        model = trained_looking(kind)
         save_model(tmp_path / "m.ckpt", model, {})
         tensors, meta = read_container(tmp_path / "m.ckpt", CHECKPOINT_MAGIC)
         assert list(tensors) == sorted(name for name, _ in model.named_params())
-        assert meta == {"graph": model.describe()}
-
-    def test_graph_with_empty_tap_aliases_still_loads(self, kind, tmp_path):
-        # checkpoints written before tap aliases were removed carry an empty
-        # map, and those written before every conv layer was conv+ReLU name
-        # the conv layers' activation
-        model = trained_looking(kind)
-        desc = model.describe()
-        layers = [dict(d, activation="relu") if d["kind"] == "conv1d" else d
-                  for d in desc["layers"]]
-        graph = dict(desc, tap_aliases={}, layers=layers)
-        path = write_checkpoint(tmp_path / "old.ckpt", graph, dict(model.named_params()))
-        loaded, _ = load_model(path)
-        round_params_to_float32(model)
-        x = np.random.default_rng(13).standard_normal((3,) + model.input_shape)
-        assert np.array_equal(loaded.forward(x), model.forward(x))
-        assert loaded.describe() == model.describe()
+        assert meta == {"model": dict(PINNED_ARGS[kind], builder=kind)}
 
 
 # sha256 of each builder's trained_looking checkpoint; they pin the format:
-# container head, canonical JSON header with the graph in meta, then
+# container head, canonical JSON header with the builder entry in meta, then
 # little-endian float32 tensors sorted by name
 CHECKPOINT_SHA256 = {
-    "fusion": "3c33fae82472a53320252e448babe458c52dd4ad29460644e9ca30f282e6bf7a",
-    "haptic_cnn": "3bb5e0726f5b37b2d0a49c3d33a885f7777d8991bcf03d7210517d0d5f263b78",
-    "haptic_lstm": "74efcbd9383d69148ec022ba52df91d15925b36f3b2bf4fc0cfb84d623db9eab",
+    "fusion": "abe156d334123dab295707a363549d58c1b34868796586a3efd6c8ad8d0816b0",
+    "haptic_cnn": "22ae51dd75ad3e1db5ff430bd961478a552677a1f3c88c268ff9c3e7b0d23262",
+    "haptic_lstm": "57de3364275e81f202dc4b7b3e9bf586435b633ac98d4cc3f58b8499b24bc3a5",
 }
 
 
-@pytest.mark.parametrize("kind", sorted(CHECKPOINT_SHA256))
+def test_every_builder_has_a_pinned_checkpoint():
+    assert CHECKPOINT_SHA256.keys() == PINNED_ARGS.keys() == BUILDERS.keys()
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDERS))
 def test_checkpoint_bytes_are_pinned(tmp_path, kind):
     save_model(tmp_path / "m.ckpt", trained_looking(kind), {"epochs": 4, "note": "x"})
     digest = hashlib.sha256((tmp_path / "m.ckpt").read_bytes()).hexdigest()
@@ -235,156 +212,104 @@ def test_weight_at_the_float32_limit_is_kept(tmp_path):
     assert loaded[0, :2].tolist() == [limit, -limit]
 
 
+def fusion_tensors(feature_dim=4):
+    return dict(build_linear_classifier(feature_dim).named_params())
+
+
 class TestCheckpointReader:
-    def test_meta_without_graph_rejected(self, tmp_path):
-        path = tmp_path / "m.ckpt"
-        write_container(path, CHECKPOINT_MAGIC, {"fc.weights": np.zeros((1, 4))}, {})
-        with pytest.raises(UnsupportedFormatError, match="'graph'") as err:
+    def load_rejects(self, path, message):
+        with pytest.raises(UnsupportedFormatError, match=message) as err:
             load_model(path)
         assert str(path) in str(err.value)
+
+    def test_meta_without_builder_entry_rejected(self, tmp_path):
+        path = write_checkpoint(tmp_path / "m.ckpt", {"epochs": 2}, fusion_tensors())
+        self.load_rejects(path, "meta has no 'model' builder entry")
+
+    def test_graph_only_meta_predates_builder_entries(self, tmp_path):
+        graph = {"kind": "fusion", "input_shape": [4], "layers": [
+            {"kind": "dense", "name": "fc", "in_dim": 4, "out_dim": 1, "activation": None}]}
+        path = write_checkpoint(tmp_path / "old.ckpt", {"graph": graph}, fusion_tensors())
+        self.load_rejects(path, "predates builder-named checkpoints")
+
+    @pytest.mark.parametrize("entry", [
+        {"builder": "attention"}, {"builder": "model"}, {"feature_dim": 4}, "fusion", None])
+    def test_unknown_builder_rejected(self, tmp_path, entry):
+        path = write_checkpoint(tmp_path / "m.ckpt", {"model": entry}, fusion_tensors())
+        self.load_rejects(path, re.escape(f"builder entry {entry!r} names no builder of "))
+
+    @pytest.mark.parametrize("value", [True, 20.0, "20", 0, -1, None, [20]])
+    def test_feature_dim_that_is_not_a_positive_int_rejected(self, tmp_path, value):
+        path = write_checkpoint(tmp_path / "m.ckpt",
+                                {"model": {"builder": "fusion", "feature_dim": value}},
+                                fusion_tensors())
+        self.load_rejects(path, re.escape(
+            f"builder 'fusion' argument feature_dim={value!r} is not a positive int"))
+
+    @pytest.mark.parametrize("value", [6, 10**9, 2**62])
+    def test_feature_dim_beyond_the_stored_values_rejected(self, tmp_path, value):
+        # 4 weights and a bias; a build of 2**62 inputs would raise numpy's ValueError
+        path = write_checkpoint(tmp_path / "m.ckpt",
+                                {"model": {"builder": "fusion", "feature_dim": value}},
+                                fusion_tensors(4))
+        self.load_rejects(path, re.escape(
+            f"builder 'fusion' argument feature_dim={value} exceeds the 5 values"))
+
+    @pytest.mark.parametrize("kind, entry, gives", [
+        ("haptic_cnn", {"feature_dim": 20}, "['feature_dim']"),
+        ("haptic_lstm", {"seed": 3}, "['seed']"),
+        ("fusion", {}, "[]"),
+        ("fusion", {"feature_dim": 4, "hidden": 2}, "['feature_dim', 'hidden']"),
+    ])
+    def test_missing_or_stray_argument_rejected(self, tmp_path, kind, entry, gives):
+        tensors = dict(trained_looking(kind).named_params())
+        path = write_checkpoint(tmp_path / "m.ckpt", {"model": dict(entry, builder=kind)},
+                                tensors)
+        takes = "['feature_dim']" if kind == "fusion" else "[]"
+        self.load_rejects(path, re.escape(
+            f"builder {kind!r} takes arguments {takes}, the checkpoint gives {gives}"))
 
     def test_weight_of_wrong_shape_rejected(self, tmp_path):
-        model = build_linear_classifier(4)
-        tensors = dict(model.named_params(), **{"fc.weights": np.zeros((1, 5))})
-        path = write_checkpoint(tmp_path / "m.ckpt", model.describe(), tensors)
-        with pytest.raises(UnsupportedFormatError, match="'fc.weights' has shape") as err:
-            load_model(path)
-        assert str(path) in str(err.value)
+        tensors = dict(fusion_tensors(), **{"fc.weights": np.zeros((1, 5))})
+        path = write_checkpoint(tmp_path / "m.ckpt",
+                                {"model": {"builder": "fusion", "feature_dim": 4}}, tensors)
+        self.load_rejects(path, "'fc.weights' has shape")
 
     def test_missing_weight_rejected(self, tmp_path):
-        model = build_linear_classifier(4)
-        tensors = dict(model.named_params())
+        tensors = fusion_tensors()
         del tensors["fc.bias"]
-        path = write_checkpoint(tmp_path / "m.ckpt", model.describe(), tensors)
-        with pytest.raises(UnsupportedFormatError, match="missing tensor 'fc.bias'") as err:
-            load_model(path)
-        assert str(path) in str(err.value)
+        path = write_checkpoint(tmp_path / "m.ckpt",
+                                {"model": {"builder": "fusion", "feature_dim": 4}}, tensors)
+        self.load_rejects(path, "missing tensor 'fc.bias'")
 
-    @pytest.mark.parametrize("stray", ["fc2.weights", "fc.scale", "fc2.weights.vel"])
+    @pytest.mark.parametrize("stray", ["fc2.weights", "fc.scale", "fc2.weights.vel",
+                                       "fc.weights.vel"])
     def test_tensor_naming_no_parameter_rejected(self, tmp_path, stray):
-        model = build_linear_classifier(4)
-        tensors = dict(model.named_params(), **{stray: np.zeros((1, 4))})
-        path = write_checkpoint(tmp_path / "m.ckpt", model.describe(), tensors)
-        with pytest.raises(UnsupportedFormatError,
-                           match=re.escape(f"[{stray!r}] name no parameter")) as err:
-            load_model(path)
+        # "<param>.vel" momentum tensors, which early checkpoints carried, too
+        tensors = dict(fusion_tensors(), **{stray: np.zeros((1, 4))})
+        path = write_checkpoint(tmp_path / "m.ckpt",
+                                {"model": {"builder": "fusion", "feature_dim": 4}}, tensors)
+        self.load_rejects(path, re.escape(f"[{stray!r}] name no parameter"))
+
+
+class TestCheckpointWriter:
+    def test_caller_meta_key_graph_round_trips(self, tmp_path):
+        save_model(tmp_path / "m.ckpt", trained_looking("fusion"), {"graph": "mine", "epochs": 2})
+        assert load_model(tmp_path / "m.ckpt")[1] == {"graph": "mine", "epochs": 2}
+
+    def test_meta_key_of_the_builder_entry_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        with pytest.raises(InvalidInputError, match="meta key 'model' is reserved") as err:
+            save_model(path, trained_looking("fusion"), {"model": "mine", "epochs": 2})
         assert str(path) in str(err.value)
+        assert not path.exists()
 
-    def test_graph_whose_layers_are_not_a_list_names_the_file(self, tmp_path):
-        model = build_linear_classifier(4)
-        desc = dict(model.describe(), layers=5)
-        path = write_checkpoint(tmp_path / "m.ckpt", desc, dict(model.named_params()))
-        with pytest.raises(InvalidSpecError, match="'layers' is a int, not a list") as err:
-            load_model(path)
+    @pytest.mark.parametrize("kind", ["reshape", "fusion"])
+    def test_model_no_builder_made_rejected(self, tmp_path, kind):
+        path = tmp_path / "m.ckpt"
+        model = Model([TimeMajorLayer("swap")], input_shape=(2, 3), kind=kind)
+        with pytest.raises(InvalidInputError,
+                           match=f"model {kind!r} was not made by a builder") as err:
+            save_model(path, model, {})
         assert str(path) in str(err.value)
-
-    def test_graph_the_package_cannot_build_names_the_file(self, tmp_path):
-        model = build_linear_classifier(4)
-        desc = model.describe()
-        desc["layers"][0]["kind"] = "attention"
-        path = write_checkpoint(tmp_path / "m.ckpt", desc, dict(model.named_params()))
-        with pytest.raises(InvalidSpecError, match="unknown layer kind 'attention'") as err:
-            load_model(path)
-        assert str(path) in str(err.value)
-
-    def test_momentum_tensors_of_old_checkpoints_are_ignored(self, tmp_path):
-        # checkpoints once stored a "<param>.vel" momentum tensor per parameter
-        model = build_linear_classifier(6, seed=2)
-        fc = model.layer("fc").params
-        fc.weights[:] = fc.weights.astype(np.float32)
-        rng = np.random.default_rng(14)
-        tensors = {"fc.weights": fc.weights, "fc.bias": fc.bias,
-                   "fc.weights.vel": rng.standard_normal((1, 6)),
-                   "fc.bias.vel": rng.standard_normal(1)}
-        loaded, _ = load_model(write_checkpoint(tmp_path / "old.ckpt", model.describe(), tensors))
-
-        # training starts its momentum from zero, so it cannot tell the two apart
-        x = rng.standard_normal((40, 6))
-        y = np.where(x @ rng.standard_normal(6) > 0, 1.0, -1.0)
-        schedule = TrainSchedule(epochs=4, finetune_epochs=3, batch_size=16, seed=5)
-        fresh = train(model, x, y, schedule)
-        old = train(loaded, x, y, schedule)
-        assert np.array_equal(old.loss_curve, fresh.loss_curve)
-        for field in ("weights", "bias"):
-            assert np.array_equal(getattr(loaded.layer("fc").params, field),
-                                  getattr(model.layer("fc").params, field)), field
-
-    def test_missing_layer_field_named(self):
-        desc = build_linear_classifier(4).describe()
-        del desc["layers"][0]["in_dim"]
-        with pytest.raises(InvalidSpecError, match="graph layer 0 .*'fc'.* lacks field 'in_dim'"):
-            model_from_description(desc)
-
-    @pytest.mark.parametrize("build, field, value", [
-        (lambda: build_linear_classifier(4), "in_dim", "4"),
-        (build_haptic_cnn, "spec",
-         {"in_channels": 32, "out_channels": 64, "kernel_len": 7, "dilation": 2}),
-    ])
-    def test_bad_layer_field_named(self, build, field, value):
-        desc = build().describe()
-        desc["layers"][0][field] = value
-        with pytest.raises(InvalidSpecError, match="graph layer 0 .* has a bad field"):
-            model_from_description(desc)
-
-    def test_unknown_layer_kind_named(self):
-        desc = build_linear_classifier(4).describe()
-        desc["layers"][0]["kind"] = "attention"
-        with pytest.raises(InvalidSpecError, match="unknown layer kind 'attention'"):
-            model_from_description(desc)
-
-    @pytest.mark.parametrize("build, field, value, layer", [
-        (lambda: build_linear_classifier(4), "input_shape", [5], "layer 0 (dense 'fc')"),
-        (build_haptic_cnn, "input_shape", [31, 150], "layer 0 (conv1d 'conv1')"),
-        (build_haptic_cnn, "flatten", [32, 38], "layer 3 (flatten 'flatten')"),
-        (build_haptic_cnn, "flatten", [64, 20], "layer 3 (flatten 'flatten')"),
-    ])
-    def test_input_shape_that_does_not_fit_named(self, build, field, value, layer):
-        # [32, 38] has conv3's 64 x 19 values in another shape; [64, 20] has more
-        desc = build().describe()
-        if field == "flatten":
-            desc["layers"][3]["in_shape"] = value
-        else:
-            desc["input_shape"] = value
-        with pytest.raises(InvalidSpecError,
-                           match=r"input_shape .* does not fit " + re.escape(layer)):
-            model_from_description(desc)
-
-    @pytest.mark.parametrize("value", [5, [32, -1], [32.0, 150], "32x150"])
-    def test_input_shape_that_is_not_a_shape_named(self, value):
-        desc = build_haptic_cnn().describe()
-        desc["input_shape"] = value
-        with pytest.raises(InvalidSpecError, match="input_shape .* not a list of positive"):
-            model_from_description(desc)
-
-    @pytest.mark.parametrize("build, index, activation, layer", [
-        (lambda: build_haptic_lstm(seed=1), 2, "tanh", "layer 2 (dense 'fc1')"),
-        (lambda: build_linear_classifier(4), 0, "sigmoid", "layer 0 (dense 'fc')"),
-        (build_haptic_cnn, 0, None, "layer 0 (conv1d 'conv1')"),
-        (build_haptic_cnn, 2, "tanh", "layer 2 (conv1d 'conv3')"),
-    ])
-    def test_activation_the_layer_does_not_run_named(self, build, index, activation, layer):
-        desc = build().describe()
-        desc["layers"][index]["activation"] = activation
-        with pytest.raises(InvalidSpecError, match=re.escape(f"{layer} has activation")):
-            model_from_description(desc)
-
-    @pytest.mark.parametrize("value, kind", [(5, "int"), (None, "NoneType"),
-                                             ({"kind": "dense"}, "dict")])
-    def test_layers_that_are_not_a_list_named(self, value, kind):
-        desc = build_linear_classifier(4).describe()
-        desc["layers"] = value
-        with pytest.raises(InvalidSpecError,
-                           match=re.escape(f"graph field 'layers' is a {kind}, not a list")):
-            model_from_description(desc)
-
-    @pytest.mark.parametrize("desc", [[], "graph", None])
-    def test_description_that_is_not_an_object_named(self, desc):
-        with pytest.raises(InvalidSpecError, match=re.escape(
-                f"graph description is a {type(desc).__name__}, not an object")):
-            model_from_description(desc)
-
-    def test_missing_graph_field_named(self):
-        desc = build_linear_classifier(4).describe()
-        del desc["input_shape"]
-        with pytest.raises(InvalidSpecError, match="'input_shape'"):
-            model_from_description(desc)
+        assert not path.exists()

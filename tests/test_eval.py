@@ -59,12 +59,19 @@ class TestMakeSplit:
         with pytest.raises(InvalidInputError, match="unknown adjective 'wet'"):
             make_split(objects, labels, "wet", seed=0)
 
-    def test_single_positive_is_infeasible(self):
+    @pytest.mark.parametrize("n_pos, ratio, message", [
+        (1, 0.9, "needs >=2 positive and >=2 negative objects, has 1 and 9"),
+        # each test size tried, 9 to 11, would take all five negatives
+        (5, 0.01, "no test size near 10 of 10 objects leaves both classes on both sides"),
+        (5, 0.05, "no test size near 10 of 10 objects leaves both classes on both sides"),
+    ])
+    def test_infeasible_split_rejected(self, n_pos, ratio, message):
         objects = [f"o{i}" for i in range(10)]
         labels = label_table(np.random.default_rng(2), objects, p_positive=0.0)
-        labels["o0"]["fuzzy"] = True
-        with pytest.raises(InfeasibleSplitError, match="fuzzy"):
-            make_split(objects, labels, "fuzzy", seed=0)
+        for obj in objects[:n_pos]:
+            labels[obj]["fuzzy"] = True
+        with pytest.raises(InfeasibleSplitError, match=re.escape(f"fuzzy: {message}")):
+            make_split(objects, labels, "fuzzy", ratio=ratio, seed=0)
 
     def test_same_seed_same_plan(self):
         objects = [f"o{i}" for i in range(30)]

@@ -1,5 +1,6 @@
 """Model graphs, two-phase training, feature extraction, and fusion."""
 
+import inspect
 import re
 
 import numpy as np
@@ -16,6 +17,7 @@ from hapticnet.features import (
 )
 from hapticnet.haptic import InstanceMatrix
 from hapticnet.models import (
+    BUILDERS,
     HAPTIC_CONV_SPECS,
     DenseLayer,
     Model,
@@ -24,7 +26,6 @@ from hapticnet.models import (
     build_haptic_lstm,
     build_linear_classifier,
     conv_stack_out_len,
-    model_from_description,
 )
 from hapticnet.training import TrainSchedule, train
 
@@ -169,14 +170,6 @@ class TestHapticLstmGraph:
         assert asked == [False, True]
         assert score == cached
 
-    def test_graph_description_roundtrip(self):
-        model = build_haptic_lstm(seed=1)
-        rebuilt = model_from_description(model.describe())
-        assert [l.name for l in rebuilt.layers] == [l.name for l in model.layers]
-        for (n1, v1), (n2, v2) in zip(model.named_params(), rebuilt.named_params()):
-            assert n1 == n2
-            assert v1.shape == v2.shape
-
 
 HAPTIC_BUILDERS = {"cnn": build_haptic_cnn, "lstm": build_haptic_lstm}
 
@@ -238,6 +231,21 @@ class TestModelGraph:
         model = Model([TimeMajorLayer("swap")], input_shape=(2, 3), kind="reshape")
         with pytest.raises(InvalidSpecError, match="model 'reshape' has no parameterized layers"):
             model.classifier_layer()
+
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    def test_builder_records_its_kind_and_arguments(self, kind):
+        # a checkpoint names the builder by the model's kind and stores these
+        # arguments, which must be the builder's own other than the seed
+        takes = inspect.signature(BUILDERS[kind]).parameters.keys() - {"seed"}
+        args = {name: 7 for name in takes}
+        for seed in (0, 9):
+            model = BUILDERS[kind](seed=seed, **args)
+            assert model.kind == kind
+            assert model.builder_args == args
+
+    def test_model_put_together_by_hand_records_no_builder(self):
+        model = Model([DenseLayer("fc", 4, 1, seed=0)], input_shape=(4,), kind="fusion")
+        assert model.builder_args is None
 
 
 class TestTraining:
