@@ -41,7 +41,8 @@ class SplitPlan:
 def make_split(objects, labels, adjective, ratio=0.9, seed=0) -> SplitPlan:
     """Seeded stratified 90/10 object split with both classes on both sides.
 
-    ``labels`` maps object id -> {adjective: bool}.  The test size is the
+    ``labels`` maps object id -> {adjective: bool}, and every object must
+    have a label for ``adjective``.  The test size is the
     rounded share, else one more or one fewer; failing those, it keeps the
     rounded share (at least 2) and caps the test positives at one below it.
     The counts do not depend on the seed, which only picks the objects.
@@ -51,6 +52,9 @@ def make_split(objects, labels, adjective, ratio=0.9, seed=0) -> SplitPlan:
         raise InvalidInputError(f"split ratio must lie strictly between 0 and 1, got {ratio!r}")
     if adjective not in ADJECTIVES:
         raise InvalidInputError(f"unknown adjective {adjective!r}")
+    unlabeled = [o for o in objects if adjective not in labels.get(o, ())]
+    if unlabeled:
+        raise InvalidInputError(f"{adjective}: objects {unlabeled} have no label for it")
 
     pos = [o for o in objects if labels[o][adjective]]
     neg = [o for o in objects if not labels[o][adjective]]
@@ -105,16 +109,10 @@ def roc_auc(scores, labels) -> float:
     n_neg = s.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedAUCError(f"need both classes, got {n_pos} positive / {n_neg} negative")
-    order = np.argsort(s, kind="mergesort")
-    ranks = np.empty(s.size, dtype=np.float64)
-    sorted_scores = s[order]
-    i = 0
-    while i < s.size:
-        j = i
-        while j + 1 < s.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * ((i + 1) + (j + 1))  # midrank, 1-based
-        i = j + 1
+    # the 1-based midrank of a run of c tied scores ending at rank r is
+    # r - (c - 1) / 2, an exact half-integer
+    _, tie_run, counts = np.unique(s, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[tie_run]
     u = ranks[pos_mask].sum() - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
 

@@ -69,7 +69,8 @@ def fuse_features(haptic, visual):
     """Concatenate per-object haptic and visual features, haptic first.
 
     Both inputs are FeatureVector lists with one entry per object; the
-    object sets must match exactly.
+    object sets must match exactly, and within a modality every object's
+    vector has the same length.
     """
     hmap = {f.object_id: f for f in haptic}
     vmap = {f.object_id: f for f in visual}
@@ -81,6 +82,13 @@ def fuse_features(haptic, visual):
         raise InvalidInputError(
             f"modality provenance mismatch: haptic-only={only_h}, visual-only={only_v}"
         )
+    for modality, fmap in (("haptic", hmap), ("visual", vmap)):
+        by_length = {}
+        for obj in sorted(fmap):
+            by_length.setdefault(fmap[obj].values.shape[0], []).append(obj)
+        if len(by_length) > 1:
+            raise InvalidInputError(
+                f"{modality} feature lengths differ across objects: {by_length}")
     return [
         FeatureVector(object_id=obj, index=(),
                       values=np.concatenate([hmap[obj].values, vmap[obj].values]))

@@ -424,7 +424,8 @@ def read_labels_csv(path):
     """Returns [(object_id, name, {adjective: bool})] in file order.
 
     Blank lines are skipped.  Errors name the line as it is numbered in the
-    file, and the first line with a problem raises.
+    file, and the first line with a problem raises.  An object id may have
+    one row only; a repeated one names the line of its first row.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -438,10 +439,15 @@ def read_labels_csv(path):
     if first[1].split(",") != ["object_id", "name"] + list(ADJECTIVES):
         raise UnsupportedFormatError(f"{path}: unexpected label table header")
     rows = []
+    first_lines = {}  # object id -> line of its row
     for ln, line in lines:
         cells = line.split(",")
         if len(cells) != 2 + len(ADJECTIVES):
             raise UnsupportedFormatError(f"{path}:{ln}: wrong column count")
+        first = first_lines.setdefault(cells[0], ln)
+        if first != ln:
+            raise UnsupportedFormatError(
+                f"{path}:{ln}: object {cells[0]!r} already has a row, on line {first}")
         labels = {}
         for adj, cell in zip(ADJECTIVES, cells[2:]):
             if cell not in ("0", "1"):

@@ -1,6 +1,7 @@
 """Dataset manifests: strict loading and total validation."""
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -218,12 +219,15 @@ def validate(manifest: DatasetManifest, root) -> list:
         findings.extend(Finding(str(path), field, message)
                         for field, message in block_problems(chans))
 
-    # visual feature files: one per object, N_VIEWS maps each
+    # visual feature files: one per object, N_VIEWS maps each, no map with
+    # an empty axis, and one channel count across objects (pooling removes
+    # H and W, so only C must agree)
     visual_objects = [v["object_id"] for v in entries["visual"]]
     for obj in object_ids:
         if visual_objects.count(obj) != 1:
             findings.append(Finding("manifest", "visual",
                                     f"object {obj}: {visual_objects.count(obj)} feature files, expected 1"))
+    channels = {}  # feature file -> channel count, for files without an empty map
     for entry in entries["visual"]:
         path = root / entry["path"]
         try:
@@ -234,4 +238,15 @@ def validate(manifest: DatasetManifest, root) -> list:
         if grids.shape[0] != N_VIEWS:
             findings.append(Finding(str(path), "views",
                                     f"{grids.shape[0]} views, expected {N_VIEWS}"))
+        if 0 in grids.shape[1:]:
+            findings.append(Finding(str(path), "shape",
+                                    f"maps of shape {grids.shape[1:]} have an empty axis"))
+        else:
+            channels[str(path)] = grids.shape[3]
+    if channels:
+        common, n_common = Counter(channels.values()).most_common(1)[0]
+        findings.extend(
+            Finding(path, "channels", f"{c} channels, where {n_common} of "
+                    f"{len(channels)} feature files have {common}")
+            for path, c in channels.items() if c != common)
     return findings

@@ -5,13 +5,14 @@ pure forward/backward functions (the cache returned by forward carries
 everything backward needs), so forward passes are reentrant; only the
 optimizer mutates parameters.  All layers accept a leading batch axis.
 
-Every layer has ``forward(x, cache=True) -> (out, cache)`` and
+Every layer has parameters, ``forward(x, cache=True) -> (out, cache)`` and
 ``backward(cache, grad_out, input_grad=True) -> (grad_in, param_grads)``.
-The Model sets both keywords from the graph: ``Model.forward`` asks for
-no cache, and ``Model.backward`` asks a layer for its input gradient only
-when a layer before it has parameters.  A layer told not to may return None
-in place of what was not asked for; one whose cache or input gradient is
-cheap ignores the keyword.
+The Model sets both keywords: ``Model.forward`` asks for no cache, and
+``Model.backward`` asks every layer but the first for its input gradient.
+A layer told not to may return None in place of what was not asked for;
+one whose cache or input gradient is cheap ignores the keyword.  A layer
+reshapes what it reads itself: the dense layer flattens its trailing
+input shape and the LSTM reads the (C, T) instance time-major.
 
 The three networks are made only by their builders, which ``BUILDERS``
 names by the kind of model each returns.  A built model records that kind
@@ -20,6 +21,7 @@ which builder to call instead of a description of the graph.
 """
 
 from dataclasses import fields
+from math import prod
 
 import numpy as np
 
@@ -42,15 +44,11 @@ from .haptic import INSTANCE_CHANNELS, RESAMPLE_LEN
 
 
 class Layer:
-    """Base of every layer.  A layer with parameters sets ``params`` to a
-    parameter dataclass in its ``reinit``, which its ``__init__`` calls."""
-
-    params = None
+    """Base of every layer.  Its ``reinit``, which its ``__init__`` calls,
+    sets ``params`` to a parameter dataclass."""
 
     def param_items(self):
         """[(name, array)] for the fields of ``params``, in field order."""
-        if self.params is None:
-            return []
         return [(f.name, getattr(self.params, f.name)) for f in fields(self.params)]
 
 
@@ -81,14 +79,26 @@ class Conv1dLayer(Layer):
 
 
 class DenseLayer(Layer):
-    def __init__(self, name, in_dim, out_dim, seed, activation=None):
+    """Affine map, optionally rectified, over a trailing ``in_shape``.
+
+    The trailing axes are flattened into one feature axis on the way in and
+    the input gradient is reshaped back to them.
+    """
+
+    def __init__(self, name, in_shape, out_dim, seed, activation=None):
         self.name = name
-        self.in_dim = in_dim
+        self.in_shape = tuple(in_shape)
         self.out_dim = out_dim
         self.activation = activation
         self.reinit(seed)
 
     def forward(self, x, cache=True):
+        lead = x.shape[:x.ndim - len(self.in_shape)]
+        if x.shape[len(lead):] != self.in_shape:
+            raise InvalidInputError(
+                f"dense layer {self.name!r} expects trailing shape {self.in_shape}, "
+                f"got input shape {x.shape}")
+        x = x.reshape(lead + (-1,))
         pre = inner_product(x, self.params)
         if self.activation == "relu":
             return relu(pre), (x, pre)
@@ -99,13 +109,16 @@ class DenseLayer(Layer):
         if self.activation == "relu":
             grad_out = relu_backward(pre, grad_out)
         grad_x, gw, gb = inner_product_backward(x, self.params, grad_out)
-        return grad_x, {"weights": gw, "bias": gb}
+        return grad_x.reshape(x.shape[:-1] + self.in_shape), {"weights": gw, "bias": gb}
 
     def reinit(self, seed):
-        self.params = LayerParams.for_dense(self.in_dim, self.out_dim, seed)
+        self.params = LayerParams.for_dense(prod(self.in_shape), self.out_dim, seed)
 
 
 class LstmLayer(Layer):
+    """LSTM over a channel-major (..., C, T) instance, read time-major as
+    (..., T, C); the input gradient is swapped back to (..., C, T)."""
+
     def __init__(self, name, input_size, hidden_size, seed):
         self.name = name
         self.input_size = input_size
@@ -113,53 +126,29 @@ class LstmLayer(Layer):
         self.reinit(seed)
 
     def forward(self, x, cache=True):
+        if x.ndim not in (2, 3):
+            raise InvalidInputError(f"lstm layer {self.name!r} reads a (C, T) instance or "
+                                    f"(B, C, T) batch, got shape {x.shape}")
+        seq = np.swapaxes(x, -1, -2)
         if not cache:
-            return lstm_forward(x, self.params), None
-        return lstm_forward(x, self.params, return_cache=True)
+            return lstm_forward(seq, self.params), None
+        return lstm_forward(seq, self.params, return_cache=True)
 
     def backward(self, cache, grad_out, input_grad=True):
         grad_seq, gwx, gwh, gb = lstm_backward(self.params, cache, grad_out,
                                                input_grad=input_grad)
-        return grad_seq, {"w_x": gwx, "w_h": gwh, "bias": gb}
+        grad_x = None if grad_seq is None else np.swapaxes(grad_seq, -1, -2)
+        return grad_x, {"w_x": gwx, "w_h": gwh, "bias": gb}
 
     def reinit(self, seed):
         self.params = LstmParams.create(self.input_size, self.hidden_size, seed)
 
 
-class FlattenLayer(Layer):
-    def __init__(self, name, in_shape):
-        self.name = name
-        self.in_shape = tuple(in_shape)
-
-    def forward(self, x, cache=True):
-        if x.shape[x.ndim - len(self.in_shape):] != self.in_shape:
-            raise InvalidInputError(
-                f"flatten {self.name!r} expects trailing shape {self.in_shape}, "
-                f"got input shape {x.shape}")
-        lead = x.shape[:x.ndim - len(self.in_shape)]
-        return x.reshape(lead + (-1,)), lead
-
-    def backward(self, cache, grad_out, input_grad=True):
-        return grad_out.reshape(cache + self.in_shape), {}
-
-
-class TimeMajorLayer(Layer):
-    """(..., C, T) -> (..., T, C) so sequence models read time steps."""
-
-    def __init__(self, name):
-        self.name = name
-
-    def forward(self, x, cache=True):
-        return np.swapaxes(x, -1, -2), None
-
-    def backward(self, cache, grad_out, input_grad=True):
-        return np.swapaxes(grad_out, -1, -2), {}
-
-
 class Model:
-    """Ordered layer list with a scalar score output.
+    """Ordered, non-empty list of layers with a scalar score output.
 
-    A tap names a layer; tapping returns that layer's output, after its
+    Every layer has parameters, and the last is the classifier.  A tap
+    names a layer; tapping returns that layer's output, after its
     activation.
     """
 
@@ -167,10 +156,11 @@ class Model:
     # model; None for a model put together by hand
     builder_args = None
 
-    def __init__(self, layers, input_shape, kind="model"):
+    def __init__(self, layers, kind="model"):
         self.layers = list(layers)
-        self.input_shape = tuple(input_shape)
         self.kind = kind
+        if not self.layers:
+            raise InvalidSpecError(f"model {kind!r} has no layers")
         names = [l.name for l in self.layers]
         if len(set(names)) != len(names):
             raise InvalidSpecError(f"duplicate layer names: {names}")
@@ -212,17 +202,15 @@ class Model:
     def backward(self, caches, grad_score):
         """Backprop a score gradient; returns param grads keyed 'layer.param'.
 
-        Only parameter gradients leave this method, so the pass stops at the
-        first parameterized layer, which gets ``input_grad=False``: the
-        gradient of the network input is never built.
+        Only parameter gradients leave this method, so the first layer gets
+        ``input_grad=False``: the gradient of the network input is never
+        built.
         """
         grad = np.asarray(grad_score)[..., None]
         grads = {}
-        first = next((i for i, l in enumerate(self.layers) if l.param_items()),
-                     len(self.layers))
-        for i in range(len(self.layers) - 1, first - 1, -1):
+        for i in range(len(self.layers) - 1, -1, -1):
             l = self.layers[i]
-            grad, layer_grads = l.backward(caches[i], grad, input_grad=i > first)
+            grad, layer_grads = l.backward(caches[i], grad, input_grad=i > 0)
             for pname, g in layer_grads.items():
                 grads[f"{l.name}.{pname}"] = g
         return grads
@@ -234,11 +222,8 @@ class Model:
                 yield f"{l.name}.{pname}", value
 
     def classifier_layer(self):
-        """The final parameterized layer (the loss-facing classifier)."""
-        for l in reversed(self.layers):
-            if l.param_items():
-                return l
-        raise InvalidSpecError(f"model {self.kind!r} has no parameterized layers")
+        """The last layer (the loss-facing classifier)."""
+        return self.layers[-1]
 
     def parameter_count(self):
         return sum(v.size for _, v in self.named_params())
@@ -264,38 +249,33 @@ def conv_stack_out_len():
 
 
 def build_haptic_cnn(seed=0) -> Model:
-    """32x150 input -> three grouped conv+ReLU blocks -> flatten -> score."""
+    """32x150 input -> three grouped conv+ReLU blocks -> fc over the flattened
+    64x19 conv3 output -> score."""
     layers = []
     for i, spec in enumerate(HAPTIC_CONV_SPECS, start=1):
         layers.append(Conv1dLayer(f"conv{i}", spec,
                                   derive_seed(seed, f"conv{i}.weights")))
-    t_out = conv_stack_out_len()
-    flat = HAPTIC_CONV_SPECS[-1].out_channels * t_out
-    layers.append(FlattenLayer("flatten", in_shape=(HAPTIC_CONV_SPECS[-1].out_channels, t_out)))
-    layers.append(DenseLayer("fc", flat, 1, derive_seed(seed, "fc.weights")))
+    conv3_shape = (HAPTIC_CONV_SPECS[-1].out_channels, conv_stack_out_len())
+    layers.append(DenseLayer("fc", conv3_shape, 1, derive_seed(seed, "fc.weights")))
     # tapping "conv3" yields the rectified conv3 output
-    return _built(Model(layers, input_shape=(INSTANCE_CHANNELS, RESAMPLE_LEN),
-                        kind="haptic_cnn"))
+    return _built(Model(layers, kind="haptic_cnn"))
 
 
 def build_haptic_lstm(seed=0) -> Model:
     """Same 32x150 input read time-major: LSTM(10) -> fc(10)+ReLU -> score."""
     layers = [
-        TimeMajorLayer("time_major"),
         LstmLayer("lstm", INSTANCE_CHANNELS, LSTM_HIDDEN, derive_seed(seed, "lstm.weights")),
-        DenseLayer("fc1", LSTM_HIDDEN, LSTM_HIDDEN, derive_seed(seed, "fc1.weights"),
+        DenseLayer("fc1", (LSTM_HIDDEN,), LSTM_HIDDEN, derive_seed(seed, "fc1.weights"),
                    activation="relu"),
-        DenseLayer("fc2", LSTM_HIDDEN, 1, derive_seed(seed, "fc2.weights")),
+        DenseLayer("fc2", (LSTM_HIDDEN,), 1, derive_seed(seed, "fc2.weights")),
     ]
-    return _built(Model(layers, input_shape=(INSTANCE_CHANNELS, RESAMPLE_LEN),
-                        kind="haptic_lstm"))
+    return _built(Model(layers, kind="haptic_lstm"))
 
 
 def build_linear_classifier(feature_dim, seed=0) -> Model:
     """Single affine scorer over a fixed feature vector (the fusion head)."""
-    layers = [DenseLayer("fc", feature_dim, 1, derive_seed(seed, "fc.weights"))]
-    return _built(Model(layers, input_shape=(feature_dim,), kind="fusion"),
-                  feature_dim=feature_dim)
+    layers = [DenseLayer("fc", (feature_dim,), 1, derive_seed(seed, "fc.weights"))]
+    return _built(Model(layers, kind="fusion"), feature_dim=feature_dim)
 
 
 def _built(model, **args):

@@ -50,6 +50,10 @@ def _check_training_inputs(instances, labels):
         raise InvalidInputError(f"labels shape {y.shape} != ({x.shape[0]},)")
     if not np.all(np.abs(y) == 1.0):
         raise InvalidInputError("labels must be -1 or +1")
+    finite = np.isfinite(x).reshape(x.shape[0], -1).all(axis=1)
+    if not finite.all():
+        raise InvalidInputError(
+            f"training instance {np.flatnonzero(~finite)[0]} holds a non-finite value")
     return x, y
 
 

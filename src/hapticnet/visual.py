@@ -24,10 +24,11 @@ class VisualFeatureMap:
     grid: np.ndarray
 
     def __post_init__(self):
+        where = f"object {self.object_id} view {self.view_index}"
         if self.grid.ndim != 3 or min(self.grid.shape) < 1:
-            raise InvalidInputError(f"feature map must be HxWxC, got {self.grid.shape}")
+            raise InvalidInputError(f"{where}: feature map must be HxWxC, got {self.grid.shape}")
         if not np.all(np.isfinite(self.grid)):
-            raise InvalidInputError("feature map contains non-finite values")
+            raise InvalidInputError(f"{where}: feature map contains non-finite values")
 
 
 @dataclass

@@ -17,7 +17,7 @@ from hapticnet.io import (
     save_model,
     write_container,
 )
-from hapticnet.models import BUILDERS, Model, TimeMajorLayer, build_linear_classifier
+from hapticnet.models import BUILDERS, DenseLayer, Model, build_linear_classifier
 
 # the arguments other than the seed that the pinned checkpoints are built with
 PINNED_ARGS = {"haptic_cnn": {}, "haptic_lstm": {}, "fusion": {"feature_dim": 20}}
@@ -30,6 +30,11 @@ def trained_looking(kind):
     for _, value in model.named_params():
         value[:] = rng.standard_normal(value.shape)
     return model
+
+
+def input_shape(model):
+    """The shape of one input the model scores: a 32x150 instance or a feature vector."""
+    return (model.builder_args["feature_dim"],) if model.kind == "fusion" else (32, 150)
 
 
 @st.composite
@@ -93,7 +98,7 @@ class TestCheckpointRoundTrip:
         for (n1, v1), (n2, v2) in zip(model.named_params(), loaded.named_params()):
             assert n1 == n2
             assert np.array_equal(v1, v2)
-        xs = np.random.default_rng(12).standard_normal((5,) + model.input_shape)
+        xs = np.random.default_rng(12).standard_normal((5,) + input_shape(model))
         assert np.array_equal(loaded.forward(xs[0]), model.forward(xs[0]))
         assert np.array_equal(loaded.forward(xs), model.forward(xs))
 
@@ -307,7 +312,7 @@ class TestCheckpointWriter:
     @pytest.mark.parametrize("kind", ["reshape", "fusion"])
     def test_model_no_builder_made_rejected(self, tmp_path, kind):
         path = tmp_path / "m.ckpt"
-        model = Model([TimeMajorLayer("swap")], input_shape=(2, 3), kind=kind)
+        model = Model([DenseLayer("fc", (4,), 1, seed=0)], kind=kind)
         with pytest.raises(InvalidInputError,
                            match=f"model {kind!r} was not made by a builder") as err:
             save_model(path, model, {})

@@ -59,6 +59,19 @@ class TestMakeSplit:
         with pytest.raises(InvalidInputError, match="unknown adjective 'wet'"):
             make_split(objects, labels, "wet", seed=0)
 
+    @pytest.mark.parametrize("drop", ["object", "adjective"])
+    def test_object_without_a_label_rejected(self, drop):
+        objects = [f"o{i}" for i in range(10)]
+        labels = label_table(np.random.default_rng(3), objects)
+        for obj in ("o2", "o7"):
+            if drop == "object":
+                del labels[obj]
+            else:
+                del labels[obj]["bumpy"]
+        with pytest.raises(InvalidInputError,
+                           match=re.escape("bumpy: objects ['o2', 'o7'] have no label for it")):
+            make_split(objects, labels, "bumpy", seed=0)
+
     @pytest.mark.parametrize("n_pos, ratio, message", [
         (1, 0.9, "needs >=2 positive and >=2 negative objects, has 1 and 9"),
         # each test size tried, 9 to 11, would take all five negatives

@@ -1,6 +1,7 @@
 """Trial files, label tables and feature maps: round trips, and rejection of
 what the readers cannot place."""
 
+import re
 import struct
 
 import numpy as np
@@ -214,6 +215,16 @@ def test_label_table_errors_name_the_line_in_the_file(tmp_path):
     lines[2] = lines[2][:-1] + "2"
     path.write_text("\n".join(lines[:1] + ["", " "] + lines[1:]))
     with pytest.raises(UnsupportedFormatError, match=r"labels\.csv:5: label cell '2'"):
+        read_labels_csv(path)
+
+
+def test_label_table_with_a_repeated_object_id_rejected(tmp_path):
+    # the repeat would otherwise overwrite the first row in any dict built from the rows
+    path = tmp_path / "labels.csv"
+    write_labels_csv(path, [(f"o{i}", "mug", {a: True for a in ADJECTIVES}) for i in range(3)])
+    path.write_text(path.read_text() + ",".join(["o1", "mug"] + ["0"] * len(ADJECTIVES)) + "\n")
+    with pytest.raises(UnsupportedFormatError, match=re.escape(
+            f"{path}:5: object 'o1' already has a row, on line 3")):
         read_labels_csv(path)
 
 

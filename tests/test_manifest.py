@@ -4,6 +4,7 @@ import json
 import os
 import shutil
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -160,6 +161,17 @@ class TestValidate:
         assert [(f.file, f.field) for f in findings] == [(str(labels), "labels")]
         assert str(labels) in findings[0].message
 
+    def test_repeated_label_row(self, tree):
+        # the repeat flips every label; a dict built from the rows would keep it
+        manifest = load_manifest(tree)
+        labels = tree.parent / manifest.labels_path
+        rows = read_labels_csv(labels)
+        obj, name, first = rows[0]
+        write_labels_csv(labels, rows + [(obj, name, {a: not v for a, v in first.items()})])
+        assert validate(manifest, tree.parent) == [Finding(
+            str(labels), "labels",
+            f"{labels}:{len(rows) + 2}: object {obj!r} already has a row, on line 2")]
+
     def test_duplicate_trial_entry(self, tree):
         manifest = load_manifest(tree)
         entry = manifest.trials[0]
@@ -191,6 +203,24 @@ class TestValidate:
             write_feature_maps(path, read_feature_maps(path)[:4])
         assert validate(manifest, tree.parent) == [
             Finding(str(path), "views", "4 views, expected 8") for path in paths]
+
+    def test_feature_maps_with_an_empty_axis(self, tree):
+        manifest = load_manifest(tree)
+        path = tree.parent / manifest.visual[1]["path"]
+        write_feature_maps(path, np.zeros((8, 0, 4, 12)))
+        assert validate(manifest, tree.parent) == [
+            Finding(str(path), "shape", "maps of shape (0, 4, 12) have an empty axis")]
+
+    def test_feature_maps_whose_channel_count_differs(self, tree):
+        # pooling removes H and W, so another grid size is no finding
+        manifest = load_manifest(tree)
+        paths = [tree.parent / entry["path"] for entry in manifest.visual]
+        grids = read_feature_maps(paths[1])
+        write_feature_maps(paths[0], read_feature_maps(paths[0])[:, :2, :3])
+        write_feature_maps(paths[1], grids[..., :grids.shape[3] - 2])
+        assert validate(manifest, tree.parent) == [Finding(
+            str(paths[1]), "channels",
+            f"{grids.shape[3] - 2} channels, where 1 of 2 feature files have {grids.shape[3]}")]
 
     def test_missing_trial_file(self, tree):
         manifest = load_manifest(tree)

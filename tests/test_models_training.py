@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from hapticnet.engine import inner_product, lstm_forward, relu
+from hapticnet.engine import inner_product, lstm_backward, lstm_forward, relu
 from hapticnet.errors import InvalidInputError, InvalidSpecError
 from hapticnet.features import (
     FeatureVector,
@@ -21,7 +21,6 @@ from hapticnet.models import (
     HAPTIC_CONV_SPECS,
     DenseLayer,
     Model,
-    TimeMajorLayer,
     build_haptic_cnn,
     build_haptic_lstm,
     build_linear_classifier,
@@ -140,6 +139,14 @@ class TestHapticLstmGraph:
         model = build_haptic_lstm(seed=0)
         assert model.layer("lstm").hidden_size == 10
 
+    @pytest.mark.parametrize("shape", [(2, 3, 32, 150), (150,)])
+    def test_input_rank_rejected(self, shape):
+        # the message gives the shape the caller passed, not the time-major one
+        model = build_haptic_lstm(seed=0)
+        with pytest.raises(InvalidInputError, match=re.escape(
+                f"lstm layer 'lstm' reads a (C, T) instance or (B, C, T) batch, got shape {shape}")):
+            model.forward(np.zeros(shape))
+
     def test_zero_initialized_scores_zero(self):
         model = build_haptic_lstm(seed=0)
         for _, value in model.named_params():
@@ -195,18 +202,25 @@ class TestGraphKeywords:
         grad_score = rng.standard_normal(score.shape)
         grads = model.backward(caches, grad_score)
         full = {}
+        grad_outs = {}
         grad = np.asarray(grad_score)[..., None]
         for l, cache in zip(reversed(model.layers), reversed(caches)):
+            grad_outs[l.name] = grad
             grad, layer_grads = l.backward(cache, grad)  # every input gradient built
             full.update({f"{l.name}.{p}": g for p, g in layer_grads.items()})
         assert grad.shape == x.shape
         assert sorted(grads) == sorted(full)
         for name in full:
             assert np.array_equal(grads[name], full[name]), name
+        if net == "lstm":
+            # the LSTM reads the instance time-major and swaps its gradient back
+            grad_seq = lstm_backward(model.layer("lstm").params, caches[0], grad_outs["lstm"])[0]
+            assert np.array_equal(grad, np.swapaxes(grad_seq, -1, -2))
 
     def test_first_parameterized_layer_builds_no_input_grad(self, net):
+        # every layer has parameters, so the first layer is the first parameterized one
         model = HAPTIC_BUILDERS[net](seed=8)
-        first = next(l for l in model.layers if l.param_items())
+        assert all(l.param_items() for l in model.layers)
         asked = {}
         for l in model.layers:
             def recording(cache, grad_out, input_grad=True, _l=l):
@@ -217,20 +231,31 @@ class TestGraphKeywords:
             l.backward = recording
         _, caches = model.forward_cached(np.zeros((3, 32, 150)))
         model.backward(caches, np.ones(3))
-        start = model.layers.index(first)
-        assert asked == {l.name: l is not first for l in model.layers[start:]}
+        assert asked == {l.name: i > 0 for i, l in enumerate(model.layers)}
 
 
 class TestModelGraph:
     def test_duplicate_layer_names_rejected(self):
-        layers = [TimeMajorLayer("swap"), TimeMajorLayer("swap")]
-        with pytest.raises(InvalidSpecError, match=r"duplicate layer names: \['swap', 'swap'\]"):
-            Model(layers, input_shape=(2, 3))
+        layers = [DenseLayer("fc", (3,), 3, seed=0), DenseLayer("fc", (3,), 1, seed=0)]
+        with pytest.raises(InvalidSpecError, match=r"duplicate layer names: \['fc', 'fc'\]"):
+            Model(layers)
 
-    def test_classifier_layer_needs_a_parameterized_layer(self):
-        model = Model([TimeMajorLayer("swap")], input_shape=(2, 3), kind="reshape")
-        with pytest.raises(InvalidSpecError, match="model 'reshape' has no parameterized layers"):
-            model.classifier_layer()
+    def test_model_needs_a_layer(self):
+        with pytest.raises(InvalidSpecError, match="model 'empty' has no layers"):
+            Model([], kind="empty")
+
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    def test_every_layer_has_parameters_and_the_last_classifies(self, kind):
+        model = BUILDERS[kind](**({"feature_dim": 5} if kind == "fusion" else {}))
+        assert all(l.param_items() for l in model.layers)
+        assert model.classifier_layer() is model.layers[-1]
+
+    @pytest.mark.parametrize("shape", [(5, 64, 18), (64, 19, 1), (1216,)])
+    def test_dense_layer_rejects_another_trailing_shape(self, shape):
+        model = build_haptic_cnn(seed=0)
+        with pytest.raises(InvalidInputError, match=re.escape(
+                f"dense layer 'fc' expects trailing shape (64, 19), got input shape {shape}")):
+            model.layer("fc").forward(np.zeros(shape))
 
     @pytest.mark.parametrize("kind", sorted(BUILDERS))
     def test_builder_records_its_kind_and_arguments(self, kind):
@@ -244,7 +269,7 @@ class TestModelGraph:
             assert model.builder_args == args
 
     def test_model_put_together_by_hand_records_no_builder(self):
-        model = Model([DenseLayer("fc", 4, 1, seed=0)], input_shape=(4,), kind="fusion")
+        model = Model([DenseLayer("fc", (4,), 1, seed=0)], kind="fusion")
         assert model.builder_args is None
 
 
@@ -330,8 +355,7 @@ class TestTraining:
 
     def test_non_finite_gradient_restores_the_weights_without_warning(self):
         # the scores are 1e10, but fc1's weight gradient is 1e300 * 1e10
-        model = Model([DenseLayer("fc1", 1, 1, seed=0), DenseLayer("fc2", 1, 1, seed=0)],
-                      input_shape=(1,))
+        model = Model([DenseLayer("fc1", (1,), 1, seed=0), DenseLayer("fc2", (1,), 1, seed=0)])
         model.layer("fc1").params.weights[:] = 1e-300
         model.layer("fc2").params.weights[:] = 1e300
         before = [value.copy() for _, value in model.named_params()]
@@ -350,6 +374,15 @@ class TestTraining:
         with pytest.raises(InvalidInputError, match=re.escape(f"labels shape {shape} != (4,)")):
             train(build_linear_classifier(3), np.zeros((4, 3)), np.ones(shape),
                   TrainSchedule(epochs=1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_a_non_finite_instance(self, bad):
+        # such an input used to surface as divergence with an empty loss curve
+        x = np.random.default_rng(3).standard_normal((20, 8))
+        x[13, 5] = bad
+        x[17, 0] = bad
+        with pytest.raises(InvalidInputError, match="training instance 13 holds a non-finite value"):
+            train(build_linear_classifier(8), x, np.ones(20), TrainSchedule(epochs=1))
 
     def test_rejects_bad_labels(self):
         model = build_linear_classifier(3, seed=0)
@@ -476,6 +509,17 @@ class TestFusion:
             fuse_features(haptic + haptic[:1], visual)
         with pytest.raises(InvalidInputError, match="duplicate object ids"):
             fuse_features(haptic, visual + visual[2:3])
+
+    @pytest.mark.parametrize("modality", ["haptic", "visual"])
+    def test_feature_lengths_that_differ_across_objects_rejected(self, modality):
+        haptic, visual = self.make_modalities(np.random.default_rng(6), n=4)
+        feats = {"haptic": haptic, "visual": visual}[modality]
+        feats[2] = FeatureVector("o2", (), np.zeros(3))
+        length = feats[0].values.shape[0]
+        with pytest.raises(InvalidInputError, match=re.escape(
+                f"{modality} feature lengths differ across objects: "
+                f"{{{length}: ['o0', 'o1', 'o3'], 3: ['o2']}}")):
+            fuse_features(haptic, visual)
 
     def test_classifier_score_is_affine(self):
         haptic, visual = self.make_modalities(np.random.default_rng(2))

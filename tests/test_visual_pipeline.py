@@ -16,15 +16,15 @@ from hapticnet.visual import (
 class TestVisualFeatureMap:
     @pytest.mark.parametrize("shape", [(4, 4), (2, 2, 3, 1), (0, 2, 3), (2, 2, 0)])
     def test_grid_must_be_non_empty_hxwxc(self, shape):
-        with pytest.raises(InvalidInputError, match="HxWxC"):
-            VisualFeatureMap(object_id="a", view_index=0, grid=np.ones(shape))
+        with pytest.raises(InvalidInputError, match="object a view 3: feature map must be HxWxC"):
+            VisualFeatureMap(object_id="a", view_index=3, grid=np.ones(shape))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_grid_rejected(self, bad):
         grid = np.ones((2, 2, 3))
         grid[1, 0, 2] = bad
-        with pytest.raises(InvalidInputError, match="non-finite"):
-            VisualFeatureMap(object_id="a", view_index=0, grid=grid)
+        with pytest.raises(InvalidInputError, match="object a view 5: feature map contains non-finite"):
+            VisualFeatureMap(object_id="a", view_index=5, grid=grid)
 
 
 class TestPoolNormalize:
