@@ -37,14 +37,18 @@ def inner_product(x: np.ndarray, params: LayerParams) -> np.ndarray:
     return x @ w.T + params.bias
 
 
-def inner_product_backward(x, params: LayerParams, grad_out):
-    """Gradients of inner_product; batch axes sum into parameter gradients."""
+def inner_product_backward(x, params: LayerParams, grad_out, input_grad=True):
+    """Gradients of inner_product; batch axes sum into parameter gradients.
+
+    Returns (grad_x, grad_w, grad_b).  With ``input_grad=False`` grad_x is
+    not computed and is None.
+    """
     w = params.weights
     if grad_out.shape != x.shape[:-1] + (w.shape[0],):
         raise InvalidSpecError(
             f"grad_out shape {grad_out.shape} does not match forward output"
         )
-    grad_x = grad_out @ w
+    grad_x = grad_out @ w if input_grad else None
     go2 = grad_out.reshape(-1, w.shape[0])
     x2 = x.reshape(-1, w.shape[1])
     grad_w = go2.T @ x2

@@ -8,7 +8,7 @@ from .errors import InvalidInputError
 from .models import Model, build_linear_classifier
 from .training import TrainSchedule, TrainResult, train
 
-EXTRACT_BATCH = 256  # instances per forward pass in extract_activations
+EXTRACT_BATCH = 64  # instances per forward pass in extract_activations
 
 
 @dataclass

@@ -13,8 +13,14 @@ that block's rows of all of a finger's instances at once.  ``zscore_normalize``
 and the subsampling work along the last axis, so the 22 channels at the
 common rate go through them as one (22, T) array; row by row the result is
 bitwise what a 1-D ``zscore_normalize`` or ``resample_fixed`` call gives.
+
+An index table depends only on the series length, the output length and
+the offsets, and block lengths repeat across trials, so the tables are
+cached.  A cached table is read-only; every gather from it makes a new
+array, so no output shares memory with the cache.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,7 +187,8 @@ def decimate_pac(series: np.ndarray) -> np.ndarray:
         raise InvalidInputError(
             f"series of length {s.size} is shorter than one {DECIMATION}-sample window"
         )
-    return s[:n * DECIMATION].reshape(n, DECIMATION).mean(axis=1)
+    # the sum and the division are ndarray.mean's own, without its wrapper
+    return np.add.reduce(s[:n * DECIMATION].reshape(n, DECIMATION), axis=1) / DECIMATION
 
 
 def resample_fixed(series: np.ndarray, length: int = RESAMPLE_LEN, offset: int = 0) -> np.ndarray:
@@ -194,9 +201,11 @@ def resample_fixed(series: np.ndarray, length: int = RESAMPLE_LEN, offset: int =
     return s[..., _subsample_index(s.shape[-1] if s.ndim else 0, length, (offset,))[0]]
 
 
-def _subsample_index(n: int, length: int, offsets) -> np.ndarray:
-    """(len(offsets), length) int64 table: row i holds ``resample_fixed``'s
-    indices into a series of length ``n`` at ``offsets[i]``."""
+@functools.lru_cache(maxsize=256)
+def _subsample_index(n: int, length: int, offsets: tuple) -> np.ndarray:
+    """(len(offsets), length) int64 table, read-only: row i holds
+    ``resample_fixed``'s indices into a series of length ``n`` at
+    ``offsets[i]``.  A call that raises caches nothing."""
     low, high = min(offsets), max(offsets)
     if low < 0:
         raise InvalidInputError(f"offset must be non-negative, got {low}")
@@ -208,7 +217,9 @@ def _subsample_index(n: int, length: int, offsets) -> np.ndarray:
     j = np.arange(length, dtype=np.float64)
     # int64 spans convert to float64 exactly, so each row is bitwise the
     # scalar-offset arithmetic
-    return off + np.rint(j * (n - 1 - off) / (length - 1)).astype(np.int64)
+    table = off + np.rint(j * (n - 1 - off) / (length - 1)).astype(np.int64)
+    table.setflags(write=False)
+    return table
 
 
 def pca_fit(samples: np.ndarray, k: int = PCA_COMPONENTS) -> PcaModel:
@@ -260,8 +271,10 @@ def _full_length_blocks(trial: HapticTrial, finger: int, pca: dict) -> list:
     """The offset-independent work for one finger, done once per EP.
 
     Returns, in EPS order, (P_AC, rows): the z-scored, decimated P_AC and the
-    (7, T) rows P_DC, T_AC, T_DC, E-pc1..E-pc4, none of them subsampled yet.
-    P_AC keeps its own length, which may be one sample off T.
+    (7, T) rows P_DC, T_AC, T_DC, E-pc1..E-pc4, none of them subsampled yet:
+    the first rows of the z-scored (22, T) stack, with the projection
+    written over its first electrode rows.  P_AC keeps its own length,
+    which may be one sample off T.
     """
     missing = [ep for ep in EPS if ep not in pca]
     if missing:
@@ -270,16 +283,21 @@ def _full_length_blocks(trial: HapticTrial, finger: int, pca: dict) -> list:
     for ep in EPS:
         chans = trial.checked_channels(finger, ep)
         pac = decimate_pac(zscore_normalize(chans["P_AC"]))
-        z = zscore_normalize(np.stack([chans[c] for c in CHANNELS[1:]]))  # (22, T)
+        # (22, T)
+        z = zscore_normalize(np.array([chans[c] for c in CHANNELS[1:]], dtype=np.float64))
         # a C-contiguous (T, 19) operand keeps the projection bitwise equal
-        # to projecting the per-channel stack
+        # to projecting the per-channel stack; it is a copy, so the
+        # projection overwrites the electrode rows it was read from
         projected = pca_project(pca[ep], np.ascontiguousarray(z[3:].T))  # (T, k)
-        blocks.append((pac, np.concatenate((z[:3], projected.T))))
+        k = projected.shape[1]
+        z[3:3 + k] = projected.T
+        blocks.append((pac, z[:3 + k]))
     return blocks
 
 
 def _subsampled_instances(trial: HapticTrial, finger: int, offsets, blocks: list) -> list:
-    """One finger's instances at each of ``offsets``, from its ``blocks``.
+    """One finger's instances at each offset of the tuple ``offsets``, from
+    its ``blocks``.
 
     Each block is read by one gather over every offset's index table, into
     one (len(offsets), 32, 150) array whose rows, disjoint, are the values.
@@ -301,7 +319,7 @@ def assemble_instance(trial: HapticTrial, finger: int, offset: int, pca: dict) -
     ``pca`` maps EP name -> fitted PcaModel.  Channel order per EP is
     (P_AC, P_DC, T_AC, T_DC, E-pc1..E-pc4), EPs stacked in EPS order.
     """
-    return _subsampled_instances(trial, finger, [offset], _full_length_blocks(trial, finger, pca))[0]
+    return _subsampled_instances(trial, finger, (offset,), _full_length_blocks(trial, finger, pca))[0]
 
 
 def augment(trial: HapticTrial, pca: dict) -> list:

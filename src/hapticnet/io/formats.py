@@ -411,7 +411,17 @@ def _text(path, ln, line: bytes) -> str:
 
 
 def write_labels_csv(path, label_rows) -> None:
-    """Label table: one row per object, 24 adjective columns in fixed order."""
+    """Label table: one row per object, 24 adjective columns in fixed order.
+
+    An object id that repeats raises InvalidInputError naming it before the
+    file is opened, since ``read_labels_csv`` rejects such a table.
+    """
+    label_rows = list(label_rows)
+    seen = set()
+    for obj_id, _, _ in label_rows:
+        if obj_id in seen:
+            raise InvalidInputError(f"{path}: object {obj_id!r} has more than one row")
+        seen.add(obj_id)
     lines = ["object_id,name," + ",".join(ADJECTIVES)]
     for obj_id, name, labels in label_rows:
         bits = ",".join("1" if labels[a] else "0" for a in ADJECTIVES)

@@ -244,9 +244,13 @@ def validate(manifest: DatasetManifest, root) -> list:
         else:
             channels[str(path)] = grids.shape[3]
     if channels:
-        common, n_common = Counter(channels.values()).most_common(1)[0]
+        counts = Counter(channels.values()).most_common()
+        n_common = counts[0][1]
+        tied = sorted(c for c, n in counts if n == n_common)
+        # on a tie no count is the common one, so every file is reported
+        have = str(tied[0]) if len(tied) == 1 else f"each of {', '.join(map(str, tied))}"
         findings.extend(
             Finding(path, "channels", f"{c} channels, where {n_common} of "
-                    f"{len(channels)} feature files have {common}")
-            for path, c in channels.items() if c != common)
+                    f"{len(channels)} feature files have {have}")
+            for path, c in channels.items() if len(tied) > 1 or c != tied[0])
     return findings

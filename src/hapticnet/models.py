@@ -9,8 +9,10 @@ Every layer has parameters, ``forward(x, cache=True) -> (out, cache)`` and
 ``backward(cache, grad_out, input_grad=True) -> (grad_in, param_grads)``.
 The Model sets both keywords: ``Model.forward`` asks for no cache, and
 ``Model.backward`` asks every layer but the first for its input gradient.
-A layer told not to may return None in place of what was not asked for;
-one whose cache or input gradient is cheap ignores the keyword.  A layer
+Every layer told not to build its input gradient returns None for it, so
+no model builds the gradient of its input; the fusion head, one dense
+layer, builds no input gradient at all.  A layer told to keep no cache may
+return None for it; one whose cache is cheap ignores the keyword.  A layer
 reshapes what it reads itself: the dense layer flattens its trailing
 input shape and the LSTM reads the (C, T) instance time-major.
 
@@ -108,8 +110,10 @@ class DenseLayer(Layer):
         x, pre = cache
         if self.activation == "relu":
             grad_out = relu_backward(pre, grad_out)
-        grad_x, gw, gb = inner_product_backward(x, self.params, grad_out)
-        return grad_x.reshape(x.shape[:-1] + self.in_shape), {"weights": gw, "bias": gb}
+        grad_x, gw, gb = inner_product_backward(x, self.params, grad_out, input_grad=input_grad)
+        if grad_x is not None:
+            grad_x = grad_x.reshape(x.shape[:-1] + self.in_shape)
+        return grad_x, {"weights": gw, "bias": gb}
 
     def reinit(self, seed):
         self.params = LayerParams.for_dense(prod(self.in_shape), self.out_dim, seed)

@@ -28,6 +28,7 @@ from hapticnet.haptic import (
     pca_fit,
     pca_project,
     resample_fixed,
+    _subsample_index,
     zscore_normalize,
 )
 
@@ -159,6 +160,16 @@ class TestDecimate:
         with pytest.raises(InvalidInputError):
             decimate_pac(np.arange(21.0))
 
+    @settings(max_examples=60)
+    @given(length=st.integers(DECIMATION, 5000),
+           scale=st.sampled_from([1e-100, 1e-8, 1.0, 3e4, 1e100]),
+           offset=st.sampled_from([0.0, 1.0, -7.7e3]), seed=st.integers(0, 2**32 - 1))
+    def test_bitwise_window_means(self, length, scale, offset, seed):
+        s = np.random.default_rng(seed).standard_normal(length) * scale + offset * scale
+        windows = s[:length // DECIMATION * DECIMATION].reshape(-1, DECIMATION)
+        expected = windows.mean(axis=1)
+        assert np.array_equal(decimate_pac(s).view(np.int64), expected.view(np.int64))
+
 
 class TestResample:
     def test_identity_when_already_at_length(self):
@@ -211,6 +222,45 @@ class TestResample:
             assert out.shape == (22, 150)
             for got, row in zip(out, rows):
                 assert np.array_equal(got, resample_fixed(row, 150, offset))
+
+
+class TestSubsampleIndexCache:
+    """The index tables are cached per (series length, output length,
+    offsets); a table is read-only and no output shares its memory."""
+
+    def test_cached_table_is_read_only(self):
+        table = _subsample_index(400, RESAMPLE_LEN, OFFSETS)
+        assert table is _subsample_index(400, RESAMPLE_LEN, OFFSETS)
+        assert table.shape == (len(OFFSETS), RESAMPLE_LEN)
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1
+        assert np.array_equal(table[:, 0], OFFSETS)
+
+    def test_resampled_output_shares_no_memory_with_the_cache(self):
+        series = np.arange(400.0)
+        out = resample_fixed(series, RESAMPLE_LEN, 2)
+        table = _subsample_index(400, RESAMPLE_LEN, (2,))
+        assert not np.shares_memory(out, table)
+        out[:] = -1.0  # the output is the caller's to write
+        assert np.array_equal(resample_fixed(series, RESAMPLE_LEN, 2), table[0])
+        # an integer series resamples to values that are its own indices
+        assert not np.shares_memory(resample_fixed(np.arange(400), RESAMPLE_LEN, 2), table)
+
+    def test_errors_are_raised_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(InvalidInputError, match="series of length 152 too short"):
+                resample_fixed(np.zeros(152), 150, 3)
+            with pytest.raises(InvalidInputError, match="offset must be non-negative, got -1"):
+                resample_fixed(np.zeros(200), 150, -1)
+
+    def test_augmenting_a_trial_again_builds_no_table(self):
+        rng = np.random.default_rng(31)
+        trial, pca = synth_trial(rng, base_len=337), fit_all_eps(rng)
+        first = augment(trial, pca)
+        misses = _subsample_index.cache_info().misses
+        again = augment(trial, pca)
+        assert _subsample_index.cache_info().misses == misses
+        assert all(np.array_equal(a.values, b.values) for a, b in zip(first, again))
 
 
 class TestPca:

@@ -228,6 +228,15 @@ def test_label_table_with_a_repeated_object_id_rejected(tmp_path):
         read_labels_csv(path)
 
 
+def test_label_writer_rejects_a_repeated_object_id_before_opening_the_file(tmp_path):
+    path = tmp_path / "labels.csv"
+    rows = [(f"o{i}", "mug", {a: True for a in ADJECTIVES}) for i in range(3)]
+    with pytest.raises(InvalidInputError, match=re.escape(
+            f"{path}: object 'o1' has more than one row")):
+        write_labels_csv(path, iter(rows + [("o1", "cup", rows[1][2])]))
+    assert not path.exists()
+
+
 def test_label_table_header_is_checked_before_later_lines_are_decoded(tmp_path):
     path = tmp_path / "labels.csv"
     path.write_bytes(b"object_id,name\no1,mug\xff\n")

@@ -167,7 +167,9 @@ class TestValidate:
         labels = tree.parent / manifest.labels_path
         rows = read_labels_csv(labels)
         obj, name, first = rows[0]
-        write_labels_csv(labels, rows + [(obj, name, {a: not v for a, v in first.items()})])
+        # written as text: the writer refuses a repeated object id
+        flipped = ",".join("0" if v else "1" for v in first.values())
+        labels.write_text(labels.read_text() + f"{obj},{name},{flipped}\n")
         assert validate(manifest, tree.parent) == [Finding(
             str(labels), "labels",
             f"{labels}:{len(rows) + 2}: object {obj!r} already has a row, on line 2")]
@@ -212,15 +214,31 @@ class TestValidate:
             Finding(str(path), "shape", "maps of shape (0, 4, 12) have an empty axis")]
 
     def test_feature_maps_whose_channel_count_differs(self, tree):
-        # pooling removes H and W, so another grid size is no finding
+        # pooling removes H and W, so another grid size is no finding; with
+        # one file of each count neither is the odd one, so both are named
         manifest = load_manifest(tree)
         paths = [tree.parent / entry["path"] for entry in manifest.visual]
         grids = read_feature_maps(paths[1])
+        c = grids.shape[3]
         write_feature_maps(paths[0], read_feature_maps(paths[0])[:, :2, :3])
-        write_feature_maps(paths[1], grids[..., :grids.shape[3] - 2])
-        assert validate(manifest, tree.parent) == [Finding(
-            str(paths[1]), "channels",
-            f"{grids.shape[3] - 2} channels, where 1 of 2 feature files have {grids.shape[3]}")]
+        write_feature_maps(paths[1], grids[..., :c - 2])
+        assert validate(manifest, tree.parent) == [
+            Finding(str(path), "channels",
+                    f"{n} channels, where 1 of 2 feature files have each of {c - 2}, {c}")
+            for path, n in zip(paths, (c, c - 2))]
+
+    def test_feature_maps_whose_channel_count_differs_from_the_most_common(self, tmp_path):
+        # 12, 12 and 10 channels: the 10-channel file alone is named
+        manifest_path = synth.synth_generate(
+            synth.separable_config(n_objects=3, n_trials=1, seed=6), tmp_path / "three")
+        manifest = load_manifest(manifest_path)
+        paths = [manifest_path.parent / entry["path"] for entry in manifest.visual]
+        grids = read_feature_maps(paths[2])
+        c = grids.shape[3]
+        write_feature_maps(paths[2], grids[..., :c - 2])
+        assert validate(manifest, manifest_path.parent) == [Finding(
+            str(paths[2]), "channels",
+            f"{c - 2} channels, where 2 of 3 feature files have {c}")]
 
     def test_missing_trial_file(self, tree):
         manifest = load_manifest(tree)

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from hapticnet import features
 from hapticnet.engine import inner_product, lstm_backward, lstm_forward, relu
 from hapticnet.errors import InvalidInputError, InvalidSpecError
 from hapticnet.features import (
@@ -179,13 +180,16 @@ class TestHapticLstmGraph:
 
 
 HAPTIC_BUILDERS = {"cnn": build_haptic_cnn, "lstm": build_haptic_lstm}
+# every builder, each with the shape of a batch of 3 of its inputs
+BATCHES = {"cnn": (build_haptic_cnn, (3, 32, 150)), "lstm": (build_haptic_lstm, (3, 32, 150)),
+           "fusion": (lambda seed: build_linear_classifier(17, seed=seed), (3, 17))}
 
 
-@pytest.mark.parametrize("net", sorted(HAPTIC_BUILDERS))
 class TestGraphKeywords:
     """Model.forward skips caches and Model.backward skips the input gradient;
     neither may change a number."""
 
+    @pytest.mark.parametrize("net", sorted(HAPTIC_BUILDERS))
     @pytest.mark.parametrize("shape", [(32, 150), (5, 32, 150)])
     def test_forward_scores_equal_forward_cached(self, net, shape):
         model = HAPTIC_BUILDERS[net](seed=6)
@@ -193,6 +197,7 @@ class TestGraphKeywords:
         cached, _ = model.forward_cached(x)
         assert np.array_equal(model.forward(x), cached)
 
+    @pytest.mark.parametrize("net", sorted(HAPTIC_BUILDERS))
     @pytest.mark.parametrize("shape", [(32, 150), (7, 32, 150)])
     def test_backward_equals_layer_by_layer_with_input_grads(self, net, shape):
         model = HAPTIC_BUILDERS[net](seed=7)
@@ -217,9 +222,11 @@ class TestGraphKeywords:
             grad_seq = lstm_backward(model.layer("lstm").params, caches[0], grad_outs["lstm"])[0]
             assert np.array_equal(grad, np.swapaxes(grad_seq, -1, -2))
 
+    @pytest.mark.parametrize("net", sorted(BATCHES))
     def test_first_parameterized_layer_builds_no_input_grad(self, net):
         # every layer has parameters, so the first layer is the first parameterized one
-        model = HAPTIC_BUILDERS[net](seed=8)
+        builder, shape = BATCHES[net]
+        model = builder(seed=8)
         assert all(l.param_items() for l in model.layers)
         asked = {}
         for l in model.layers:
@@ -227,9 +234,13 @@ class TestGraphKeywords:
                 asked[_l.name] = input_grad
                 out = type(_l).backward(_l, cache, grad_out, input_grad=input_grad)
                 assert (out[0] is None) == (not input_grad)
+                # the parameter gradients are bitwise those built beside an input gradient
+                built = type(_l).backward(_l, cache, grad_out)[1]
+                assert sorted(out[1]) == sorted(built)
+                assert all(np.array_equal(out[1][p], g) for p, g in built.items())
                 return out
             l.backward = recording
-        _, caches = model.forward_cached(np.zeros((3, 32, 150)))
+        _, caches = model.forward_cached(np.random.default_rng(8).standard_normal(shape))
         model.backward(caches, np.ones(3))
         assert asked == {l.name: i > 0 for i, l in enumerate(model.layers)}
 
@@ -435,6 +446,25 @@ class TestExtraction:
         second = extract_activations(model, instances, "conv3")
         for a, b in zip(first, second):
             assert np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("batch", [1, 64, 256])
+    def test_features_do_not_depend_on_the_extraction_batch(self, batch, monkeypatch):
+        # conv3 taps are bitwise batch-invariant, so chunking changes no feature
+        model = build_haptic_cnn(seed=5)
+        instances = self.make(np.random.default_rng(5), n=70)
+        whole = extract_activations(model, instances, "conv3")
+        monkeypatch.setattr(features, "EXTRACT_BATCH", batch)
+        chunked = extract_activations(model, instances, "conv3")
+        assert [f.index for f in chunked] == [f.index for f in whole]
+        assert all(np.array_equal(a.values, b.values) for a, b in zip(chunked, whole))
+
+    def test_extraction_batch_keeps_conv1_windows_small(self):
+        # conv1's im2col window tensor for one extraction batch: 8.6 MB at 64
+        # instances, 34 MB at 256
+        spec = HAPTIC_CONV_SPECS[0]
+        window_bytes = (features.EXTRACT_BATCH * spec.in_channels * spec.kernel_len
+                        * spec.out_len(150) * 8)
+        assert window_bytes <= 10e6
 
 
 class TestCombineInstances:

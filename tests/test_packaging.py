@@ -135,3 +135,38 @@ def test_every_raise_is_a_package_error():
                 stray.append(f"{path.relative_to(ROOT)}:{node.lineno} in {function}")
     assert helpers >= {"_bad_cell", "_misplaced_cell"}
     assert not stray, f"raises of something other than the package's errors: {stray}"
+
+
+def _cache_factory(node, imported):
+    """The functools decorator ``node`` names, ``"lru_cache"`` or ``"cache"``,
+    else None; ``imported`` maps each name a ``from functools import`` binds
+    to what it names."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+            and node.value.id == "functools" and node.attr in ("lru_cache", "cache"):
+        return node.attr
+    return imported.get(node.id) if isinstance(node, ast.Name) else None
+
+
+def test_every_cache_is_bounded():
+    """Every functools.lru_cache in src/ is called with an integer maxsize,
+    so no cache grows with the inputs a run sees.  functools.cache, which
+    has no bound, and a bare lru_cache are both refused."""
+    cached, unbounded = set(), []
+    for path in (ROOT / "src").rglob("*.py"):
+        tree = ast.parse(path.read_text())
+        imported = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module == "functools"
+                    for alias in node.names if alias.name in ("lru_cache", "cache")}
+        bounded = set()  # ids of the factory nodes called with an integer maxsize
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    _cache_factory(getattr(d, "func", d), imported) for d in node.decorator_list):
+                cached.add(node.name)
+            if isinstance(node, ast.Call) and _cache_factory(node.func, imported) == "lru_cache":
+                sizes = [k.value for k in node.keywords if k.arg == "maxsize"] + node.args[:1]
+                if sizes and isinstance(sizes[0], ast.Constant) and type(sizes[0].value) is int:
+                    bounded.add(id(node.func))
+        unbounded += [f"{path.relative_to(ROOT)}:{node.lineno}" for node in ast.walk(tree)
+                      if _cache_factory(node, imported) and id(node) not in bounded]
+    assert cached >= {"_templates", "_subsample_index"}
+    assert not unbounded, f"caches without an integer maxsize: {unbounded}"
