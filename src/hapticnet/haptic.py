@@ -195,8 +195,15 @@ def resample_fixed(series: np.ndarray, length: int = RESAMPLE_LEN, offset: int =
     """Uniform index subsampling along the last axis to a fixed length, from ``offset``.
 
     Picks indices offset + round(j*(len-1-offset)/(length-1)); the last
-    input sample is always included.  Rounding is half-to-even.
+    input sample is always included.  Rounding is half-to-even.  An offset
+    or length that is not an integer, or a length below 2, raises
+    InvalidInputError before the cached index tables are looked up.
     """
+    for name, value in (("length", length), ("offset", offset)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    if length < 2:
+        raise InvalidInputError(f"length must be at least 2, got {length}")
     s = np.asarray(series, dtype=np.float64)
     return s[..., _subsample_index(s.shape[-1] if s.ndim else 0, length, (offset,))[0]]
 

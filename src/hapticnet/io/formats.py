@@ -20,8 +20,9 @@ cells.  Each cell is a finite number in the grammar of Python's ``float``,
 and the writer prints it ``"%.8g" % value``.  Every row fills a prefix of the
 columns, and that prefix never widens down the file, so a file is a few
 blocks of rows of equal width: about 165 full rows at 100 Hz, then about
-3,500 rows of P_AC alone.  The trial writer formats, and the reader checks
-and converts, one block at a time rather than one cell at a time.
+3,500 rows of P_AC alone.  The writer formats one block at a time.  A
+row-wise reader, ``_rows``, defines the format; the fast path ``_blocks``
+converts the writer's blocks and returns what ``_rows`` would, or declines.
 """
 
 import inspect
@@ -291,11 +292,10 @@ def read_trial_file(path) -> dict:
     ignored, and a blank line ends every column.  Line endings may be
     ``\n``, ``\r\n`` or ``\r``.
 
-    The file is read once.  One pass over its bytes finds each row's filled
-    width and checks the prefix rule for all rows; then every block of rows
-    of equal width is converted in one ``float`` pass.  Only a block that
-    fails is scanned row by row, to name the first bad cell.  Errors are
-    reported in file order: the first line with a problem raises.
+    ``_rows`` reads one line at a time and defines the format: the first line
+    with a problem raises.  In front of it, ``_blocks`` converts a file in
+    the writer's layout a block at a time, or declines and leaves it to
+    ``_rows``.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -307,92 +307,74 @@ def read_trial_file(path) -> dict:
         raise UnsupportedFormatError(f"{path}: header does not list the expected channels")
     if data and not data.endswith(b"\n"):
         data += b"\n"
-    raw = np.frombuffer(data, dtype=np.uint8)
-    ends = np.flatnonzero(raw == ord("\n"))  # row i is data[starts[i]:ends[i]]
-    starts = np.r_[0, ends + 1][:-1]
-    widths, gaps = _row_shapes(raw, starts, ends)
-    running = np.minimum.accumulate(np.r_[len(names), widths])[:-1]  # columns still running
-    misplaced = gaps | (widths > running)
-    stop = int(np.argmax(misplaced)) if misplaced.any() else widths.size
+    columns = _blocks(data, len(names))
+    if columns is None:
+        columns = _rows(path, names, data)
+    return dict(zip(names, columns))
 
+
+def _rows(path, names, data) -> list:
+    """The columns of the rows in ``data``, read one line at a time: the
+    definition of the trial-file format.  The first problem in file order
+    raises UnsupportedFormatError naming its line."""
     columns = [[] for _ in names]
-    edges = np.flatnonzero(np.diff(widths[:stop], prepend=-1, append=-1))
-    for a, b in zip(edges[:-1], edges[1:]):
-        w = int(widths[a])
-        if w == 0:  # blank rows, after every column has ended
-            continue
-        try:
-            cells = data[starts[a]:ends[b - 1]].decode().replace("\n", ",").split(",")
-        except UnicodeDecodeError:
-            raise _bad_cell(path, names, data, starts[a:b], ends[a:b], a + 2) from None
-        if len(cells) != (b - a) * w:
-            # rows ending in empty cells; no row before ``stop`` has another
-            cells = [c for c in cells if c]
-        try:
-            block = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
-        except ValueError:
-            raise _bad_cell(path, names, data, starts[a:b], ends[a:b], a + 2) from None
-        if not np.isfinite(block).all():
-            raise _bad_cell(path, names, data, starts[a:b], ends[a:b], a + 2)
-        for column, values in zip(columns, block.reshape(b - a, w).T):
-            column.append(values)
-    if stop < widths.size:
-        cells = _text(path, stop + 2, data[starts[stop]:ends[stop]]).split(",")
-        raise _misplaced_cell(path, stop + 2, names, cells, int(running[stop]))
-    return {n: np.concatenate(c) if c else np.empty(0) for n, c in zip(names, columns)}
-
-
-def _row_shapes(raw, starts, ends):
-    """Each row's filled width, and whether an empty cell precedes its last
-    filled cell.  A run of commas that ends a row holds only trailing empty
-    cells, so the row is cut at that run's first comma."""
-    commas = np.flatnonzero(raw == ord(","))
-    first = np.diff(commas, prepend=-2) != 1
-    runs = commas[first]  # first comma of each run of adjacent commas
-    run_len = np.diff(np.r_[np.flatnonzero(first), commas.size])
-    row = np.searchsorted(ends, runs)
-    trailing = raw[runs + run_len] == ord("\n")
-    cut = ends.copy()
-    cut[row[trailing]] = runs[trailing]
-    widths = np.where(cut > starts,
-                      np.searchsorted(commas, cut) - np.searchsorted(commas, starts) + 1, 0)
-    gaps = np.zeros(ends.size, dtype=bool)
-    gaps[row[~trailing & ((run_len > 1) | (runs == starts[row]))]] = True
-    return widths, gaps
-
-
-def _misplaced_cell(path, ln, names, cells, width) -> UnsupportedFormatError:
-    """The error for a row whose filled cells are not a prefix of the first
-    ``width`` columns."""
-    n = len(cells)
-    while n and cells[n - 1] == "":
-        n -= 1
-    if "" in cells[:n]:
-        j = cells.index("")
-        return UnsupportedFormatError(
-            f"{path}:{ln}: column {j + 1} ({names[j]}) is empty but a column right of it is not")
-    if n > len(names):
-        return UnsupportedFormatError(f"{path}:{ln}: more cells than header columns")
-    return UnsupportedFormatError(
-        f"{path}:{ln}: column {width + 1} ({names[width]}) has a value after it ended")
-
-
-def _bad_cell(path, names, data, starts, ends, first_line) -> UnsupportedFormatError:
-    """The error for the first cell of these rows that is not a finite number;
-    a row that is not UTF-8 text raises its own error when it comes first."""
-    for ln, (a, b) in enumerate(zip(starts, ends), start=first_line):
-        for j, cell in enumerate(_text(path, ln, data[a:b]).split(",")):
+    width = len(names)  # columns still running
+    for ln, line in enumerate(data.splitlines(), start=2):
+        cells = _text(path, ln, line).split(",")
+        n = len(cells)
+        while n and cells[n - 1] == "":  # trailing empty cells; a blank line keeps none
+            n -= 1
+        if "" in cells[:n]:
+            j = cells.index("")
+            raise UnsupportedFormatError(
+                f"{path}:{ln}: column {j + 1} ({names[j]}) is empty but a column right of it is not")
+        if n > len(names):
+            raise UnsupportedFormatError(f"{path}:{ln}: more cells than header columns")
+        if n > width:
+            raise UnsupportedFormatError(
+                f"{path}:{ln}: column {width + 1} ({names[width]}) has a value after it ended")
+        width = n
+        for j, cell in enumerate(cells[:n]):
             try:
                 value = float(cell)
             except ValueError:
-                if not cell:  # the row's trailing empty cells
-                    break
-                return UnsupportedFormatError(
-                    f"{path}:{ln}: column {j + 1} ({names[j]}): {cell!r} is not a number")
+                raise UnsupportedFormatError(
+                    f"{path}:{ln}: column {j + 1} ({names[j]}): {cell!r} is not a number") from None
             if not math.isfinite(value):
-                return UnsupportedFormatError(
+                raise UnsupportedFormatError(
                     f"{path}:{ln}: column {j + 1} ({names[j]}): {cell!r} is not finite")
-    raise AssertionError("no bad cell in a block that failed to convert")
+            columns[j].append(value)
+    return [np.asarray(c, dtype=np.float64) for c in columns]
+
+
+def _blocks(data, n_names):
+    """The columns ``_rows`` reads from ``data``, empty or ending in a line
+    break, when it is in the writer's layout: no empty cell, and no row wider
+    than the header or the row above.  Each block of rows of equal width is
+    converted in one ``float`` pass.  None for any other layout or for a cell
+    that is not a finite number."""
+    raw = np.frombuffer(data, dtype=np.uint8)
+    seps = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
+    if (np.diff(seps, prepend=-1) == 1).any():  # a separator first or after another: an empty cell
+        return None
+    breaks = np.flatnonzero(raw[seps] == ord("\n"))
+    widths = np.diff(breaks, prepend=-1)  # a row's commas and its line break
+    if (widths[:1] > n_names).any() or (np.diff(widths) > 0).any():
+        return None
+    starts = np.r_[0, seps[breaks] + 1]  # row i is data[starts[i]:starts[i + 1] - 1]
+    columns = [[] for _ in range(n_names)]
+    edges = np.flatnonzero(np.diff(widths, prepend=-1, append=-1))
+    for a, b in zip(edges[:-1], edges[1:]):
+        try:
+            cells = data[starts[a]:starts[b] - 1].decode().replace("\n", ",").split(",")
+            block = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
+        except ValueError:  # a UnicodeDecodeError too
+            return None
+        if not np.isfinite(block).all():
+            return None
+        for column, values in zip(columns, block.reshape(b - a, -1).T):
+            column.append(values)
+    return [np.concatenate(c) if c else np.empty(0) for c in columns]
 
 
 def _lf_lines(raw: bytes) -> bytes:
@@ -413,15 +395,23 @@ def _text(path, ln, line: bytes) -> str:
 def write_labels_csv(path, label_rows) -> None:
     """Label table: one row per object, 24 adjective columns in fixed order.
 
-    An object id that repeats raises InvalidInputError naming it before the
-    file is opened, since ``read_labels_csv`` rejects such a table.
+    An object id that repeats, an id or name that holds a comma or a line
+    break, and labels that lack an adjective raise InvalidInputError naming
+    the object before the file is opened, since ``read_labels_csv`` could
+    not read such a table back.
     """
     label_rows = list(label_rows)
     seen = set()
-    for obj_id, _, _ in label_rows:
+    for obj_id, name, labels in label_rows:
         if obj_id in seen:
             raise InvalidInputError(f"{path}: object {obj_id!r} has more than one row")
         seen.add(obj_id)
+        if any(c in f"{obj_id}{name}" for c in ",\n\r"):
+            raise InvalidInputError(
+                f"{path}: object {obj_id!r} named {name!r}: a comma or line break would split its row")
+        missing = [a for a in ADJECTIVES if a not in labels]
+        if missing:
+            raise InvalidInputError(f"{path}: object {obj_id!r} has no label for {missing}")
     lines = ["object_id,name," + ",".join(ADJECTIVES)]
     for obj_id, name, labels in label_rows:
         bits = ",".join("1" if labels[a] else "0" for a in ADJECTIVES)

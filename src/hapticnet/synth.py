@@ -75,8 +75,16 @@ class SynthConfig:
     name: str = "synthetic"
 
     def __post_init__(self):
+        for field in ("n_objects", "n_trials", "n_factors"):
+            value = getattr(self, field)
+            if type(value) is not int:  # a bool is not a count
+                raise InvalidInputError(f"{field} must be an int, got {value!r}")
         if self.n_objects < 2 or self.n_trials < 1:
             raise InvalidInputError(f"need >=2 objects and >=1 trial, got {self}")
+        if self.n_factors < 1:
+            raise InvalidInputError(f"n_factors must be >= 1, got {self.n_factors}")
+        if not math.isfinite(self.noise):
+            raise InvalidInputError(f"noise must be finite, got {self.noise}")
         if self.noise < 0:
             raise InvalidInputError(f"noise must be >= 0, got {self.noise}")
         if len(self.haptic_leak) != self.n_factors or len(self.visual_leak) != self.n_factors:

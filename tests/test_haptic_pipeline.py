@@ -204,6 +204,23 @@ class TestResample:
         with pytest.raises(InvalidInputError, match="offset must be non-negative, got -1"):
             resample_fixed(np.zeros(200), 150, -1)
 
+    @pytest.mark.parametrize("length, offset, message", [
+        (150, 2.5, "offset must be an integer, got 2.5"),
+        (150, True, "offset must be an integer, got True"),
+        (150.0, 0, "length must be an integer, got 150.0"),
+        (1, 0, "length must be at least 2, got 1"),
+        (0, 0, "length must be at least 2, got 0"),
+    ])
+    def test_length_or_offset_that_is_not_a_whole_count_rejected(self, length, offset, message):
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            resample_fixed(np.arange(400.0), length, offset)
+
+    def test_float_offset_is_not_served_the_integer_offsets_table(self):
+        # 2.0 hashes like 2, so the check must come before the cache lookup
+        resample_fixed(np.arange(400.0), 150, 2)
+        with pytest.raises(InvalidInputError, match="offset must be an integer, got 2.0"):
+            resample_fixed(np.arange(400.0), 150, 2.0)
+
     @settings(max_examples=60)
     @given(n=st.integers(2, 2000), length=st.integers(2, 150), offset=st.integers(0, 5))
     def test_indices_are_the_scalar_formula(self, n, length, offset):

@@ -237,6 +237,25 @@ def test_label_writer_rejects_a_repeated_object_id_before_opening_the_file(tmp_p
     assert not path.exists()
 
 
+@pytest.mark.parametrize("obj_id, name", [
+    ("o1", "mug, large"), ("o,1", "mug"), ("o1", "mug\nlarge"), ("o1\r", "mug")])
+def test_label_writer_rejects_an_id_or_name_that_would_split_its_row(tmp_path, obj_id, name):
+    path = tmp_path / "labels.csv"
+    with pytest.raises(InvalidInputError, match=re.escape(
+            f"{path}: object {obj_id!r} named {name!r}: a comma or line break would split its row")):
+        write_labels_csv(path, [(obj_id, name, {a: True for a in ADJECTIVES})])
+    assert not path.exists()
+
+
+def test_label_writer_rejects_labels_that_lack_an_adjective(tmp_path):
+    path = tmp_path / "labels.csv"
+    labels = {a: True for a in ADJECTIVES if a not in ("bumpy", "soft")}
+    with pytest.raises(InvalidInputError, match=re.escape(
+            f"{path}: object 'o1' has no label for ['bumpy', 'soft']")):
+        write_labels_csv(path, [("o0", "cup", {a: True for a in ADJECTIVES}), ("o1", "mug", labels)])
+    assert not path.exists()
+
+
 def test_label_table_header_is_checked_before_later_lines_are_decoded(tmp_path):
     path = tmp_path / "labels.csv"
     path.write_bytes(b"object_id,name\no1,mug\xff\n")

@@ -115,25 +115,18 @@ def _raises(node, function=None):
 
 
 def test_every_raise_is_a_package_error():
-    """Each raise in src/ raises a class from errors.py, or what a helper
-    annotated to return one builds.  The one exception is _bad_cell's
-    internal-invariant AssertionError, which no input can reach."""
+    """Each raise in src/ builds a class from errors.py by name, with no
+    exception: no internal invariant raises an error of its own."""
     package = ROOT / "src" / "hapticnet"
     errors = {node.name for node in ast.parse((package / "errors.py").read_text()).body
               if isinstance(node, ast.ClassDef)}
-    trees = {path: ast.parse(path.read_text()) for path in package.rglob("*.py")}
-    helpers = {node.name for tree in trees.values() for node in ast.walk(tree)
-               if isinstance(node, ast.FunctionDef)
-               and isinstance(node.returns, ast.Name) and node.returns.id in errors}
-    allowed = {("_bad_cell", "AssertionError")}
     stray = []
-    for path, tree in trees.items():
-        for function, node in _raises(tree):
+    for path in package.rglob("*.py"):
+        for function, node in _raises(ast.parse(path.read_text())):
             exc = node.exc
             name = exc.func.id if isinstance(exc, ast.Call) and isinstance(exc.func, ast.Name) else None
-            if name not in errors | helpers and (function, name) not in allowed:
+            if name not in errors:
                 stray.append(f"{path.relative_to(ROOT)}:{node.lineno} in {function}")
-    assert helpers >= {"_bad_cell", "_misplaced_cell"}
     assert not stray, f"raises of something other than the package's errors: {stray}"
 
 

@@ -39,6 +39,12 @@ def assert_same_trial(trial, expected):
                        "and visual_leak (0.15, 1.0)"),
     ({"visual_leak": (1.0,)}, "one entry per factor (2), got haptic_leak (1.0, 0.15) "
                               "and visual_leak (1.0,)"),
+    ({"n_factors": 0, "haptic_leak": (), "visual_leak": ()}, "n_factors must be >= 1, got 0"),
+    ({"noise": float("nan")}, "noise must be finite, got nan"),
+    ({"noise": float("inf")}, "noise must be finite, got inf"),
+    ({"n_objects": 2.5}, "n_objects must be an int, got 2.5"),
+    ({"n_trials": True}, "n_trials must be an int, got True"),
+    ({"n_factors": 2.0}, "n_factors must be an int, got 2.0"),
 ])
 def test_config_checks_name_the_bad_field(kwargs, message):
     with pytest.raises(InvalidInputError, match=re.escape(message)):

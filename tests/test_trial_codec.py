@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hapticnet.errors import InvalidInputError, UnsupportedFormatError
 from hapticnet.haptic import CHANNELS
-from hapticnet.io import read_trial_file, write_trial_file
+from hapticnet.io import formats, read_trial_file, write_trial_file
 from oracles import rowwise_read_trial_file, rowwise_write_trial_file
 
 # Every example overwrites the same files under tmp_path, so sharing it is
@@ -61,6 +61,39 @@ def test_writer_bytes_and_reader_arrays_match_the_rowwise_codec(tmp_path, chans)
     assert_bitwise_equal(got, rowwise_read_trial_file(tmp_path / "new.csv"))
     for name in CHANNELS:
         assert got[name].tolist() == [float("%.8g" % v) for v in chans[name]], name
+
+
+@codec_settings
+@given(chans=channels())
+def test_rowwise_read_of_a_writer_file_is_bitwise_the_default_read(tmp_path, monkeypatch, chans):
+    path = tmp_path / "t.csv"
+    write_trial_file(path, chans)
+    expected = read_trial_file(path)
+    with monkeypatch.context() as m:
+        m.setattr(formats, "_blocks", lambda data, n_names: None)
+        assert_bitwise_equal(read_trial_file(path), expected)
+
+
+@codec_settings
+@given(chans=channels())
+def test_writer_files_take_the_block_path(tmp_path, monkeypatch, chans):
+    def rowwise(path, names, data):
+        raise AssertionError(f"{path} was declined by the block path")
+
+    monkeypatch.setattr(formats, "_rows", rowwise)
+    write_trial_file(tmp_path / "t.csv", chans)
+    read_trial_file(tmp_path / "t.csv")
+
+
+@codec_settings
+@given(chans=channels())
+def test_rows_padded_with_trailing_commas_read_like_the_writer_file(tmp_path, chans):
+    write_trial_file(tmp_path / "t.csv", chans)
+    header, *rows = (tmp_path / "t.csv").read_text().split("\n")[:-1]
+    padded = [header] + [row + "," * (len(CHANNELS) - 1 - row.count(",")) for row in rows]
+    (tmp_path / "padded.csv").write_text("\n".join(padded) + "\n")
+    assert_bitwise_equal(read_trial_file(tmp_path / "padded.csv"),
+                         read_trial_file(tmp_path / "t.csv"))
 
 
 # Tokens that Python's float rejects, or accepts although numpy's own parser
