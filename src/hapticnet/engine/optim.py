@@ -5,8 +5,8 @@ import numpy as np
 from ..errors import NonFiniteGradientError
 
 
-def sgd_momentum_step(value: np.ndarray, velocity: np.ndarray, grad: np.ndarray,
-                      lr: float = 0.01, momentum: float = 0.9, name: str = "") -> None:
+def sgd_momentum_step(value: np.ndarray, velocity: np.ndarray, grad: np.ndarray, *,
+                      lr: float, momentum: float, name: str) -> None:
     """In-place update: v <- mu*v - lr*g; w <- w + v.
 
     Requires exclusive access to (value, velocity).  Non-finite gradients
@@ -15,7 +15,7 @@ def sgd_momentum_step(value: np.ndarray, velocity: np.ndarray, grad: np.ndarray,
     if not np.all(np.isfinite(grad)):
         bad = int(np.size(grad) - np.count_nonzero(np.isfinite(grad)))
         raise NonFiniteGradientError(
-            f"non-finite gradient for {name or 'parameter'}: {bad} bad entries"
+            f"non-finite gradient for {name}: {bad} bad entries"
         )
     velocity *= momentum
     velocity -= lr * grad

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +42,8 @@ class SplitPlan:
 def make_split(objects, labels, adjective, ratio=0.9, seed=0) -> SplitPlan:
     """Seeded stratified 90/10 object split with both classes on both sides.
 
-    ``labels`` maps object id -> {adjective: bool}, and every object must
-    have a label for ``adjective``.  The test size is the
+    ``labels`` maps object id -> {adjective: bool}; each object is listed
+    once and has a label for ``adjective``.  The test size is the
     rounded share, else one more or one fewer; failing those, it keeps the
     rounded share (at least 2) and caps the test positives at one below it.
     The counts do not depend on the seed, which only picks the objects.
@@ -52,6 +53,9 @@ def make_split(objects, labels, adjective, ratio=0.9, seed=0) -> SplitPlan:
         raise InvalidInputError(f"split ratio must lie strictly between 0 and 1, got {ratio!r}")
     if adjective not in ADJECTIVES:
         raise InvalidInputError(f"unknown adjective {adjective!r}")
+    repeated = [o for o, count in Counter(objects).items() if count > 1]
+    if repeated:
+        raise InvalidInputError(f"{adjective}: objects {repeated} are listed more than once")
     unlabeled = [o for o in objects if adjective not in labels.get(o, ())]
     if unlabeled:
         raise InvalidInputError(f"{adjective}: objects {unlabeled} have no label for it")

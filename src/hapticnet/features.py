@@ -13,10 +13,11 @@ EXTRACT_BATCH = 64  # instances per forward pass in extract_activations
 
 @dataclass
 class FeatureVector:
-    """A flat feature with provenance: tap activations, visual feature, or fusion input."""
+    """A flat feature with provenance: tap activations, or an object-level
+    vector (combined activations or a fusion input)."""
 
     object_id: str
-    index: tuple      # canonical ordering key: (trial, finger, offset) or (view,)
+    index: tuple      # canonical ordering key: (trial, finger, offset), or () per object
     values: np.ndarray
 
 
@@ -68,9 +69,9 @@ def combine_instances(features, expected_count) -> FeatureVector:
 def fuse_features(haptic, visual):
     """Concatenate per-object haptic and visual features, haptic first.
 
-    Both inputs are FeatureVector lists with one entry per object; the
-    object sets must match exactly, and within a modality every object's
-    vector has the same length.
+    ``haptic`` holds FeatureVectors and ``visual`` VisualFeatures (from
+    ``visual.combine_views``), one per object; the object sets must match
+    exactly, and within a modality every object's vector has the same length.
     """
     hmap = {f.object_id: f for f in haptic}
     vmap = {f.object_id: f for f in visual}

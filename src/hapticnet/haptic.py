@@ -10,14 +10,14 @@ Only the subsampling depends on the offset, so each (finger, EP) block is
 normalized, decimated and projected once at full length.  One index table
 then holds every offset's sample indices, and one gather per block fills
 that block's rows of all of a finger's instances at once.  ``zscore_normalize``
-and the subsampling work along the last axis, so the 22 channels at the
-common rate go through them as one (22, T) array; row by row the result is
-bitwise what a 1-D ``zscore_normalize`` or ``resample_fixed`` call gives.
+and the gather work along the last axis, so the 22 channels at the common
+rate go through them as one (22, T) array; row by row the result is
+bitwise that of normalizing and subsampling each channel on its own.
 
-An index table depends only on the series length, the output length and
-the offsets, and block lengths repeat across trials, so the tables are
-cached.  A cached table is read-only; every gather from it makes a new
-array, so no output shares memory with the cache.
+An index table depends only on the series length and the offsets, and
+block lengths repeat across trials, so the tables are cached.  A cached
+table is read-only; every gather from it makes a new array, so no output
+shares memory with the cache.
 """
 
 import functools
@@ -68,11 +68,6 @@ class HapticTrial:
             raise InvalidInputError(
                 f"trial {self.object_id}/{self.trial_index} is missing (finger={finger}, ep={ep})"
             ) from None
-
-    def validate(self) -> None:
-        for finger in FINGERS:
-            for ep in EPS:
-                self.checked_channels(finger, ep)
 
     def checked_channels(self, finger: int, ep: str) -> dict:
         """``channels(finger, ep)`` after checking it against ``block_problems``;
@@ -191,52 +186,38 @@ def decimate_pac(series: np.ndarray) -> np.ndarray:
     return np.add.reduce(s[:n * DECIMATION].reshape(n, DECIMATION), axis=1) / DECIMATION
 
 
-def resample_fixed(series: np.ndarray, length: int = RESAMPLE_LEN, offset: int = 0) -> np.ndarray:
-    """Uniform index subsampling along the last axis to a fixed length, from ``offset``.
-
-    Picks indices offset + round(j*(len-1-offset)/(length-1)); the last
-    input sample is always included.  Rounding is half-to-even.  An offset
-    or length that is not an integer, or a length below 2, raises
-    InvalidInputError before the cached index tables are looked up.
-    """
-    for name, value in (("length", length), ("offset", offset)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise InvalidInputError(f"{name} must be an integer, got {value!r}")
-    if length < 2:
-        raise InvalidInputError(f"length must be at least 2, got {length}")
-    s = np.asarray(series, dtype=np.float64)
-    return s[..., _subsample_index(s.shape[-1] if s.ndim else 0, length, (offset,))[0]]
-
-
 @functools.lru_cache(maxsize=256)
-def _subsample_index(n: int, length: int, offsets: tuple) -> np.ndarray:
-    """(len(offsets), length) int64 table, read-only: row i holds
-    ``resample_fixed``'s indices into a series of length ``n`` at
-    ``offsets[i]``.  A call that raises caches nothing."""
+def _subsample_index(n: int, offsets: tuple) -> np.ndarray:
+    """(len(offsets), RESAMPLE_LEN) int64 table, read-only: row i holds the
+    indices ``o + round(j * (n - 1 - o) / (RESAMPLE_LEN - 1))``, j = 0..149,
+    into a series of length ``n`` at offset ``o = offsets[i]``.  Rounding is
+    half-to-even, so every row starts at ``o`` and ends at the last sample.
+    A call that raises caches nothing."""
     low, high = min(offsets), max(offsets)
     if low < 0:
         raise InvalidInputError(f"offset must be non-negative, got {low}")
-    if n < length + high:
+    if n < RESAMPLE_LEN + high:
         raise InvalidInputError(
-            f"series of length {n} too short for length={length}, offset={high}"
+            f"series of length {n} too short for length={RESAMPLE_LEN}, offset={high}"
         )
     off = np.asarray(offsets, dtype=np.int64)[:, None]
-    j = np.arange(length, dtype=np.float64)
+    j = np.arange(RESAMPLE_LEN, dtype=np.float64)
     # int64 spans convert to float64 exactly, so each row is bitwise the
     # scalar-offset arithmetic
-    table = off + np.rint(j * (n - 1 - off) / (length - 1)).astype(np.int64)
+    table = off + np.rint(j * (n - 1 - off) / (RESAMPLE_LEN - 1)).astype(np.int64)
     table.setflags(write=False)
     return table
 
 
-def pca_fit(samples: np.ndarray, k: int = PCA_COMPONENTS) -> PcaModel:
-    """Fit the top-k principal components of (N, 19) electrode samples.
+def pca_fit(samples: np.ndarray) -> PcaModel:
+    """Fit the top PCA_COMPONENTS principal components of (N, 19) electrode samples.
 
     Components are eigenvectors of the column-centered covariance in
     descending eigenvalue order, computed via SVD; the sign of each
     component is fixed so its largest-magnitude entry is positive.  Raises
-    InvalidInputError when the centered samples have rank below k.
+    InvalidInputError when the centered samples have a lower rank.
     """
+    k = PCA_COMPONENTS
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 2:
         raise InvalidInputError(f"samples must be 2-D, got shape {x.shape}")
@@ -312,8 +293,8 @@ def _subsampled_instances(trial: HapticTrial, finger: int, offsets, blocks: list
     values = np.empty((len(offsets), INSTANCE_CHANNELS, RESAMPLE_LEN))
     rows = INSTANCE_CHANNELS // len(EPS)
     for start, (pac, others) in zip(range(0, INSTANCE_CHANNELS, rows), blocks):
-        values[:, start] = pac[_subsample_index(pac.shape[-1], RESAMPLE_LEN, offsets)]
-        idx = _subsample_index(others.shape[-1], RESAMPLE_LEN, offsets)
+        values[:, start] = pac[_subsample_index(pac.shape[-1], offsets)]
+        idx = _subsample_index(others.shape[-1], offsets)
         values[:, start + 1:start + rows] = others[:, idx].swapaxes(0, 1)
     return [InstanceMatrix(values=v, object_id=trial.object_id, trial_index=trial.trial_index,
                            finger=finger, offset=offset)
@@ -324,8 +305,12 @@ def assemble_instance(trial: HapticTrial, finger: int, offset: int, pca: dict) -
     """Build the 32x150 input for one (finger, offset) view of a trial.
 
     ``pca`` maps EP name -> fitted PcaModel.  Channel order per EP is
-    (P_AC, P_DC, T_AC, T_DC, E-pc1..E-pc4), EPs stacked in EPS order.
+    (P_AC, P_DC, T_AC, T_DC, E-pc1..E-pc4), EPs stacked in EPS order.  An
+    offset that is not an integer raises InvalidInputError before the cached
+    index tables are looked up, where 2.0 would find offset 2's table.
     """
+    if isinstance(offset, bool) or not isinstance(offset, (int, np.integer)):
+        raise InvalidInputError(f"offset must be an integer, got {offset!r}")
     return _subsampled_instances(trial, finger, (offset,), _full_length_blocks(trial, finger, pca))[0]
 
 

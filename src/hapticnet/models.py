@@ -229,9 +229,6 @@ class Model:
         """The last layer (the loss-facing classifier)."""
         return self.layers[-1]
 
-    def parameter_count(self):
-        return sum(v.size for _, v in self.named_params())
-
 
 # Haptic CNN shape: three stride-2 grouped convolutions keep the 32 signal
 # groups separate (kernel 7/5/3, pads 3/2/1) so 150 steps shrink to 19

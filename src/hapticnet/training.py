@@ -1,6 +1,7 @@
 """Two-phase training: logistic-loss pretraining, hinge-loss fine-tuning."""
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -23,14 +24,21 @@ class TrainSchedule:
     finetune_epochs: int = None  # defaults to ``epochs``
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1 or self.lr <= 0:
-            raise InvalidSpecError(f"bad schedule: {self}")
-        if self.phase not in PHASES:
-            raise InvalidSpecError(f"unknown phase {self.phase!r}; expected one of {PHASES}")
         if self.finetune_epochs is None:
             self.finetune_epochs = self.epochs
-        elif self.finetune_epochs < 1:
-            raise InvalidSpecError(f"bad schedule: finetune_epochs {self.finetune_epochs} < 1")
+        for field in ("epochs", "batch_size", "finetune_epochs"):
+            count = getattr(self, field)
+            if isinstance(count, bool) or not isinstance(count, Integral) or count < 1:
+                raise InvalidSpecError(
+                    f"bad schedule: {field} must be a positive integer, got {count!r}")
+        if not (isinstance(self.lr, Real) and np.isfinite(self.lr) and self.lr > 0):
+            raise InvalidSpecError(f"bad schedule: lr must be finite and positive, got {self.lr!r}")
+        # NaN fails the comparison too
+        if not (isinstance(self.momentum, Real) and 0.0 <= self.momentum < 1.0):
+            raise InvalidSpecError(
+                f"bad schedule: momentum must lie in [0, 1), got {self.momentum!r}")
+        if self.phase not in PHASES:
+            raise InvalidSpecError(f"unknown phase {self.phase!r}; expected one of {PHASES}")
 
 
 @dataclass

@@ -183,29 +183,35 @@ def eigh_pca(samples, k):
 def reference_instance(trial, finger, offset, pca):
     """32x150 instance of one (finger, offset) view, built channel by channel.
 
-    Every series is z-scored, decimated, projected and subsampled on its own
-    with 1-D calls of hapticnet's primitives, nothing shared between
-    channels or offsets.  The primitives' own values are pinned by their
-    tests; this pins the composition, so the block path that normalizes
-    stacked channels once per (finger, EP) must match it bit for bit.
+    Every series is z-scored, decimated and projected on its own with 1-D
+    calls of hapticnet's primitives, and subsampled by ``subsample``, nothing
+    shared between channels or offsets.  The primitives' own values are
+    pinned by their tests; this pins the composition, so the block path that
+    normalizes stacked channels once per (finger, EP) must match it bit for
+    bit.  Subsampling only copies samples, so equal indices give equal bits.
     """
     from hapticnet.haptic import (
-        BASE_CHANNELS, ELECTRODES, EPS, RESAMPLE_LEN,
-        decimate_pac, pca_project, resample_fixed, zscore_normalize,
+        BASE_CHANNELS, ELECTRODES, EPS, decimate_pac, pca_project, zscore_normalize,
     )
 
     rows = []
     for ep in EPS:
         chans = trial.signals[(finger, ep)]
-        pac = decimate_pac(zscore_normalize(chans["P_AC"]))
-        rows.append(resample_fixed(pac, RESAMPLE_LEN, offset))
+        rows.append(subsample(decimate_pac(zscore_normalize(chans["P_AC"])), offset))
         for name in BASE_CHANNELS[1:]:
-            rows.append(resample_fixed(zscore_normalize(chans[name]), RESAMPLE_LEN, offset))
+            rows.append(subsample(zscore_normalize(chans[name]), offset))
         elec = np.stack([zscore_normalize(chans[e]) for e in ELECTRODES], axis=1)  # (T, 19)
         projected = pca_project(pca[ep], elec)
         for j in range(projected.shape[1]):
-            rows.append(resample_fixed(projected[:, j], RESAMPLE_LEN, offset))
+            rows.append(subsample(projected[:, j], offset))
     return np.stack(rows)
+
+
+def subsample(series, offset):
+    """150 samples of a 1-D series, one at a time: sample j is at index
+    offset + round(j * (len - 1 - offset) / 149), half to even."""
+    span = len(series) - 1 - offset
+    return np.array([series[offset + round(j * span / 149)] for j in range(150)])
 
 
 def masked_sigmoid(z):

@@ -190,7 +190,7 @@ class TestSgdMomentum:
     def test_first_step(self):
         w = np.array([1.0])
         v = np.zeros(1)
-        sgd_momentum_step(w, v, np.array([1.0]), lr=0.01, momentum=0.9)
+        sgd_momentum_step(w, v, np.array([1.0]), lr=0.01, momentum=0.9, name="w")
         assert v == pytest.approx([-0.01])
         assert w == pytest.approx([0.99])
 
@@ -199,15 +199,17 @@ class TestSgdMomentum:
         w = np.array([1.0])
         v = np.zeros(1)
         for _ in range(2):
-            sgd_momentum_step(w, v, np.array([1.0]), lr=0.01, momentum=0.9)
+            sgd_momentum_step(w, v, np.array([1.0]), lr=0.01, momentum=0.9, name="w")
         assert w == pytest.approx([1.0 - 0.029])
 
     def test_momentum_coast_with_zero_grad(self):
         w = np.array([1.0])
         v = np.array([-0.01])
-        sgd_momentum_step(w, v, np.array([0.0]), lr=0.01, momentum=0.9)
+        sgd_momentum_step(w, v, np.array([0.0]), lr=0.01, momentum=0.9, name="w")
         assert w == pytest.approx([1.0 - 0.009])
 
     def test_non_finite_gradient_aborts(self):
-        with pytest.raises(NonFiniteGradientError):
-            sgd_momentum_step(np.zeros(2), np.zeros(2), np.array([1.0, np.nan]), name="fc.weights")
+        with pytest.raises(NonFiniteGradientError,
+                           match="non-finite gradient for fc.weights: 1 bad entries"):
+            sgd_momentum_step(np.zeros(2), np.zeros(2), np.array([1.0, np.nan]),
+                              lr=0.01, momentum=0.9, name="fc.weights")

@@ -72,6 +72,14 @@ class TestMakeSplit:
                            match=re.escape("bumpy: objects ['o2', 'o7'] have no label for it")):
             make_split(objects, labels, "bumpy", seed=0)
 
+    def test_repeated_object_rejected(self):
+        # a repeat would size the split for 10 objects and return 8
+        objects = list("aabcdefghh")
+        labels = label_table(np.random.default_rng(3), objects, p_positive=0.5)
+        with pytest.raises(InvalidInputError,
+                           match=re.escape("bumpy: objects ['a', 'h'] are listed more than once")):
+            make_split(objects, labels, "bumpy", ratio=0.7, seed=0)
+
     @pytest.mark.parametrize("n_pos, ratio, message", [
         (1, 0.9, "needs >=2 positive and >=2 negative objects, has 1 and 9"),
         # each test size tried, 9 to 11, would take all five negatives

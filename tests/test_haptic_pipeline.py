@@ -27,12 +27,12 @@ from hapticnet.haptic import (
     decimate_pac,
     pca_fit,
     pca_project,
-    resample_fixed,
     _subsample_index,
+    block_problems,
     zscore_normalize,
 )
 
-from oracles import eigh_pca, reference_instance, reference_zscore_normalize
+from oracles import eigh_pca, reference_instance, reference_zscore_normalize, subsample
 
 
 def synth_channels(rng, base_len=340):
@@ -172,103 +172,101 @@ class TestDecimate:
 
 
 class TestResample:
+    """The index rule, row by row of ``_subsample_index``'s tables, and the
+    offset check of ``assemble_instance``, the one entry that takes an offset."""
+
     def test_identity_when_already_at_length(self):
-        s = np.random.default_rng(2).standard_normal(150)
-        assert np.array_equal(resample_fixed(s, 150, 0), s)
+        assert np.array_equal(_subsample_index(RESAMPLE_LEN, (0,))[0], np.arange(RESAMPLE_LEN))
 
     def test_stride_two_indices(self):
-        s = np.arange(299.0)
-        out = resample_fixed(s, 150, 0)
-        assert np.array_equal(out, s[::2])
+        assert np.array_equal(_subsample_index(299, (0,))[0], np.arange(0, 299, 2))
 
     def test_offsets_pick_different_samples(self):
-        s = np.random.default_rng(3).standard_normal(400)
-        outs = [resample_fixed(s, 150, o) for o in range(5)]
+        table = _subsample_index(400, OFFSETS)
         for a in range(5):
             for b in range(a + 1, 5):
-                assert np.any(outs[a] != outs[b])
+                assert np.any(table[a] != table[b])
 
     def test_endpoint_always_included(self):
-        s = np.arange(200.0)
-        for o in range(5):
-            assert resample_fixed(s, 150, o)[-1] == s[-1]
-            assert resample_fixed(s, 150, o)[0] == float(o)
+        for o, row in zip(OFFSETS, _subsample_index(200, OFFSETS)):
+            assert row[-1] == 199
+            assert row[0] == o
 
     def test_too_short_rejected(self):
-        with pytest.raises(InvalidInputError):
-            resample_fixed(np.zeros(152), 150, 3)
-        with pytest.raises(InvalidInputError):
-            resample_fixed(np.zeros((400, 152)), 150, 3)
+        with pytest.raises(InvalidInputError, match="series of length 152 too short"):
+            _subsample_index(152, (3,))
+        with pytest.raises(InvalidInputError, match="series of length 153 too short"):
+            _subsample_index(153, OFFSETS)
 
     def test_negative_offset_rejected(self):
         with pytest.raises(InvalidInputError, match="offset must be non-negative, got -1"):
-            resample_fixed(np.zeros(200), 150, -1)
+            _subsample_index(200, (2, -1))
 
-    @pytest.mark.parametrize("length, offset, message", [
-        (150, 2.5, "offset must be an integer, got 2.5"),
-        (150, True, "offset must be an integer, got True"),
-        (150.0, 0, "length must be an integer, got 150.0"),
-        (1, 0, "length must be at least 2, got 1"),
-        (0, 0, "length must be at least 2, got 0"),
-    ])
-    def test_length_or_offset_that_is_not_a_whole_count_rejected(self, length, offset, message):
-        with pytest.raises(InvalidInputError, match=re.escape(message)):
-            resample_fixed(np.arange(400.0), length, offset)
+    @pytest.mark.parametrize("offset", [2.5, True])
+    def test_offset_that_is_not_an_integer_rejected(self, offset):
+        rng = np.random.default_rng(27)
+        trial, pca = synth_trial(rng), fit_all_eps(rng)
+        with pytest.raises(InvalidInputError,
+                           match=re.escape(f"offset must be an integer, got {offset!r}")):
+            assemble_instance(trial, 0, offset, pca)
 
     def test_float_offset_is_not_served_the_integer_offsets_table(self):
         # 2.0 hashes like 2, so the check must come before the cache lookup
-        resample_fixed(np.arange(400.0), 150, 2)
+        rng = np.random.default_rng(28)
+        trial, pca = synth_trial(rng), fit_all_eps(rng)
+        assemble_instance(trial, 0, 2, pca)
         with pytest.raises(InvalidInputError, match="offset must be an integer, got 2.0"):
-            resample_fixed(np.arange(400.0), 150, 2.0)
+            assemble_instance(trial, 0, 2.0, pca)
+        assert assemble_instance(trial, 0, np.int64(2), pca).offset == 2
 
     @settings(max_examples=60)
-    @given(n=st.integers(2, 2000), length=st.integers(2, 150), offset=st.integers(0, 5))
-    def test_indices_are_the_scalar_formula(self, n, length, offset):
-        if n < length + offset:
+    @given(n=st.integers(2, 2000), offsets=st.lists(st.integers(0, 5), min_size=1, max_size=5))
+    def test_indices_are_the_scalar_formula(self, n, offsets):
+        offsets = tuple(offsets)
+        if n < RESAMPLE_LEN + max(offsets):
             with pytest.raises(InvalidInputError, match=f"length {n} too short"):
-                resample_fixed(np.arange(float(n)), length, offset)
+                _subsample_index(n, offsets)
             return
-        j = np.arange(length, dtype=np.float64)
-        idx = offset + np.rint(j * (n - 1 - offset) / (length - 1)).astype(np.int64)
-        assert np.array_equal(resample_fixed(np.arange(float(n)), length, offset), idx)
-
-    def test_rows_match_1d_calls(self):
-        rows = np.random.default_rng(5).standard_normal((22, 341))
-        for offset in range(5):
-            out = resample_fixed(rows, 150, offset)
-            assert out.shape == (22, 150)
-            for got, row in zip(out, rows):
-                assert np.array_equal(got, resample_fixed(row, 150, offset))
+        table = _subsample_index(n, offsets)
+        assert table.shape == (len(offsets), RESAMPLE_LEN)
+        for o, row in zip(offsets, table):
+            span = n - 1 - o
+            assert row.tolist() == [o + round(j * span / (RESAMPLE_LEN - 1))
+                                    for j in range(RESAMPLE_LEN)]
 
 
 class TestSubsampleIndexCache:
-    """The index tables are cached per (series length, output length,
-    offsets); a table is read-only and no output shares its memory."""
+    """The index tables are cached per (series length, offsets); a table is
+    read-only and no instance shares its memory."""
 
     def test_cached_table_is_read_only(self):
-        table = _subsample_index(400, RESAMPLE_LEN, OFFSETS)
-        assert table is _subsample_index(400, RESAMPLE_LEN, OFFSETS)
+        table = _subsample_index(400, OFFSETS)
+        assert table is _subsample_index(400, OFFSETS)
         assert table.shape == (len(OFFSETS), RESAMPLE_LEN)
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 1
         assert np.array_equal(table[:, 0], OFFSETS)
 
-    def test_resampled_output_shares_no_memory_with_the_cache(self):
-        series = np.arange(400.0)
-        out = resample_fixed(series, RESAMPLE_LEN, 2)
-        table = _subsample_index(400, RESAMPLE_LEN, (2,))
-        assert not np.shares_memory(out, table)
-        out[:] = -1.0  # the output is the caller's to write
-        assert np.array_equal(resample_fixed(series, RESAMPLE_LEN, 2), table[0])
-        # an integer series resamples to values that are its own indices
-        assert not np.shares_memory(resample_fixed(np.arange(400), RESAMPLE_LEN, 2), table)
+    def test_instances_share_no_memory_with_the_cache(self):
+        rng = np.random.default_rng(32)
+        trial, pca = synth_trial(rng), fit_all_eps(rng)
+        first = augment(trial, pca)
+        lengths = {len(c["P_DC"]) for c in trial.signals.values()} | {
+            len(c["P_AC"]) // DECIMATION for c in trial.signals.values()}
+        tables = [_subsample_index(n, OFFSETS) for n in lengths]
+        for inst in first:
+            assert not any(np.shares_memory(inst.values, t) for t in tables)
+        kept = [inst.values.copy() for inst in first]
+        for inst in first:
+            inst.values[:] = -1.0  # an instance is the caller's to write
+        assert all(np.array_equal(a.values, b) for a, b in zip(augment(trial, pca), kept))
 
     def test_errors_are_raised_on_every_call(self):
         for _ in range(2):
             with pytest.raises(InvalidInputError, match="series of length 152 too short"):
-                resample_fixed(np.zeros(152), 150, 3)
+                _subsample_index(152, (3,))
             with pytest.raises(InvalidInputError, match="offset must be non-negative, got -1"):
-                resample_fixed(np.zeros(200), 150, -1)
+                _subsample_index(200, (-1,))
 
     def test_augmenting_a_trial_again_builds_no_table(self):
         rng = np.random.default_rng(31)
@@ -287,16 +285,15 @@ class TestPca:
         coords = rng.standard_normal(80)
         data = 5.0 + np.outer(coords, direction)
         with pytest.raises(InvalidInputError, match="rank 1;"):
-            pca_fit(data, k=4)
+            pca_fit(data)
 
     def test_rank_deficit_names_rank(self):
         rng = np.random.default_rng(5)
         rank3 = rng.standard_normal((80, 3)) @ rng.standard_normal((3, 19))
         with pytest.raises(InvalidInputError, match="rank 3;"):
-            pca_fit(rank3, k=4)
-        assert pca_fit(rank3, k=3).components.shape == (19, 3)
+            pca_fit(rank3)
         with pytest.raises(InvalidInputError, match="rank 0;"):
-            pca_fit(np.full((40, 19), 2.5), k=4)
+            pca_fit(np.full((40, 19), 2.5))
 
     def test_noiseless_synth_electrodes_fit(self):
         trials, pca = synth_set(replace(synth.two_cue_config(n_objects=4, n_trials=1), noise=0.0))
@@ -309,7 +306,7 @@ class TestPca:
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_eigendecomposition_oracle(self, seed):
         data = np.random.default_rng(seed).standard_normal((50, 19))
-        model = pca_fit(data, k=4)
+        model = pca_fit(data)
         mean, comps, ratios = eigh_pca(data, k=4)
         assert np.allclose(model.mean, mean, rtol=0, atol=1e-12)
         assert np.allclose(model.components, comps, rtol=0, atol=1e-8)
@@ -324,24 +321,24 @@ class TestPca:
             mix = rng.standard_normal((4, 19))
             clean = latent @ mix
             data = clean + 0.01 * clean.std() * rng.standard_normal(clean.shape)
-            model = pca_fit(data, k=4)
+            model = pca_fit(data)
             assert model.explained_variance_ratio.sum() >= 0.95
 
     def test_orthonormal_columns(self):
         data = np.random.default_rng(8).standard_normal((60, 19))
-        c = pca_fit(data, k=4).components
+        c = pca_fit(data).components
         assert np.allclose(c.T @ c, np.eye(4), rtol=0, atol=1e-9)
 
     def test_ratios_non_increasing_and_bounded(self):
         for seed in range(8):
             data = np.random.default_rng(seed).standard_normal((40, 19))
-            r = pca_fit(data, k=4).explained_variance_ratio
+            r = pca_fit(data).explained_variance_ratio
             assert np.all(np.diff(r) <= 1e-15)
             assert r.sum() <= 1.0 + 1e-12
 
     def test_projection_is_a_contraction(self):
         rng = np.random.default_rng(9)
-        model = pca_fit(rng.standard_normal((50, 19)), k=4)
+        model = pca_fit(rng.standard_normal((50, 19)))
         for _ in range(20):
             a, b = rng.standard_normal((2, 19))
             pa, pb = pca_project(model, a), pca_project(model, b)
@@ -349,7 +346,7 @@ class TestPca:
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(InvalidInputError):
-            pca_fit(np.zeros((3, 19)), k=4)
+            pca_fit(np.zeros((3, 19)))
 
     @pytest.mark.parametrize("shape", [(19,), (4, 5, 19)])
     def test_samples_that_are_not_2d_rejected(self, shape):
@@ -357,7 +354,7 @@ class TestPca:
             pca_fit(np.zeros(shape))
 
     def test_projection_of_another_dimension_rejected(self):
-        model = pca_fit(np.random.default_rng(10).standard_normal((50, 19)), k=4)
+        model = pca_fit(np.random.default_rng(10).standard_normal((50, 19)))
         with pytest.raises(InvalidInputError, match="vector dim 18 != model dim 19"):
             pca_project(model, np.zeros((3, 18)))
 
@@ -386,16 +383,16 @@ class TestAssemble:
         inst = assemble_instance(trial, 0, 2, pca)
         # recompute the squeeze block by composing the ops by hand
         chans = trial.channels(0, "squeeze")
-        pac = resample_fixed(decimate_pac(zscore_normalize(chans["P_AC"])), 150, 2)
+        pac = subsample(decimate_pac(zscore_normalize(chans["P_AC"])), 2)
         assert np.array_equal(inst.values[0], pac)
-        pdc = resample_fixed(zscore_normalize(chans["P_DC"]), 150, 2)
+        pdc = subsample(zscore_normalize(chans["P_DC"]), 2)
         assert np.array_equal(inst.values[1], pdc)
         elec = np.stack([zscore_normalize(chans[e]) for e in ELECTRODES], axis=1)
-        pc1 = resample_fixed(pca_project(pca["squeeze"], elec)[:, 0], 150, 2)
+        pc1 = subsample(pca_project(pca["squeeze"], elec)[:, 0], 2)
         assert np.array_equal(inst.values[4], pc1)
         # hold block starts at row 8
-        hold_pac = resample_fixed(
-            decimate_pac(zscore_normalize(trial.channels(0, "hold")["P_AC"])), 150, 2)
+        hold_pac = subsample(
+            decimate_pac(zscore_normalize(trial.channels(0, "hold")["P_AC"])), 2)
         assert np.array_equal(inst.values[8], hold_pac)
 
     def test_missing_ep_is_named(self):
@@ -463,7 +460,7 @@ class TestBlockPathMatchesReference:
         trial = synth_trial(rng)
         for chans in trial.signals.values():
             chans["P_AC"] = rng.standard_normal(pac_len)
-        trial.validate()
+        assert not any(block_problems(chans) for chans in trial.signals.values())
         assert len(decimate_pac(trial.signals[(0, "hold")]["P_AC"])) != 340
         self.assert_matches_reference(trial, fit_all_eps(rng))
 
@@ -483,7 +480,7 @@ class TestBlockPathMatchesReference:
             chans["P_AC"] = rng.standard_normal(DECIMATION * (base_len + shift) + spare)
         pca = fit_all_eps(rng)
         if base_len + min(pac_shifts) >= MIN_BLOCK_LEN:
-            trial.validate()
+            assert not any(block_problems(chans) for chans in trial.signals.values())
             every_offset = [(f, o) for f in FINGERS for o in OFFSETS]
             self.assert_matches_reference(trial, pca, alone=every_offset)
             return
@@ -492,7 +489,7 @@ class TestBlockPathMatchesReference:
         named = (f"trial obj0/0 finger {finger} ep {ep}: 100 Hz length {base_len} "
                  f"and decimated P_AC length {base_len - 1} must both be at least {MIN_BLOCK_LEN}")
         with pytest.raises(InvalidInputError, match=named):
-            trial.validate()
+            trial.checked_channels(finger, ep)
         with pytest.raises(InvalidInputError, match=named):
             augment(trial, pca)
 
@@ -509,7 +506,7 @@ class TestBlockPathMatchesReference:
                      f"both be at least {MIN_BLOCK_LEN} to subsample {RESAMPLE_LEN} samples "
                      f"at offsets up to {max(OFFSETS)}$")
         with pytest.raises(InvalidInputError, match=f"obj0/0 finger 0 ep squeeze: {too_short}"):
-            trial.validate()
+            trial.checked_channels(0, "squeeze")
         with pytest.raises(InvalidInputError, match=f"obj0/0 finger 0 ep squeeze: {too_short}"):
             augment(trial, pca)
         with pytest.raises(InvalidInputError, match=f"obj0/0 finger 1 ep squeeze: {too_short}"):
@@ -565,13 +562,16 @@ class TestAugment:
 
 class TestTrialValidation:
     def test_intact_trial_passes(self):
-        synth_trial(np.random.default_rng(19)).validate()
+        trial = synth_trial(np.random.default_rng(19))
+        for finger in FINGERS:
+            for ep in EPS:
+                trial.checked_channels(finger, ep)
 
     def test_length_mismatch_rejected(self):
         trial = synth_trial(np.random.default_rng(20))
         trial.signals[(0, "hold")]["T_DC"] = np.zeros(10)
         with pytest.raises(InvalidInputError, match="T_DC"):
-            trial.validate()
+            trial.checked_channels(0, "hold")
 
     @pytest.mark.parametrize("channel", ["T_AC", "E_7"])
     def test_short_channel_rejected_by_validate_and_augment(self, channel):
@@ -580,7 +580,7 @@ class TestTrialValidation:
         pca = fit_all_eps(rng)
         chans = trial.signals[(1, "slow_slide")]
         chans[channel] = chans[channel][:-1]
-        calls = (trial.validate, lambda: augment(trial, pca),
+        calls = (lambda: trial.checked_channels(1, "slow_slide"), lambda: augment(trial, pca),
                  lambda: assemble_instance(trial, 1, 0, pca))
         for call in calls:
             with pytest.raises(InvalidInputError) as err:
@@ -592,14 +592,14 @@ class TestTrialValidation:
         trial = synth_trial(np.random.default_rng(23))
         del trial.signals[(1, "hold")]
         with pytest.raises(InvalidInputError, match="finger=1, ep=hold"):
-            trial.validate()
+            trial.checked_channels(1, "hold")
 
     def test_wrong_pac_ratio_rejected(self):
         trial = synth_trial(np.random.default_rng(21))
         bad = trial.signals[(1, "fast_slide")]
         bad["P_AC"] = np.zeros(10 * len(bad["P_DC"]))
         with pytest.raises(InvalidInputError, match="P_AC"):
-            trial.validate()
+            trial.checked_channels(1, "fast_slide")
 
     def test_empty_100hz_block_rejected(self):
         trial = synth_trial(np.random.default_rng(24), object_id="mug", trial_index=2)
@@ -608,4 +608,4 @@ class TestTrialValidation:
             chans[c] = chans[c][:0]
         with pytest.raises(InvalidInputError,
                            match="mug/2 finger 0 ep squeeze: empty 100 Hz channels"):
-            trial.validate()
+            trial.checked_channels(0, "squeeze")

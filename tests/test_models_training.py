@@ -70,7 +70,7 @@ class TestHapticCnnGraph:
             expected += spec.out_channels
         flat = 64 * conv_stack_out_len()
         expected += flat * 1 + 1
-        assert model.parameter_count() == expected
+        assert sum(value.size for _, value in model.named_params()) == expected
 
     def test_matches_engine_op_composition(self):
         model = build_haptic_cnn(seed=3)
@@ -406,6 +406,33 @@ class TestTraining:
     def test_schedule_without_epochs_in_a_phase_rejected(self, kwargs):
         with pytest.raises(InvalidSpecError, match="bad schedule"):
             TrainSchedule(**kwargs)
+
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 2.5), ("batch_size", 2.5), ("finetune_epochs", 1.5), ("epochs", True),
+        ("batch_size", False), ("finetune_epochs", "3"),
+    ])
+    def test_count_that_is_not_an_integer_rejected(self, field, value):
+        # range() would raise a bare TypeError for 2.5, and True would run one epoch
+        with pytest.raises(InvalidSpecError,
+                           match=re.escape(f"bad schedule: {field} must be a positive "
+                                           f"integer, got {value!r}")):
+            TrainSchedule(**{field: value})
+
+    def test_numpy_counts_and_zero_momentum_accepted(self):
+        schedule = TrainSchedule(epochs=np.int64(3), batch_size=np.int32(8), momentum=0.0)
+        assert schedule.finetune_epochs == 3
+
+    @pytest.mark.parametrize("field, value", [
+        ("lr", float("nan")), ("lr", float("inf")), ("lr", -0.01), ("lr", 0.0), ("lr", "0.01"),
+        ("momentum", float("nan")), ("momentum", -3.0), ("momentum", 1.0), ("momentum", None),
+    ])
+    def test_step_size_or_momentum_out_of_range_rejected(self, field, value):
+        # a NaN or inf would train an epoch and then report divergence, and a
+        # negative momentum would train every epoch
+        rule = {"lr": "be finite and positive", "momentum": "lie in [0, 1)"}[field]
+        with pytest.raises(InvalidSpecError,
+                           match=re.escape(f"bad schedule: {field} must {rule}, got {value!r}")):
+            TrainSchedule(**{field: value})
 
     def test_unknown_phase_rejected(self):
         with pytest.raises(InvalidSpecError, match="unknown phase 'logistic-only'"):
