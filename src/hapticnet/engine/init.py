@@ -1,10 +1,11 @@
 """Weight initialization and deterministic seed derivation."""
 
 import hashlib
+from numbers import Integral
 
 import numpy as np
 
-from ..errors import InvalidSpecError
+from ..errors import InvalidInputError, InvalidSpecError
 
 
 def derive_seed(base_seed: int, label: str) -> int:
@@ -12,7 +13,13 @@ def derive_seed(base_seed: int, label: str) -> int:
 
     Uses blake2b so the mapping is identical across platforms and sessions;
     every named parameter / pipeline stage gets its own stream this way.
+    The base seed must be an integer (numpy's included) and not a bool:
+    ``1.0`` or ``True`` would name another stream than ``1``, so they raise
+    InvalidInputError naming the value and the label.
     """
+    if isinstance(base_seed, bool) or not isinstance(base_seed, Integral):
+        raise InvalidInputError(
+            f"seed {base_seed!r} for stream {label!r} is not an integer")
     digest = hashlib.blake2b(f"{base_seed}/{label}".encode(), digest_size=8).digest()
     return int.from_bytes(digest, "little")
 

@@ -23,12 +23,25 @@ blocks of rows of equal width: about 165 full rows at 100 Hz, then about
 3,500 rows of P_AC alone.  The writer formats one block at a time.  A
 row-wise reader, ``_rows``, defines the format; the fast path ``_blocks``
 converts the writer's blocks and returns what ``_rows`` would, or declines.
+
+``manifest.validate`` parses every trial file to check it, and a caller
+that validates then loads would parse each file twice.  So ``validate``
+hands each successful parse to the next ``read_trial_file`` of the same
+bytes.  The key is the SHA-256 digest of the file's bytes, not its path or
+``stat`` fields, so a hit returns exactly what parsing those bytes returns,
+even for a file rewritten within one clock tick at the same size.  A hit
+removes the entry, so the one reader that gets the arrays owns them and a
+second read of the same bytes parses again.  A parse that fails keeps
+nothing.  What is held is bounded by ``_HANDOFF_BYTES``; the oldest parse is
+dropped first.
 """
 
+import hashlib
 import inspect
 import json
 import math
 import struct
+import threading
 
 import numpy as np
 
@@ -42,6 +55,16 @@ CHECKPOINT_MAGIC = b"HCKP"
 FEATUREMAP_MAGIC = b"HVFM"
 
 _HEAD = struct.Struct("<4sIQ")  # magic, version, header length
+
+
+def _read_bytes(path) -> bytes:
+    """The bytes of the file at ``path``; a file that cannot be opened or
+    read raises InvalidInputError naming the path."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as e:
+        raise InvalidInputError(f"cannot read {path}: {e.strerror or e}") from None
 
 
 def _canonical_json(obj) -> bytes:
@@ -80,8 +103,7 @@ def write_container(path, magic: bytes, tensors: dict, meta: dict) -> None:
 
 def read_container(path, magic: bytes):
     """Read back (tensors as float64, meta).  Strict about structure."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    raw = _read_bytes(path)
     if len(raw) < _HEAD.size:
         raise UnsupportedFormatError(f"{path}: file shorter than its header")
     got_magic, version, header_len = _HEAD.unpack_from(raw)
@@ -290,15 +312,35 @@ def read_trial_file(path) -> dict:
     Python's ``float`` does not parse, or parses to a NaN or an infinity, and
     so do bytes that are not UTF-8 text.  Empty cells at the end of a row are
     ignored, and a blank line ends every column.  Line endings may be
-    ``\n``, ``\r\n`` or ``\r``.
+    ``\n``, ``\r\n`` or ``\r``.  A file that cannot be read raises
+    InvalidInputError naming it.
 
     ``_rows`` reads one line at a time and defines the format: the first line
     with a problem raises.  In front of it, ``_blocks`` converts a file in
     the writer's layout a block at a time, or declines and leaves it to
     ``_rows``.
+
+    When ``validate`` parsed the same bytes and no read has taken that parse
+    yet, it is returned without parsing again (see the module docstring).
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    raw = _read_bytes(path)
+    chans = _HANDOFF.take(raw)
+    return _parse_trial(path, raw) if chans is None else chans
+
+
+def _read_trial_file_for_handoff(path) -> dict:
+    """Parse a trial file as ``read_trial_file`` does, and hold the parse for
+    the next read of the same bytes; ``validate`` reads trial files through
+    this."""
+    raw = _read_bytes(path)
+    chans = _parse_trial(path, raw)
+    _HANDOFF.put(raw, chans)
+    return chans
+
+
+def _parse_trial(path, raw) -> dict:
+    """The channels of a trial file's bytes ``raw``; ``path`` only names the
+    file in errors."""
     if not raw:
         raise UnsupportedFormatError(f"{path}: empty trial file")
     header, _, data = _lf_lines(raw).partition(b"\n")
@@ -311,6 +353,55 @@ def read_trial_file(path) -> dict:
     if columns is None:
         columns = _rows(path, names, data)
     return dict(zip(names, columns))
+
+
+# The parses held for ``read_trial_file`` are bounded by the bytes of their
+# arrays.  A trial file of the synthetic generator parses to about 60 KB
+# (84 KB of text), and the 1,152 files of ``two_cue_config()``'s 48-object,
+# 3-trial dataset to 69 MB, so at 96 MiB a caller that validates and then
+# loads that dataset parses each file once.  A caller that only validates
+# keeps at most this much alive.
+_HANDOFF_BYTES = 96 << 20
+
+
+class _Handoff:
+    """Trial-file parses keyed by the SHA-256 digest of the file's bytes,
+    each held until one read of the same bytes takes it."""
+
+    def __init__(self):
+        self._lock = threading.Lock()  # validate and reads may run in different threads
+        self._entries = {}  # digest -> (channels, bytes of their arrays), oldest first
+        self.held = 0  # bytes of the arrays in ``_entries``
+
+    def put(self, raw, chans) -> None:
+        """Hold ``chans``, parsed from the bytes ``raw``, dropping the oldest
+        parses to stay within ``_HANDOFF_BYTES``; a larger parse is not held."""
+        size = sum(v.nbytes for v in chans.values())
+        digest = hashlib.sha256(raw).digest()
+        with self._lock:
+            self._pop(digest)
+            if size > _HANDOFF_BYTES:
+                return
+            while self.held + size > _HANDOFF_BYTES:
+                self._pop(next(iter(self._entries)))
+            self._entries[digest] = (chans, size)
+            self.held += size
+
+    def take(self, raw):
+        """The channels held for the bytes ``raw``, removed; None if none are."""
+        if not self._entries:  # nothing to find: skip the hash
+            return None
+        digest = hashlib.sha256(raw).digest()
+        with self._lock:
+            return self._pop(digest)
+
+    def _pop(self, digest):
+        chans, size = self._entries.pop(digest, (None, 0))
+        self.held -= size
+        return chans
+
+
+_HANDOFF = _Handoff()
 
 
 def _rows(path, names, data) -> list:
@@ -427,8 +518,7 @@ def read_labels_csv(path):
     file, and the first line with a problem raises.  An object id may have
     one row only; a repeated one names the line of its first row.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    raw = _read_bytes(path)
     # decoded one line at a time, as the checks reach it
     lines = ((ln, _text(path, ln, line))
              for ln, line in enumerate(_lf_lines(raw).split(b"\n"), start=1))

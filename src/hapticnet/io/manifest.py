@@ -148,6 +148,11 @@ def validate(manifest: DatasetManifest, root) -> list:
 
     Total: malformed inputs become findings, never exceptions.  An intact
     dataset yields an empty list.
+
+    Each trial file that parses is held for the next ``read_trial_file`` of
+    the same bytes, so loading after a validate parses no file twice.  The
+    parse is keyed by the SHA-256 digest of the bytes, handed to one read
+    only, and the parses held are bounded (see ``formats``).
     """
     root = Path(root)
     findings = [Finding("manifest", *problem) for problem in _field_problems(manifest.to_dict())]
@@ -212,7 +217,7 @@ def validate(manifest: DatasetManifest, root) -> list:
     for entry in entries["trials"]:
         path = root / entry["path"]
         try:
-            chans = formats.read_trial_file(path)
+            chans = formats._read_trial_file_for_handoff(path)
         except Exception as e:  # noqa: BLE001
             findings.append(Finding(str(path), "trial-file", str(e)))
             continue

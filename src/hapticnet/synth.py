@@ -30,6 +30,7 @@ changes every dataset.  Two kinds of stream make a trial:
 import functools
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +80,8 @@ class SynthConfig:
             value = getattr(self, field)
             if type(value) is not int:  # a bool is not a count
                 raise InvalidInputError(f"{field} must be an int, got {value!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, Integral):
+            raise InvalidInputError(f"seed must be an integer, got {self.seed!r}")
         if self.n_objects < 2 or self.n_trials < 1:
             raise InvalidInputError(f"need >=2 objects and >=1 trial, got {self}")
         if self.n_factors < 1:

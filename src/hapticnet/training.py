@@ -31,6 +31,8 @@ class TrainSchedule:
             if isinstance(count, bool) or not isinstance(count, Integral) or count < 1:
                 raise InvalidSpecError(
                     f"bad schedule: {field} must be a positive integer, got {count!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, Integral):
+            raise InvalidSpecError(f"bad schedule: seed must be an integer, got {self.seed!r}")
         if not (isinstance(self.lr, Real) and np.isfinite(self.lr) and self.lr > 0):
             raise InvalidSpecError(f"bad schedule: lr must be finite and positive, got {self.lr!r}")
         # NaN fails the comparison too

@@ -1,13 +1,16 @@
 """Initialization, elementwise ops, losses, and the momentum optimizer."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from hapticnet import evaluation, synth
 from hapticnet.engine import (
     LayerParams,
     avg_pool,
+    derive_seed,
     hinge_loss,
     inner_product,
     inner_product_backward,
@@ -19,8 +22,51 @@ from hapticnet.engine import (
     xavier_init,
 )
 from hapticnet.errors import InvalidInputError, InvalidSpecError, NonFiniteGradientError
+from hapticnet.models import build_haptic_cnn, build_linear_classifier
+from hapticnet.training import TrainSchedule, train
 
 from oracles import max_rel_error, numerical_gradient
+
+
+def with_seed(obj, seed):
+    """``obj`` with its ``seed`` field set after construction, past the
+    checks its constructor makes."""
+    obj.seed = seed
+    return obj
+
+
+def split_with_seed(seed):
+    labels = {o: {"absorbent": o in "ab"} for o in "abcd"}
+    return evaluation.make_split(list("abcd"), labels, "absorbent", ratio=0.5, seed=seed)
+
+
+class TestDeriveSeed:
+    # every random stream of the package is keyed through derive_seed
+    CALLS = {
+        "split/absorbent/0": split_with_seed,
+        "conv1.weights": lambda seed: build_haptic_cnn(seed=seed),
+        "batch-shuffle": lambda seed: train(
+            build_linear_classifier(2), np.ones((4, 2)), np.array([1.0, -1, 1, -1]),
+            with_seed(TrainSchedule(epochs=1), seed)),
+        "synth/adjective-weights": lambda seed: synth.object_factors(
+            with_seed(synth.two_cue_config(n_objects=4, n_trials=1), seed)),
+    }
+
+    @pytest.mark.parametrize("seed", [1.0, True, np.float64(1), np.bool_(True), "1", None],
+                             ids=["float", "bool", "np.float64", "np.bool_", "str", "None"])
+    @pytest.mark.parametrize("label", sorted(CALLS))
+    def test_a_seed_that_is_not_an_integer_is_rejected(self, label, seed):
+        # 1.0 and True would key other streams than 1
+        with pytest.raises(InvalidInputError, match=re.escape(
+                f"seed {seed!r} for stream {label!r} is not an integer")):
+            self.CALLS[label](seed)
+
+    def test_numpy_integer_seeds_key_the_stream_of_the_int(self):
+        assert derive_seed(np.int64(1), "x") == derive_seed(1, "x") != derive_seed(2, "x")
+        assert split_with_seed(np.int32(3)).test_ids == split_with_seed(3).test_ids
+        for (_, a), (_, b) in zip(build_haptic_cnn(seed=np.int64(1)).named_params(),
+                                  build_haptic_cnn(seed=1).named_params()):
+            assert np.array_equal(a, b)
 
 
 class TestXavierInit:

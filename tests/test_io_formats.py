@@ -15,6 +15,8 @@ from hapticnet.io import (
     CHECKPOINT_MAGIC,
     FEATUREMAP_MAGIC,
     load_manifest,
+    load_model,
+    read_container,
     read_feature_maps,
     read_labels_csv,
     read_trial_file,
@@ -127,6 +129,20 @@ class TestReadTrialFile:
         path.write_text(HEADER + ",P_AC\n1.0\n")
         with pytest.raises(UnsupportedFormatError, match="header"):
             read_trial_file(path)
+
+
+@pytest.mark.parametrize("read", [
+    read_trial_file, read_labels_csv, read_feature_maps, load_model,
+    lambda path: read_container(path, CHECKPOINT_MAGIC),
+])
+@pytest.mark.parametrize("name, reason", [
+    ("gone.csv", "No such file or directory"), (".", "Is a directory"),
+])
+def test_a_path_that_cannot_be_read_is_named_in_a_package_error(tmp_path, read, name, reason):
+    path = tmp_path / name
+    with pytest.raises(InvalidInputError) as err:
+        read(path)
+    assert str(err.value) == f"cannot read {path}: {reason}"
 
 
 def test_writer_rejects_lengths_rising_along_the_columns(tmp_path):

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hapticnet import synth
-from hapticnet.errors import InvalidInputError
+from hapticnet.errors import InvalidInputError, UnsupportedFormatError
 from hapticnet.haptic import CHANNELS, DECIMATION, HapticTrial
 from hapticnet.io import (
     DatasetManifest,
     Finding,
+    formats,
     load_manifest,
     read_feature_maps,
     read_labels_csv,
@@ -246,6 +247,7 @@ class TestValidate:
         os.remove(gone)
         findings = validate(manifest, tree.parent)
         assert [(f.file, f.field) for f in findings] == [(str(gone), "trial-file")]
+        assert findings[0].message == f"cannot read {gone}: No such file or directory"
 
     def test_wrong_sample_rate_ratio(self, tree):
         manifest = load_manifest(tree)
@@ -339,3 +341,59 @@ def test_validate_flags_a_block_exactly_when_checked_channels_raises(tree, data)
     except InvalidInputError:
         raised = True
     assert raised == (str(path) in flagged)
+
+
+def outcome(path):
+    """A trial file's channels, or the UnsupportedFormatError reading it raises."""
+    try:
+        return read_trial_file(path)
+    except UnsupportedFormatError as e:
+        return e
+
+
+@st.composite
+def byte_flips(draw, raw):
+    """``raw`` with one to three bytes changed: each flipped by a drawn mask,
+    set to a digit, or set to a byte that the text formats give a meaning to."""
+    out = bytearray(raw)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(out) - 1))
+        out[i] = draw(st.integers(1, 255).map(lambda mask: out[i] ^ mask)
+                      | st.sampled_from(b"0123456789")
+                      | st.sampled_from(b".,-e\n\r \xff"))
+    return bytes(out)
+
+
+# Each example restores the file it flips, so sharing the tree is safe.
+@pytest.mark.parametrize("kind", ["labels", "visual", "trials"])
+@settings(max_examples=20, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_validate_of_a_flipped_file_is_total_and_hands_off_only_fresh_parses(
+        tree, monkeypatch, kind, data):
+    manifest = load_manifest(tree)
+    root = tree.parent
+    trial_paths = [root / entry["path"] for entry in manifest.trials]
+    path = data.draw(st.sampled_from({
+        "labels": [root / manifest.labels_path],
+        "visual": [root / v["path"] for v in manifest.visual],
+        "trials": trial_paths,
+    }[kind]))
+    original = path.read_bytes()
+    with monkeypatch.context() as m:
+        m.setattr(formats, "_HANDOFF", formats._Handoff())
+        try:
+            path.write_bytes(data.draw(byte_flips(original)))
+            findings = validate(manifest, root)
+            got = [outcome(p) for p in trial_paths]
+            m.setattr(formats, "_HANDOFF", formats._Handoff())
+            expected = [outcome(p) for p in trial_paths]
+        finally:
+            path.write_bytes(original)
+    assert isinstance(findings, list) and all(isinstance(f, Finding) for f in findings)
+    for p, g, e in zip(trial_paths, got, expected):
+        if isinstance(e, Exception):
+            assert isinstance(g, UnsupportedFormatError) and str(g) == str(e), p
+        else:
+            assert list(g) == list(e), p
+            for name in e:
+                assert np.array_equal(g[name].view(np.int64), e[name].view(np.int64)), (p, name)

@@ -418,6 +418,12 @@ class TestTraining:
                                            f"integer, got {value!r}")):
             TrainSchedule(**{field: value})
 
+    @pytest.mark.parametrize("seed", [1.0, True, "a", None])
+    def test_seed_that_is_not_an_integer_rejected(self, seed):
+        with pytest.raises(InvalidSpecError,
+                           match=re.escape(f"bad schedule: seed must be an integer, got {seed!r}")):
+            TrainSchedule(seed=seed)
+
     def test_numpy_counts_and_zero_momentum_accepted(self):
         schedule = TrainSchedule(epochs=np.int64(3), batch_size=np.int32(8), momentum=0.0)
         assert schedule.finetune_epochs == 3

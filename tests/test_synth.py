@@ -45,6 +45,9 @@ def assert_same_trial(trial, expected):
     ({"n_objects": 2.5}, "n_objects must be an int, got 2.5"),
     ({"n_trials": True}, "n_trials must be an int, got True"),
     ({"n_factors": 2.0}, "n_factors must be an int, got 2.0"),
+    ({"seed": 1.0}, "seed must be an integer, got 1.0"),
+    ({"seed": True}, "seed must be an integer, got True"),
+    ({"seed": "a"}, "seed must be an integer, got 'a'"),
 ])
 def test_config_checks_name_the_bad_field(kwargs, message):
     with pytest.raises(InvalidInputError, match=re.escape(message)):

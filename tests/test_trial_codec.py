@@ -1,16 +1,22 @@
 """The block-wise trial-file codec against the row-wise reference in
 ``oracles``: the same bytes written, the same arrays read back, and the same
-error for every file the reference rejects."""
+error for every file the reference rejects.  Then the hand-off of
+``validate``'s parses to the next read of the same bytes."""
 
+import hashlib
+import os
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from hapticnet import synth
 from hapticnet.errors import InvalidInputError, UnsupportedFormatError
 from hapticnet.haptic import CHANNELS
-from hapticnet.io import formats, read_trial_file, write_trial_file
+from hapticnet.io import formats, load_manifest, read_trial_file, validate, write_trial_file
 from oracles import rowwise_read_trial_file, rowwise_write_trial_file
 
 # Every example overwrites the same files under tmp_path, so sharing it is
@@ -237,3 +243,156 @@ def test_writer_rejects_a_channel_that_is_not_a_finite_series(tmp_path, value, m
         write_trial_file(path, chans)
     assert str(path) in str(err.value)
     assert not path.exists()
+
+
+def generated_trial_paths(tmp_path):
+    """(manifest, trial-file paths) of a small generated dataset under ``tmp_path``."""
+    manifest = load_manifest(synth.synth_generate(
+        synth.separable_config(n_objects=2, n_trials=1, seed=5), tmp_path))
+    return manifest, [tmp_path / entry["path"] for entry in manifest.trials]
+
+
+def validated_trial_paths(tmp_path):
+    """The trial-file paths of a small generated dataset that ``validate``
+    has just found intact."""
+    manifest, paths = generated_trial_paths(tmp_path)
+    assert validate(manifest, tmp_path) == []
+    return paths
+
+
+def fresh_read(monkeypatch, path):
+    """``read_trial_file`` with no parse held, so it parses ``path``."""
+    with monkeypatch.context() as m:
+        m.setattr(formats, "_HANDOFF", formats._Handoff())
+        return read_trial_file(path)
+
+
+def test_reads_after_validate_are_bitwise_fresh_parses(tmp_path, monkeypatch):
+    paths = validated_trial_paths(tmp_path)
+    for path in paths:
+        assert_bitwise_equal(read_trial_file(path), fresh_read(monkeypatch, path))
+    assert formats._HANDOFF._entries == {} and formats._HANDOFF.held == 0
+
+
+def test_validate_then_read_parses_each_trial_file_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(data, n_names):
+        calls.append(data)
+        return blocks(data, n_names)
+
+    blocks = formats._blocks
+    monkeypatch.setattr(formats, "_blocks", counted)
+    paths = validated_trial_paths(tmp_path)
+    for path in paths:
+        read_trial_file(path)
+    assert len(calls) == len(paths) == 16
+
+
+def rewritten_in_place(path, edit):
+    """Rewrite ``path`` as ``edit`` of its bytes, keeping its size and its
+    access and modification times."""
+    before = os.stat(path)
+    raw = path.read_bytes()
+    new = edit(raw)
+    assert len(new) == len(raw) and new != raw
+    path.write_bytes(new)
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = os.stat(path)
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+
+
+def test_a_file_rewritten_after_validate_reads_its_new_bytes(tmp_path, monkeypatch):
+    paths = validated_trial_paths(tmp_path)
+    old = fresh_read(monkeypatch, paths[0])
+    # the last line is one P_AC value: change its last digit
+    rewritten_in_place(paths[0], lambda raw: raw[:-2] + (b"2" if raw[-2:-1] == b"1" else b"1") + b"\n")
+    got = read_trial_file(paths[0])
+    assert_bitwise_equal(got, fresh_read(monkeypatch, paths[0]))
+    assert got["P_AC"][-1] != old["P_AC"][-1]
+
+    rewritten_in_place(paths[1], lambda raw: raw[:-2] + b"x\n")
+    with pytest.raises(UnsupportedFormatError, match="'.*x' is not a number"):
+        read_trial_file(paths[1])
+
+
+def test_two_reads_after_validate_share_no_memory(tmp_path):
+    path = validated_trial_paths(tmp_path)[0]
+    first, second = read_trial_file(path), read_trial_file(path)
+    assert_bitwise_equal(first, second)
+    for name in CHANNELS:
+        assert not np.shares_memory(first[name], second[name]), name
+
+
+def test_a_trial_file_that_fails_to_parse_leaves_nothing_held(tmp_path):
+    manifest, paths = generated_trial_paths(tmp_path)
+    bad = paths[3].read_bytes().replace(b"\n", b"\nx,", 1)
+    paths[3].write_bytes(bad)
+    findings = validate(manifest, tmp_path)
+    assert [(f.file, f.field) for f in findings] == [(str(paths[3]), "trial-file")]
+    held = formats._HANDOFF._entries
+    assert len(held) == len(paths) - 1
+    assert hashlib.sha256(bad).digest() not in held
+    with pytest.raises(UnsupportedFormatError) as err:
+        read_trial_file(paths[3])
+    assert str(err.value) == findings[0].message
+
+
+def test_parses_held_stay_within_the_bound(tmp_path, monkeypatch):
+    manifest, paths = generated_trial_paths(tmp_path)
+    sizes = [sum(v.nbytes for v in read_trial_file(p).values()) for p in paths]
+    bound = sizes[-1] + sizes[-2] + sizes[-3] // 2  # the last two files fit, not three
+    monkeypatch.setattr(formats, "_HANDOFF_BYTES", bound)
+    put = formats._HANDOFF.put
+
+    def checked_put(raw, chans):
+        put(raw, chans)
+        assert formats._HANDOFF.held <= bound
+
+    monkeypatch.setattr(formats._HANDOFF, "put", checked_put)
+    assert validate(manifest, tmp_path) == []
+    held = formats._HANDOFF._entries
+    # the oldest parses were dropped first
+    assert list(held) == [hashlib.sha256(p.read_bytes()).digest() for p in paths[-2:]]
+    assert formats._HANDOFF.held == sum(size for _, size in held.values()) == sum(sizes[-2:])
+
+
+def test_a_parse_larger_than_the_bound_is_not_held_and_drops_nothing(monkeypatch):
+    small = {"P_AC": np.zeros(8)}
+    monkeypatch.setattr(formats, "_HANDOFF_BYTES", 100)
+    formats._HANDOFF.put(b"small", small)
+    formats._HANDOFF.put(b"large", {"P_AC": np.zeros(13)})
+    assert formats._HANDOFF.held == 64
+    assert formats._HANDOFF.take(b"large") is None
+    assert formats._HANDOFF.take(b"small") is small
+
+
+def test_threads_that_hold_and_take_at_once_keep_the_handoff_consistent(monkeypatch):
+    # five parses fit, and eight threads each hold seven and take another
+    # thread's, so parses are dropped and taken all the time
+    monkeypatch.setattr(formats, "_HANDOFF_BYTES", 5 * 64)
+    errors = []
+
+    def work(k):
+        chans = {"P_AC": np.zeros(8)}
+        try:
+            for i in range(3000):
+                formats._HANDOFF.put(b"%d-%d" % (k, i % 7), chans)
+                formats._HANDOFF.take(b"%d-%d" % ((k + 1) % 8, i % 7))
+        except BaseException as e:  # noqa: BLE001 - reported by the main thread
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    held = formats._HANDOFF._entries
+    assert formats._HANDOFF.held == sum(size for _, size in held.values()) <= 5 * 64
