@@ -69,9 +69,9 @@ def combine_instances(features, expected_count) -> FeatureVector:
 def fuse_features(haptic, visual):
     """Concatenate per-object haptic and visual features, haptic first.
 
-    ``haptic`` holds FeatureVectors and ``visual`` VisualFeatures (from
-    ``visual.combine_views``), one per object; the object sets must match
-    exactly, and within a modality every object's vector has the same length.
+    ``haptic`` and ``visual`` each hold object-level FeatureVectors (with
+    ``index=()``), one per object; the object sets must match exactly, and
+    within a modality every object's vector has the same length.
     """
     hmap = {f.object_id: f for f in haptic}
     vmap = {f.object_id: f for f in visual}

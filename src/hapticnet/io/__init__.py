@@ -13,6 +13,7 @@ from .formats import (
     write_trial_file,
     CHECKPOINT_MAGIC,
     FEATUREMAP_MAGIC,
+    TRIAL_MAGIC,
 )
 from .manifest import DatasetManifest, Finding, load_manifest, save_manifest, validate
 
@@ -29,6 +30,7 @@ __all__ = [
     "read_trial_file",
     "save_manifest",
     "save_model",
+    "TRIAL_MAGIC",
     "validate",
     "write_container",
     "write_feature_maps",

@@ -1,13 +1,14 @@
 """On-disk formats: tensor containers, checkpoints, feature maps, trial files.
 
-There is one binary layout, the tensor container: a magic naming what the
-file holds, a version, a canonical JSON header and little-endian float32
-tensors.  Checkpoints and visual feature maps are both containers, so
-storage is 32-bit while all training math stays 64-bit.  ``read_container``
-verifies magic, version, header and exact payload length and rejects
-anything else instead of guessing; ``write_container`` refuses a tensor with
-a value that is not finite in float32.  Trial files and the label table are
-text.  Writers are deterministic: identical inputs produce identical bytes.
+There is one binary layout for every numeric file, the tensor container: a
+magic naming what the file holds, a version, a canonical JSON header and
+little-endian float32 tensors.  Checkpoints, visual feature maps and trial
+files are all containers, so storage is 32-bit while all training math
+stays 64-bit.  ``read_container`` verifies magic, version, header and exact
+payload length, and that every stored value is finite, and rejects anything
+else instead of guessing; ``write_container`` refuses a tensor with a value
+that is not finite in float32.  The label table is text.  Writers are
+deterministic: identical inputs produce identical bytes.
 
 A checkpoint's meta holds, under ``"model"``, the builder entry: the name
 of the builder in ``models.BUILDERS`` that made the model and that
@@ -15,33 +16,15 @@ builder's arguments other than the seed, for example
 ``{"builder": "fusion", "feature_dim": 20}``.  Loading calls that builder;
 the file describes no graph of its own.
 
-A trial file is a header naming the channels, then rows of comma-separated
-cells.  Each cell is a finite number in the grammar of Python's ``float``,
-and the writer prints it ``"%.8g" % value``.  Every row fills a prefix of the
-columns, and that prefix never widens down the file, so a file is a few
-blocks of rows of equal width: about 165 full rows at 100 Hz, then about
-3,500 rows of P_AC alone.  The writer formats one block at a time.  A
-row-wise reader, ``_rows``, defines the format; the fast path ``_blocks``
-converts the writer's blocks and returns what ``_rows`` would, or declines.
-
-``manifest.validate`` parses every trial file to check it, and a caller
-that validates then loads would parse each file twice.  So ``validate``
-hands each successful parse to the next ``read_trial_file`` of the same
-bytes.  The key is the SHA-256 digest of the file's bytes, not its path or
-``stat`` fields, so a hit returns exactly what parsing those bytes returns,
-even for a file rewritten within one clock tick at the same size.  A hit
-removes the entry, so the one reader that gets the arrays owns them and a
-second read of the same bytes parses again.  A parse that fails keeps
-nothing.  What is held is bounded by ``_HANDOFF_BYTES``; the oldest parse is
-dropped first.
+A trial file holds one 1-D tensor per channel of ``haptic.CHANNELS``, named
+by the channel, and an empty meta.  The sample rates are fixed by the format
+(``haptic.PAC_RATE``, ``haptic.BASE_RATE``) and are not stored.
 """
 
-import hashlib
 import inspect
 import json
 import math
 import struct
-import threading
 
 import numpy as np
 
@@ -53,6 +36,7 @@ from ..models import BUILDERS
 CONTAINER_VERSION = 1
 CHECKPOINT_MAGIC = b"HCKP"
 FEATUREMAP_MAGIC = b"HVFM"
+TRIAL_MAGIC = b"HTRL"
 
 _HEAD = struct.Struct("<4sIQ")  # magic, version, header length
 
@@ -102,7 +86,9 @@ def write_container(path, magic: bytes, tensors: dict, meta: dict) -> None:
 
 
 def read_container(path, magic: bytes):
-    """Read back (tensors as float64, meta).  Strict about structure."""
+    """Read back (tensors as float64, meta).  Strict about structure, and a
+    stored value that is not finite raises UnsupportedFormatError naming the
+    tensor."""
     raw = _read_bytes(path)
     if len(raw) < _HEAD.size:
         raise UnsupportedFormatError(f"{path}: file shorter than its header")
@@ -120,16 +106,24 @@ def read_container(path, magic: bytes):
         raise UnsupportedFormatError(f"{path}: bad header JSON: {e}") from None
     entries, meta = _container_header(path, header)
     offset = start + header_len
-    tensors = {}
+    bounds = [0]  # tensor k is values bounds[k]:bounds[k + 1] of the payload
     for name, shape in entries:
-        nbytes = math.prod(shape) * 4  # Python ints: a huge shape cannot wrap
-        chunk = raw[offset:offset + nbytes]
-        if len(chunk) != nbytes:
+        bounds.append(bounds[-1] + math.prod(shape))  # Python ints: a huge shape cannot wrap
+        if offset + 4 * bounds[-1] > len(raw):
             raise UnsupportedFormatError(f"{path}: truncated tensor {name!r}")
-        tensors[name] = np.frombuffer(chunk, dtype="<f4").reshape(shape).astype(np.float64)
-        offset += nbytes
-    if offset != len(raw):
-        raise UnsupportedFormatError(f"{path}: {len(raw) - offset} trailing bytes")
+    if offset + 4 * bounds[-1] != len(raw):
+        raise UnsupportedFormatError(f"{path}: {len(raw) - offset - 4 * bounds[-1]} trailing bytes")
+    # the whole payload in one pass; each tensor is a view of it
+    stored = np.frombuffer(raw, dtype="<f4", count=bounds[-1], offset=offset)
+    if not np.isfinite(stored).all():
+        i = int(np.flatnonzero(~np.isfinite(stored))[0])
+        k = int(np.searchsorted(bounds, i, side="right")) - 1
+        raise UnsupportedFormatError(
+            f"{path}: tensor {entries[k][0]!r} holds {stored[i]} at flat index "
+            f"{i - bounds[k]}, which is not finite")
+    values = stored.astype(np.float64)
+    tensors = {name: values[a:b].reshape(shape)
+               for (name, shape), a, b in zip(entries, bounds, bounds[1:])}
     return tensors, meta
 
 
@@ -142,18 +136,18 @@ def _container_header(path, header):
         if not isinstance(header.get(key), kind):
             raise UnsupportedFormatError(
                 f"{path}: header field {key!r} is missing or not a {kind.__name__}")
-    entries = []
+    entries = {}  # name -> shape, in file order
     for i, entry in enumerate(header["tensors"]):
         name = entry.get("name") if isinstance(entry, dict) else None
         if not isinstance(name, str):
             raise UnsupportedFormatError(f"{path}: tensor entry {i} has no name")
-        if name in (n for n, _ in entries):
+        if name in entries:
             raise UnsupportedFormatError(f"{path}: tensor {name!r} is listed twice")
         shape = entry.get("shape")
         if not (isinstance(shape, list) and all(type(s) is int and s >= 0 for s in shape)):
             raise UnsupportedFormatError(f"{path}: tensor {name!r} has no valid shape: {shape!r}")
-        entries.append((name, tuple(shape)))
-    return entries, header["meta"]
+        entries[name] = tuple(shape)
+    return list(entries.items()), header["meta"]
 
 
 def save_model(path, model, meta: dict) -> None:
@@ -257,215 +251,40 @@ def read_feature_maps(path) -> np.ndarray:
 
 
 def write_trial_file(path, channels: dict) -> None:
-    """Columnar numeric text for one (object, trial, finger, EP).
+    """One (object, trial, finger, EP) as a trial container: one 1-D float32
+    tensor per channel of ``CHANNELS``, named by the channel.
 
-    Channels are columns in the fixed order; columns shorter than the
-    longest one (P_AC runs ~22x longer than the 100 Hz channels) simply end,
-    with trailing empty cells trimmed from each row.  Lengths must not grow
-    along that order, so every row fills a prefix of the columns.  Each
-    channel is one series, and every sample must be finite; each is written
-    as ``"%.8g" % value``.  The sample rates are fixed by the format
-    (``haptic.PAC_RATE``, ``haptic.BASE_RATE``) and are not stored.
-
-    The file is written block by block: the rows that fill the same number
-    of columns form one block, formatted with one template.  Bad input
-    raises InvalidInputError naming the file and channel before the file is
-    opened.
+    A missing channel, a channel that is not one series, and a sample that
+    is not finite in float32 raise InvalidInputError naming the file and
+    channel before the file is opened.
     """
     missing = [c for c in CHANNELS if c not in channels]
     if missing:
         raise InvalidInputError(f"{path}: trial is missing channels {missing}")
-    series = [np.asarray(channels[c], dtype=np.float64) for c in CHANNELS]
-    for name, s in zip(CHANNELS, series):
+    series = {c: np.asarray(channels[c]) for c in CHANNELS}
+    for name, s in series.items():
         if s.ndim != 1:
             raise InvalidInputError(f"{path}: channel {name} has shape {s.shape}, not (samples,)")
-        bad = np.flatnonzero(~np.isfinite(s))
-        if bad.size:
-            raise InvalidInputError(
-                f"{path}: channel {name} sample {bad[0]} is {s[bad[0]]}, not a finite number")
-    for j in range(1, len(CHANNELS)):
-        if series[j].size > series[j - 1].size:
-            raise InvalidInputError(
-                f"{path}: channel {CHANNELS[j]} has {series[j].size} samples, more than "
-                f"{CHANNELS[j - 1]} before it ({series[j - 1].size})")
-    # rows sizes[w]..sizes[w - 1] fill exactly the first w columns
-    sizes = [s.size for s in series] + [0]
-    parts = [",".join(CHANNELS)]
-    for w in range(len(series), 0, -1):
-        a, b = sizes[w], sizes[w - 1]
-        if a < b:
-            block = np.stack([s[a:b] for s in series[:w]], axis=1)
-            template = "\n".join([",".join(["%.8g"] * w)] * (b - a))
-            parts.append(template % tuple(block.ravel().tolist()))
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    write_container(path, TRIAL_MAGIC, series, {})
 
 
 def read_trial_file(path) -> dict:
-    """Parse a trial file back into channel -> array.
+    """The channels of a trial container, as float64 arrays in ``CHANNELS``
+    order.
 
-    Each row fills a prefix of the columns: a column that has ended stays
-    empty, and the columns to its left run at least as long.  A value below
-    an ended column, or to the right of an empty cell, would sit at a
-    different time step than its neighbours; it raises
-    UnsupportedFormatError naming the line and column.  So does a cell that
-    Python's ``float`` does not parse, or parses to a NaN or an infinity, and
-    so do bytes that are not UTF-8 text.  Empty cells at the end of a row are
-    ignored, and a blank line ends every column.  Line endings may be
-    ``\n``, ``\r\n`` or ``\r``.  A file that cannot be read raises
-    InvalidInputError naming it.
-
-    ``_rows`` reads one line at a time and defines the format: the first line
-    with a problem raises.  In front of it, ``_blocks`` converts a file in
-    the writer's layout a block at a time, or declines and leaves it to
-    ``_rows``.
-
-    When ``validate`` parsed the same bytes and no read has taken that parse
-    yet, it is returned without parsing again (see the module docstring).
+    The file must hold exactly the channels of ``CHANNELS``, each 1-D; any
+    other content raises UnsupportedFormatError naming the file, and a file
+    that cannot be read raises InvalidInputError naming it.
     """
-    raw = _read_bytes(path)
-    chans = _HANDOFF.take(raw)
-    return _parse_trial(path, raw) if chans is None else chans
-
-
-def _read_trial_file_for_handoff(path) -> dict:
-    """Parse a trial file as ``read_trial_file`` does, and hold the parse for
-    the next read of the same bytes; ``validate`` reads trial files through
-    this."""
-    raw = _read_bytes(path)
-    chans = _parse_trial(path, raw)
-    _HANDOFF.put(raw, chans)
-    return chans
-
-
-def _parse_trial(path, raw) -> dict:
-    """The channels of a trial file's bytes ``raw``; ``path`` only names the
-    file in errors."""
-    if not raw:
-        raise UnsupportedFormatError(f"{path}: empty trial file")
-    header, _, data = _lf_lines(raw).partition(b"\n")
-    names = _text(path, 1, header).split(",")
-    if len(names) != len(CHANNELS) or set(names) != set(CHANNELS):
-        raise UnsupportedFormatError(f"{path}: header does not list the expected channels")
-    if data and not data.endswith(b"\n"):
-        data += b"\n"
-    columns = _blocks(data, len(names))
-    if columns is None:
-        columns = _rows(path, names, data)
-    return dict(zip(names, columns))
-
-
-# The parses held for ``read_trial_file`` are bounded by the bytes of their
-# arrays.  A trial file of the synthetic generator parses to about 60 KB
-# (84 KB of text), and the 1,152 files of ``two_cue_config()``'s 48-object,
-# 3-trial dataset to 69 MB, so at 96 MiB a caller that validates and then
-# loads that dataset parses each file once.  A caller that only validates
-# keeps at most this much alive.
-_HANDOFF_BYTES = 96 << 20
-
-
-class _Handoff:
-    """Trial-file parses keyed by the SHA-256 digest of the file's bytes,
-    each held until one read of the same bytes takes it."""
-
-    def __init__(self):
-        self._lock = threading.Lock()  # validate and reads may run in different threads
-        self._entries = {}  # digest -> (channels, bytes of their arrays), oldest first
-        self.held = 0  # bytes of the arrays in ``_entries``
-
-    def put(self, raw, chans) -> None:
-        """Hold ``chans``, parsed from the bytes ``raw``, dropping the oldest
-        parses to stay within ``_HANDOFF_BYTES``; a larger parse is not held."""
-        size = sum(v.nbytes for v in chans.values())
-        digest = hashlib.sha256(raw).digest()
-        with self._lock:
-            self._pop(digest)
-            if size > _HANDOFF_BYTES:
-                return
-            while self.held + size > _HANDOFF_BYTES:
-                self._pop(next(iter(self._entries)))
-            self._entries[digest] = (chans, size)
-            self.held += size
-
-    def take(self, raw):
-        """The channels held for the bytes ``raw``, removed; None if none are."""
-        if not self._entries:  # nothing to find: skip the hash
-            return None
-        digest = hashlib.sha256(raw).digest()
-        with self._lock:
-            return self._pop(digest)
-
-    def _pop(self, digest):
-        chans, size = self._entries.pop(digest, (None, 0))
-        self.held -= size
-        return chans
-
-
-_HANDOFF = _Handoff()
-
-
-def _rows(path, names, data) -> list:
-    """The columns of the rows in ``data``, read one line at a time: the
-    definition of the trial-file format.  The first problem in file order
-    raises UnsupportedFormatError naming its line."""
-    columns = [[] for _ in names]
-    width = len(names)  # columns still running
-    for ln, line in enumerate(data.splitlines(), start=2):
-        cells = _text(path, ln, line).split(",")
-        n = len(cells)
-        while n and cells[n - 1] == "":  # trailing empty cells; a blank line keeps none
-            n -= 1
-        if "" in cells[:n]:
-            j = cells.index("")
+    tensors, _ = read_container(path, TRIAL_MAGIC)
+    if tensors.keys() != set(CHANNELS):
+        raise UnsupportedFormatError(
+            f"{path}: trial holds tensors {sorted(tensors)}, expected the channels {list(CHANNELS)}")
+    for name in CHANNELS:
+        if tensors[name].ndim != 1:
             raise UnsupportedFormatError(
-                f"{path}:{ln}: column {j + 1} ({names[j]}) is empty but a column right of it is not")
-        if n > len(names):
-            raise UnsupportedFormatError(f"{path}:{ln}: more cells than header columns")
-        if n > width:
-            raise UnsupportedFormatError(
-                f"{path}:{ln}: column {width + 1} ({names[width]}) has a value after it ended")
-        width = n
-        for j, cell in enumerate(cells[:n]):
-            try:
-                value = float(cell)
-            except ValueError:
-                raise UnsupportedFormatError(
-                    f"{path}:{ln}: column {j + 1} ({names[j]}): {cell!r} is not a number") from None
-            if not math.isfinite(value):
-                raise UnsupportedFormatError(
-                    f"{path}:{ln}: column {j + 1} ({names[j]}): {cell!r} is not finite")
-            columns[j].append(value)
-    return [np.asarray(c, dtype=np.float64) for c in columns]
-
-
-def _blocks(data, n_names):
-    """The columns ``_rows`` reads from ``data``, empty or ending in a line
-    break, when it is in the writer's layout: no empty cell, and no row wider
-    than the header or the row above.  Each block of rows of equal width is
-    converted in one ``float`` pass.  None for any other layout or for a cell
-    that is not a finite number."""
-    raw = np.frombuffer(data, dtype=np.uint8)
-    seps = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
-    if (np.diff(seps, prepend=-1) == 1).any():  # a separator first or after another: an empty cell
-        return None
-    breaks = np.flatnonzero(raw[seps] == ord("\n"))
-    widths = np.diff(breaks, prepend=-1)  # a row's commas and its line break
-    if (widths[:1] > n_names).any() or (np.diff(widths) > 0).any():
-        return None
-    starts = np.r_[0, seps[breaks] + 1]  # row i is data[starts[i]:starts[i + 1] - 1]
-    columns = [[] for _ in range(n_names)]
-    edges = np.flatnonzero(np.diff(widths, prepend=-1, append=-1))
-    for a, b in zip(edges[:-1], edges[1:]):
-        try:
-            cells = data[starts[a]:starts[b] - 1].decode().replace("\n", ",").split(",")
-            block = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
-        except ValueError:  # a UnicodeDecodeError too
-            return None
-        if not np.isfinite(block).all():
-            return None
-        for column, values in zip(columns, block.reshape(b - a, -1).T):
-            column.append(values)
-    return [np.concatenate(c) if c else np.empty(0) for c in columns]
+                f"{path}: channel {name} has shape {tensors[name].shape}, not (samples,)")
+    return {name: tensors[name] for name in CHANNELS}
 
 
 def _lf_lines(raw: bytes) -> bytes:

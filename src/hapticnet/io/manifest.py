@@ -147,12 +147,8 @@ def validate(manifest: DatasetManifest, root) -> list:
     """Check counts, file integrity, trial blocks, label completeness.
 
     Total: malformed inputs become findings, never exceptions.  An intact
-    dataset yields an empty list.
-
-    Each trial file that parses is held for the next ``read_trial_file`` of
-    the same bytes, so loading after a validate parses no file twice.  The
-    parse is keyed by the SHA-256 digest of the bytes, handed to one read
-    only, and the parses held are bounded (see ``formats``).
+    dataset yields an empty list.  Every file is read through the public
+    reader of its format, so a file that validates loads.
     """
     root = Path(root)
     findings = [Finding("manifest", *problem) for problem in _field_problems(manifest.to_dict())]
@@ -217,7 +213,7 @@ def validate(manifest: DatasetManifest, root) -> list:
     for entry in entries["trials"]:
         path = root / entry["path"]
         try:
-            chans = formats._read_trial_file_for_handoff(path)
+            chans = formats.read_trial_file(path)
         except Exception as e:  # noqa: BLE001
             findings.append(Finding(str(path), "trial-file", str(e)))
             continue

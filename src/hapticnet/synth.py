@@ -78,7 +78,7 @@ class SynthConfig:
     def __post_init__(self):
         for field in ("n_objects", "n_trials", "n_factors"):
             value = getattr(self, field)
-            if type(value) is not int:  # a bool is not a count
+            if isinstance(value, bool) or not isinstance(value, Integral):  # a bool is not a count
                 raise InvalidInputError(f"{field} must be an int, got {value!r}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, Integral):
             raise InvalidInputError(f"seed must be an integer, got {self.seed!r}")
@@ -347,7 +347,7 @@ def synth_generate(config: SynthConfig, out_dir) -> Path:
             trial = make_trial(config, obj, z[i], t)
             for finger in FINGERS:
                 for ep in EPS:
-                    rel = f"trials/{obj}_t{t}_f{finger}_{ep}.csv"
+                    rel = f"trials/{obj}_t{t}_f{finger}_{ep}.htr"
                     formats.write_trial_file(out / rel, trial.channels(finger, ep))
                     trial_index.append({"object_id": obj, "trial": t,
                                         "finger": finger, "ep": ep, "path": rel})

@@ -297,6 +297,16 @@ class TestCheckpointReader:
         self.load_rejects(path, re.escape(f"[{stray!r}] name no parameter"))
 
 
+    def test_weight_that_is_not_finite_rejected(self, tmp_path):
+        # the writer refuses such a weight, so one is put into the bytes: the
+        # last value of the last tensor by name
+        path = tmp_path / "m.ckpt"
+        save_model(path, trained_looking("fusion"), {})
+        path.write_bytes(path.read_bytes()[:-4] + struct.pack("<f", np.nan))
+        self.load_rejects(path, re.escape(
+            "tensor 'fc.weights' holds nan at flat index 19, which is not finite"))
+
+
 class TestCheckpointWriter:
     def test_caller_meta_key_graph_round_trips(self, tmp_path):
         save_model(tmp_path / "m.ckpt", trained_looking("fusion"), {"graph": "mine", "epochs": 2})

@@ -1,5 +1,6 @@
-"""Trial files, label tables and feature maps: round trips, and rejection of
-what the readers cannot place."""
+"""Label tables and feature maps: round trips, and rejection of what the
+readers cannot place.  Trial files as ``validate`` sees them.  The trial
+codec itself is tested in ``test_trial_codec``."""
 
 import re
 import struct
@@ -10,10 +11,11 @@ import pytest
 from hapticnet import synth
 from hapticnet.errors import InvalidInputError, UnsupportedFormatError
 from hapticnet.evaluation import ADJECTIVES
-from hapticnet.haptic import CHANNELS, EPS
+from hapticnet.haptic import EPS
 from hapticnet.io import (
     CHECKPOINT_MAGIC,
     FEATUREMAP_MAGIC,
+    TRIAL_MAGIC,
     load_manifest,
     load_model,
     read_container,
@@ -27,108 +29,10 @@ from hapticnet.io import (
     write_trial_file,
 )
 
-HEADER = ",".join(CHANNELS)
-
-
-def write_rows(path, *rows):
-    path.write_text("\n".join((HEADER,) + rows) + "\n")
-    return path
-
-
 def small_trial():
     config = synth.separable_config(n_objects=2, n_trials=1, seed=5)
     ids, z, _ = synth.object_factors(config)
     return synth.make_trial(config, ids[0], z[0], 0)
-
-
-class TestReadTrialFile:
-    def test_round_trip_at_print_precision(self, tmp_path):
-        chans = small_trial().channels(0, EPS[0])
-        write_trial_file(tmp_path / "t.csv", chans)
-        back = read_trial_file(tmp_path / "t.csv")
-        assert list(back) == list(CHANNELS)
-        for name in CHANNELS:
-            expected = np.array([float("%.8g" % v) for v in chans[name]])
-            assert np.array_equal(back[name], expected), name
-
-    def test_empty_file_rejected(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("")
-        with pytest.raises(UnsupportedFormatError, match="empty trial file") as err:
-            read_trial_file(path)
-        assert str(path) in str(err.value)
-
-    def test_ragged_prefix_rows(self, tmp_path):
-        # columns end from the right; trailing empty cells are ignored
-        path = write_rows(tmp_path / "t.csv", "1.0,2.0,3.0", "4.0,5.0,", "6.0")
-        back = read_trial_file(path)
-        assert back["P_AC"].tolist() == [1.0, 4.0, 6.0]
-        assert back["P_DC"].tolist() == [2.0, 5.0]
-        assert back["T_AC"].tolist() == [3.0]
-        assert back["E_19"].size == 0
-
-    def test_non_numeric_cell_names_line_and_column(self, tmp_path):
-        path = write_rows(tmp_path / "t.csv", "1.0,2.0,3.0", "4.0,5.0,x1")
-        with pytest.raises(UnsupportedFormatError, match=r"t\.csv:3: column 3 \(T_AC\): 'x1'"):
-            read_trial_file(path)
-
-    def test_value_right_of_an_empty_cell_rejected(self, tmp_path):
-        # P_DC would read [2.0] while T_AC read [3.0, 5.0]
-        path = write_rows(tmp_path / "t.csv", "1.0,2.0,3.0", "4.0,,5.0")
-        with pytest.raises(UnsupportedFormatError, match=r"t\.csv:3: column 2 \(P_DC\) is empty"):
-            read_trial_file(path)
-
-    def test_value_below_an_ended_column_rejected(self, tmp_path):
-        path = write_rows(tmp_path / "t.csv", "1.0,2.0,3.0", "4.0", "6.0,7.0")
-        with pytest.raises(UnsupportedFormatError,
-                           match=r"t\.csv:4: column 2 \(P_DC\) has a value after it ended"):
-            read_trial_file(path)
-
-    def test_value_after_a_blank_line_rejected(self, tmp_path):
-        path = write_rows(tmp_path / "t.csv", "1.0,2.0", "", "3.0")
-        with pytest.raises(UnsupportedFormatError,
-                           match=r"t\.csv:4: column 1 \(P_AC\) has a value after it ended"):
-            read_trial_file(path)
-
-    def test_trailing_blank_lines_ignored(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text(HEADER + "\n1.0,2.0\n3.0\n\n\n")
-        back = read_trial_file(path)
-        assert back["P_AC"].tolist() == [1.0, 3.0] and back["P_DC"].tolist() == [2.0]
-
-    def test_more_cells_than_header_rejected(self, tmp_path):
-        path = write_rows(tmp_path / "t.csv", ",".join(["1.0"] * (len(CHANNELS) + 1)))
-        with pytest.raises(UnsupportedFormatError, match="more cells than header columns"):
-            read_trial_file(path)
-
-    @pytest.mark.parametrize("rows, line", [
-        ((b"1.0\xff",), 2),
-        ((b"1.0,2.0", b"3.0,2.0", b"4.0\xc3\x28"), 4),
-        ((b"1.0,2.0", b"3.0", b"4.0,\xff"), 4),  # a misplaced row that is not text
-    ])
-    def test_bytes_that_are_not_text_name_the_line(self, tmp_path, rows, line):
-        path = tmp_path / "t.csv"
-        path.write_bytes(b"\n".join((HEADER.encode(),) + rows) + b"\n")
-        with pytest.raises(UnsupportedFormatError, match=rf"t\.csv:{line}: .* is not UTF-8 text"):
-            read_trial_file(path)
-
-    def test_header_that_is_not_text_rejected(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_bytes(HEADER.encode() + b"\xff\n1.0\n")
-        with pytest.raises(UnsupportedFormatError, match=r"t\.csv:1: .* is not UTF-8 text"):
-            read_trial_file(path)
-
-    def test_bad_cell_before_undecodable_bytes_is_reported_first(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_bytes(HEADER.encode() + b"\n1.0\nx1\n2.0\xff\n")
-        with pytest.raises(UnsupportedFormatError, match=r"t\.csv:3: column 1 \(P_AC\): 'x1'"):
-            read_trial_file(path)
-
-    def test_repeated_header_name_rejected(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text(HEADER + ",P_AC\n1.0\n")
-        with pytest.raises(UnsupportedFormatError, match="header"):
-            read_trial_file(path)
 
 
 @pytest.mark.parametrize("read", [
@@ -143,14 +47,6 @@ def test_a_path_that_cannot_be_read_is_named_in_a_package_error(tmp_path, read, 
     with pytest.raises(InvalidInputError) as err:
         read(path)
     assert str(err.value) == f"cannot read {path}: {reason}"
-
-
-def test_writer_rejects_lengths_rising_along_the_columns(tmp_path):
-    chans = dict(small_trial().channels(0, EPS[0]))
-    chans["P_DC"] = chans["P_DC"][:-1]
-    with pytest.raises(InvalidInputError, match="T_AC"):
-        write_trial_file(tmp_path / "t.csv", chans)
-    assert not (tmp_path / "t.csv").exists()
 
 
 def test_writer_rejects_a_missing_channel(tmp_path):
@@ -169,36 +65,34 @@ def test_validate_reports_unreadable_trial_files(tmp_path):
     manifest = load_manifest(manifest_path)
     assert validate(manifest, tmp_path) == []
 
-    bad_cell = tmp_path / manifest.trials[0]["path"]
-    gap = tmp_path / manifest.trials[1]["path"]
-    lines = bad_cell.read_text().split("\n")
-    lines[5] = lines[5].replace(",", ",nan?", 1)
-    bad_cell.write_text("\n".join(lines))
-    lines = gap.read_text().split("\n")
-    cells = lines[7].split(",")
-    cells[2] = ""
-    lines[7] = ",".join(cells)
-    gap.write_text("\n".join(lines))
+    truncated = tmp_path / manifest.trials[0]["path"]
+    truncated.write_bytes(truncated.read_bytes()[:-1])
+    no_t_ac = tmp_path / manifest.trials[1]["path"]
+    chans = read_trial_file(no_t_ac)
+    del chans["T_AC"]
+    write_container(no_t_ac, TRIAL_MAGIC, chans, {})
 
     findings = validate(manifest, tmp_path)
     assert [(f.file, f.field) for f in findings] == [
-        (str(bad_cell), "trial-file"), (str(gap), "trial-file")]
-    assert ":6: column 2 (P_DC): 'nan?" in findings[0].message
-    assert ":8: column 3 (T_AC) is empty" in findings[1].message
+        (str(truncated), "trial-file"), (str(no_t_ac), "trial-file")]
+    assert "truncated tensor 'T_DC'" in findings[0].message
+    assert "expected the channels" in findings[1].message
 
 
-def test_validate_reports_a_non_finite_trial_cell(tmp_path):
-    manifest_path = synth.synth_generate(
-        synth.separable_config(n_objects=2, n_trials=1, seed=5), tmp_path)
-    manifest = load_manifest(manifest_path)
-    path = tmp_path / manifest.trials[3]["path"]
-    lines = path.read_text().split("\n")
-    lines[-3] = "nan"  # a row of P_AC alone, near the end
-    path.write_text("\n".join(lines))
+@pytest.mark.parametrize("kind, field, tensor", [
+    ("trials", "trial-file", "T_DC"), ("visual", "feature-file", "grids"),
+])
+def test_validate_reports_a_non_finite_stored_value(tmp_path, kind, field, tensor):
+    manifest = load_manifest(synth.synth_generate(
+        synth.separable_config(n_objects=2, n_trials=1, seed=5), tmp_path))
+    path = tmp_path / getattr(manifest, kind)[1]["path"]
+    # the last value of the payload, which is the last of the last tensor by name
+    path.write_bytes(path.read_bytes()[:-4] + struct.pack("<f", np.nan))
 
     findings = validate(manifest, tmp_path)
-    assert [(f.file, f.field) for f in findings] == [(str(path), "trial-file")]
-    assert f":{len(lines) - 2}: column 1 (P_AC): 'nan' is not finite" in findings[0].message
+    assert [(f.file, f.field) for f in findings] == [(str(path), field)]
+    assert re.search(f"tensor '{tensor}' holds nan at flat index \\d+, which is not finite",
+                     findings[0].message)
 
 
 @pytest.mark.parametrize("edit, message", [

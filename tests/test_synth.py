@@ -43,6 +43,7 @@ def assert_same_trial(trial, expected):
     ({"noise": float("nan")}, "noise must be finite, got nan"),
     ({"noise": float("inf")}, "noise must be finite, got inf"),
     ({"n_objects": 2.5}, "n_objects must be an int, got 2.5"),
+    ({"n_objects": True}, "n_objects must be an int, got True"),
     ({"n_trials": True}, "n_trials must be an int, got True"),
     ({"n_factors": 2.0}, "n_factors must be an int, got 2.0"),
     ({"seed": 1.0}, "seed must be an integer, got 1.0"),
@@ -52,6 +53,13 @@ def assert_same_trial(trial, expected):
 def test_config_checks_name_the_bad_field(kwargs, message):
     with pytest.raises(InvalidInputError, match=re.escape(message)):
         synth.SynthConfig(**kwargs)
+
+
+def test_numpy_integer_counts_give_the_factors_of_python_ints():
+    ids, z, labels = synth.object_factors(synth.two_cue_config(n_objects=np.int64(8)))
+    ref_ids, ref_z, ref_labels = synth.object_factors(synth.two_cue_config(n_objects=8))
+    assert ids == ref_ids and labels == ref_labels
+    assert z.shape == ref_z.shape and np.array_equal(z.view(np.int64), ref_z.view(np.int64))
 
 
 def test_two_runs_write_byte_identical_trees(tmp_path):
