@@ -79,6 +79,17 @@ def test_validate_reports_unreadable_trial_files(tmp_path):
     assert "expected the channels" in findings[1].message
 
 
+def test_validate_reports_a_trial_file_that_holds_feature_maps(tmp_path):
+    manifest = load_manifest(synth.synth_generate(
+        synth.separable_config(n_objects=2, n_trials=1, seed=5), tmp_path))
+    path = tmp_path / manifest.trials[2]["path"]
+    write_feature_maps(path, read_feature_maps(tmp_path / manifest.visual[0]["path"]))
+
+    findings = validate(manifest, tmp_path)
+    assert [(f.file, f.field) for f in findings] == [(str(path), "trial-file")]
+    assert findings[0].message == f"{path}: magic b'HVFM', expected b'HTRL'"
+
+
 @pytest.mark.parametrize("kind, field, tensor", [
     ("trials", "trial-file", "T_DC"), ("visual", "feature-file", "grids"),
 ])
