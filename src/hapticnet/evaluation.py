@@ -4,6 +4,7 @@ import hashlib
 import json
 from collections import Counter
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -49,7 +50,7 @@ def make_split(objects, labels, adjective, ratio=0.9, seed=0) -> SplitPlan:
     The counts do not depend on the seed, which only picks the objects.
     """
     objects = list(objects)
-    if not 0.0 < ratio < 1.0:  # NaN fails this too
+    if not (isinstance(ratio, Real) and 0.0 < ratio < 1.0):  # NaN fails this too
         raise InvalidInputError(f"split ratio must lie strictly between 0 and 1, got {ratio!r}")
     if adjective not in ADJECTIVES:
         raise InvalidInputError(f"unknown adjective {adjective!r}")

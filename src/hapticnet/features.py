@@ -1,6 +1,6 @@
 """Activation extraction, instance combination, and multimodal fusion."""
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,14 +101,16 @@ def fuse_and_train(haptic, visual, labels, schedule: TrainSchedule) -> TrainResu
     """Train the late-fusion classifier: hinge loss over concatenated features.
 
     Upstream features are immutable inputs; only the single affine
-    classification layer is learned.  ``schedule`` runs as a hinge-finetune
-    phase of ``schedule.epochs``, whatever its ``phase``.
+    classification layer is learned.  That layer is the whole model, so
+    ``train`` runs the hinge phase alone, for ``schedule.finetune_epochs``.
     """
     fused = fuse_features(haptic, visual)
+    if not fused:
+        raise InvalidInputError("no objects to fuse")
     missing = [f.object_id for f in fused if f.object_id not in labels]
     if missing:
         raise InvalidInputError(f"no labels for objects: {missing}")
     x = np.stack([f.values for f in fused])
     y = np.asarray([labels[f.object_id] for f in fused], dtype=np.float64)
     model = build_linear_classifier(x.shape[1], seed=schedule.seed)
-    return train(model, x, y, replace(schedule, phase="hinge-finetune"))
+    return train(model, x, y, schedule)

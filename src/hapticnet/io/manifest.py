@@ -71,9 +71,15 @@ def _type_problem(value, kind):
 
 
 def _field_problems(fields):
-    """[(field, message)] for each top-level field in ``fields`` that lacks its type."""
-    return [(key, problem) for key, kind in _FIELD_TYPES.items()
-            if key in fields and (problem := _type_problem(fields[key], kind))]
+    """[(field, message)] for each top-level field in ``fields`` that lacks
+    its type, and for a ``trials_per_object`` below 1, which would expect
+    no trials at all."""
+    problems = [(key, problem) for key, kind in _FIELD_TYPES.items()
+                if key in fields and (problem := _type_problem(fields[key], kind))]
+    count = fields.get("trials_per_object", 1)
+    if not _type_problem(count, int) and count < 1:
+        problems.append(("trials_per_object", f"must be at least 1, got {count}"))
+    return problems
 
 
 def _entry_problem(key, i, entry):
@@ -94,11 +100,12 @@ def _entry_problem(key, i, entry):
 def load_manifest(path) -> DatasetManifest:
     """Strict parse; structural problems raise immediately.
 
-    Every field must have its type, and every object, trial and visual entry
-    must be an object holding its fields.  Problems raise InvalidInputError
-    naming the manifest path and the field.  Keys the manifest does not use,
-    such as the preprocessing blocks and the view count that older manifests
-    carry, are ignored.
+    Every field must have its type, ``trials_per_object`` must be at least
+    1, and every object, trial and visual entry must be an object holding
+    its fields.  Problems raise InvalidInputError naming the manifest path
+    and the field.  Keys the manifest does not use, such as the
+    preprocessing blocks and the view count that older manifests carry, are
+    ignored.
     """
     try:
         with open(path) as fh:
@@ -153,7 +160,7 @@ def validate(manifest: DatasetManifest, root) -> list:
     root = Path(root)
     findings = [Finding("manifest", *problem) for problem in _field_problems(manifest.to_dict())]
     if findings:
-        return findings  # nothing below can be read without the fields' types
+        return findings  # nothing below can be read without well-formed fields
     entries = {key: [] for key in _ENTRY_FIELDS}  # the well-formed ones
     for key, kept in entries.items():
         for i, entry in enumerate(getattr(manifest, key)):

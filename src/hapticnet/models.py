@@ -225,10 +225,6 @@ class Model:
             for pname, value in l.param_items():
                 yield f"{l.name}.{pname}", value
 
-    def classifier_layer(self):
-        """The last layer (the loss-facing classifier)."""
-        return self.layers[-1]
-
 
 # Haptic CNN shape: three stride-2 grouped convolutions keep the 32 signal
 # groups separate (kernel 7/5/3, pads 3/2/1) so 150 steps shrink to 19

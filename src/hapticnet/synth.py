@@ -6,8 +6,9 @@ templates morphed by the factors (to the degree the per-factor haptic leak
 allows), and visual feature grids are low-rank patterns whose per-view gain
 makes some factors invisible from single viewpoints.  Signal lengths, the
 cue amplitude and the feature-grid shape are fixed module constants; the
-config sets the dataset size, the latent structure and what each modality
-sees.  Everything derives from the config seed, so datasets are
+config sets the dataset size, the noise and what each modality sees.  Its two
+leak vectors hold one weight per latent factor, so their common length is the
+factor count.  Everything derives from the config seed, so datasets are
 byte-identical across runs.
 
 Each random stream is a PCG64 generator keyed by the config seed and a path
@@ -29,8 +30,10 @@ changes every dataset.  Two kinds of stream make a trial:
 
 import functools
 import math
+import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -64,11 +67,11 @@ _CARRIER.setflags(write=False)
 
 @dataclass
 class SynthConfig:
-    """Dataset size, latent structure, and what each modality sees of it."""
+    """Dataset size, noise, and each modality's leak: one weight per latent
+    factor, scaling its cue, so the leak vectors' length is ``n_factors``."""
 
     n_objects: int = 20
     n_trials: int = 3
-    n_factors: int = 2
     noise: float = 0.05
     seed: int = 0
     haptic_leak: tuple = (1.0, 0.15)
@@ -76,7 +79,7 @@ class SynthConfig:
     name: str = "synthetic"
 
     def __post_init__(self):
-        for field in ("n_objects", "n_trials", "n_factors"):
+        for field in ("n_objects", "n_trials"):
             value = getattr(self, field)
             if isinstance(value, bool) or not isinstance(value, Integral):  # a bool is not a count
                 raise InvalidInputError(f"{field} must be an int, got {value!r}")
@@ -84,29 +87,40 @@ class SynthConfig:
             raise InvalidInputError(f"seed must be an integer, got {self.seed!r}")
         if self.n_objects < 2 or self.n_trials < 1:
             raise InvalidInputError(f"need >=2 objects and >=1 trial, got {self}")
-        if self.n_factors < 1:
-            raise InvalidInputError(f"n_factors must be >= 1, got {self.n_factors}")
         if not math.isfinite(self.noise):
             raise InvalidInputError(f"noise must be finite, got {self.noise}")
         if self.noise < 0:
             raise InvalidInputError(f"noise must be >= 0, got {self.noise}")
-        if len(self.haptic_leak) != self.n_factors or len(self.visual_leak) != self.n_factors:
+        for field in ("haptic_leak", "visual_leak"):
+            leak = getattr(self, field)
+            if not isinstance(leak, Sequence):
+                raise InvalidInputError(f"{field} must be a sequence of numbers, got {leak!r}")
+            for i, weight in enumerate(leak):
+                # a comparison, unlike math.isfinite, takes an int beyond float range
+                if not (isinstance(weight, Real) and abs(weight) <= sys.float_info.max):
+                    raise InvalidInputError(
+                        f"{field}[{i}] must be a finite real number, got {weight!r}")
+        if not self.haptic_leak or len(self.haptic_leak) != len(self.visual_leak):
             raise InvalidInputError(
-                f"leak vectors must have one entry per factor ({self.n_factors}), got "
+                f"leak vectors must have one entry per factor and at least one factor, got "
                 f"haptic_leak {self.haptic_leak} and visual_leak {self.visual_leak}")
+
+    @property
+    def n_factors(self) -> int:
+        return len(self.haptic_leak)
 
 
 def separable_config(n_objects=24, n_trials=3, seed=0) -> SynthConfig:
     """Single factor, fully visible to both modalities, near-noiseless."""
     return SynthConfig(
-        n_objects=n_objects, n_trials=n_trials, n_factors=1, noise=0.02,
+        n_objects=n_objects, n_trials=n_trials, noise=0.02,
         seed=seed, haptic_leak=(1.0,), visual_leak=(1.0,), name="separable")
 
 
 def two_cue_config(n_objects=48, n_trials=3, seed=0) -> SynthConfig:
     """Two factors: haptic mostly sees the first, visual mostly the second."""
     return SynthConfig(
-        n_objects=n_objects, n_trials=n_trials, n_factors=2, noise=0.05,
+        n_objects=n_objects, n_trials=n_trials, noise=0.05,
         seed=seed, haptic_leak=(1.0, 0.15), visual_leak=(0.15, 1.0), name="two-cue")
 
 

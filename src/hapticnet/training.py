@@ -1,26 +1,29 @@
-"""Two-phase training: logistic-loss pretraining, hinge-loss fine-tuning."""
+"""Two-phase training: logistic-loss pretraining, hinge-loss fine-tuning.
+
+Both phases run minibatch SGD with classical momentum at the fixed ``LR``
+and ``MOMENTUM``; the model decides which phases run (see ``train``).
+"""
 
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Integral
 
 import numpy as np
 
 from .engine import LOSSES, derive_seed, sgd_momentum_step
 from .errors import InvalidInputError, InvalidSpecError, NonFiniteGradientError
 
-PHASES = ("hinge-finetune", "two-phase")
+LR = 0.01        # SGD step size of both phases
+MOMENTUM = 0.9   # classical momentum of both phases
 
 
 @dataclass
 class TrainSchedule:
-    """Optimization hyperparameters; defaults follow the training recipe."""
+    """Epoch counts, batch size and shuffle seed of one run: ``epochs`` of
+    logistic pretraining, ``finetune_epochs`` of hinge fine-tuning."""
 
     epochs: int = 200
     batch_size: int = 1000
-    lr: float = 0.01
-    momentum: float = 0.9
     seed: int = 0
-    phase: str = "two-phase"
     finetune_epochs: int = None  # defaults to ``epochs``
 
     def __post_init__(self):
@@ -33,14 +36,6 @@ class TrainSchedule:
                     f"bad schedule: {field} must be a positive integer, got {count!r}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, Integral):
             raise InvalidSpecError(f"bad schedule: seed must be an integer, got {self.seed!r}")
-        if not (isinstance(self.lr, Real) and np.isfinite(self.lr) and self.lr > 0):
-            raise InvalidSpecError(f"bad schedule: lr must be finite and positive, got {self.lr!r}")
-        # NaN fails the comparison too
-        if not (isinstance(self.momentum, Real) and 0.0 <= self.momentum < 1.0):
-            raise InvalidSpecError(
-                f"bad schedule: momentum must lie in [0, 1), got {self.momentum!r}")
-        if self.phase not in PHASES:
-            raise InvalidSpecError(f"unknown phase {self.phase!r}; expected one of {PHASES}")
 
 
 @dataclass
@@ -102,8 +97,8 @@ def _run_phase(model, x, y, loss_name, epochs, schedule, rng, curve):
                 losses, grad_s = loss_fn(score, yb)
                 grads = model.backward(caches, grad_s / idx.size)
                 for (name, value), vel in zip(params, velocities):
-                    sgd_momentum_step(value, vel, grads[name],
-                                      lr=schedule.lr, momentum=schedule.momentum, name=name)
+                    sgd_momentum_step(value, vel, grads[name], lr=LR, momentum=MOMENTUM,
+                                      name=name)
                 epoch_loss += float(np.sum(losses))
         except NonFiniteGradientError:
             _restore(params, snap)
@@ -120,12 +115,14 @@ def _run_phase(model, x, y, loss_name, epochs, schedule, rng, curve):
 def train(model, instances, labels, schedule: TrainSchedule) -> TrainResult:
     """Train ``model`` in place following the schedule.
 
-    two-phase runs logistic pretraining for ``epochs``, reinitializes the
-    final classifier layer, then fine-tunes every layer with hinge loss for
-    ``finetune_epochs``; hinge-finetune runs the hinge phase alone for
-    ``epochs``.  Each phase starts its momentum from zero.  Batches are
-    drawn from a seeded shuffle each epoch.  On divergence the last finite
-    epoch's parameters are restored and the result is flagged.
+    A model of more than one layer runs logistic pretraining for
+    ``epochs``, reinitializes its last layer (the classifier), then
+    fine-tunes every layer with hinge loss for ``finetune_epochs``.  A model
+    that is its classifier alone, such as the fusion head, has nothing the
+    reinit would keep from pretraining, so it runs the hinge phase alone.
+    Each phase starts its momentum from zero.  Batches are drawn from a
+    seeded shuffle each epoch.  On divergence the last finite epoch's
+    parameters are restored and the result is flagged.
     """
     x, y = _check_training_inputs(instances, labels)
     rng = np.random.Generator(np.random.PCG64(derive_seed(schedule.seed, "batch-shuffle")))
@@ -138,12 +135,12 @@ def train(model, instances, labels, schedule: TrainSchedule) -> TrainResult:
         boundaries[loss_name] = (start, len(curve))
         return ok
 
-    if schedule.phase == "hinge-finetune":
-        ok = phase("hinge", schedule.epochs)
+    if len(model.layers) == 1:
+        ok = phase("hinge", schedule.finetune_epochs)
     else:
         ok = phase("logistic", schedule.epochs)
         if ok:
-            classifier = model.classifier_layer()
+            classifier = model.layers[-1]
             classifier.reinit(derive_seed(schedule.seed, f"{classifier.name}.reinit"))
             ok = phase("hinge", schedule.finetune_epochs)
 

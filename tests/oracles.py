@@ -265,55 +265,77 @@ def reference_lstm_forward(sequence, params, return_cache=False):
     return h
 
 
-def reference_two_phase_sgd(x, y, model_seed, schedule):
-    """``train`` of ``build_linear_classifier(D, model_seed)`` as a plain loop.
+def reference_two_phase_sgd(x, y, model_seed, schedule, hidden=None):
+    """``train`` of a dense net as a plain loop.
 
-    Returns (loss curve, weights (D,), bias).  Only the seeds come from the
-    package: the initial and the reinitialized classifier weights are its
+    With ``hidden`` None the net is ``build_linear_classifier(D,
+    model_seed)``: its one layer is the classifier, so it runs the hinge
+    phase alone for ``finetune_epochs``.  Otherwise it is ``fc1`` (D ->
+    hidden, ReLU) then ``fc2`` (hidden -> 1), each layer's weights drawn
+    from ``derive_seed(model_seed, "<layer>.weights")``; it runs logistic
+    pretraining for ``epochs``, redraws ``fc2`` and runs hinge for
+    ``finetune_epochs``.
+
+    Returns (loss curve, [(weights, bias)] per layer).  Only the seeds come
+    from the package: the initial and the reinitialized weights are its
     xavier draws, and the batch order is its seeded shuffle.  Losses,
-    gradients and the momentum step are written out here, and each phase
-    starts its momentum from zero.
+    gradients, the step size of 0.01 and the momentum of 0.9 are written
+    out here, and each phase starts its momentum from zero.
     """
     from hapticnet.engine import derive_seed, xavier_init
 
+    lr, momentum = 0.01, 0.9
     n, d = x.shape
     batch = min(schedule.batch_size, n)
     order_rng = np.random.Generator(np.random.PCG64(derive_seed(schedule.seed, "batch-shuffle")))
-    w = xavier_init((1, d), d, derive_seed(model_seed, "fc.weights"))[0]
-    b = 0.0
+    names = ("fc",) if hidden is None else ("fc1", "fc2")
+    widths = (d,) if hidden is None else (d, hidden)
+    outs = widths[1:] + (1,)
+    params = [[xavier_init((o, i), i, derive_seed(model_seed, f"{name}.weights")), np.zeros(o)]
+              for name, i, o in zip(names, widths, outs)]
     curve = []
 
     def phase(loss, epochs):
-        nonlocal w, b
-        vel_w, vel_b = np.zeros(d), 0.0
+        vels = [[np.zeros_like(w), np.zeros_like(b)] for w, b in params]
         for _ in range(epochs):
             order = order_rng.permutation(n)
             total = 0.0
             for start in range(0, n, batch):
                 idx = order[start:start + batch]
                 xb, yb = x[idx], y[idx]
-                margin = yb * (xb @ w + b)
+                inputs, pres = [xb], []
+                for w, b in params[:-1]:
+                    pres.append(inputs[-1] @ w.T + b)
+                    inputs.append(np.maximum(pres[-1], 0.0))
+                w_out, b_out = params[-1]
+                margin = yb * (inputs[-1] @ w_out[0] + b_out[0])
                 if loss == "logistic":
                     total += np.sum(np.log1p(np.exp(-margin)))
                     grad_s = -yb / (1.0 + np.exp(margin))
                 else:
                     total += np.sum(np.maximum(0.0, 1.0 - margin))
                     grad_s = np.where(margin < 1.0, -yb, 0.0)
-                grad_s = grad_s / idx.size
-                vel_w = schedule.momentum * vel_w - schedule.lr * (grad_s @ xb)
-                vel_b = schedule.momentum * vel_b - schedule.lr * np.sum(grad_s)
-                w = w + vel_w
-                b = b + vel_b
+                grad = (grad_s / idx.size)[:, None]  # d loss / d layer output
+                grads = []
+                for k in range(len(params) - 1, -1, -1):
+                    grads.append((grad.T @ inputs[k], grad.sum(axis=0)))
+                    if k:
+                        grad = np.where(pres[k - 1] > 0.0, grad @ params[k][0], 0.0)
+                for (w, b), (vw, vb), (gw, gb) in zip(params, vels, grads[::-1]):
+                    vw[:] = momentum * vw - lr * gw
+                    vb[:] = momentum * vb - lr * gb
+                    w += vw
+                    b += vb
             curve.append(total / n)
 
-    if schedule.phase == "hinge-finetune":
-        phase("hinge", schedule.epochs)
+    if hidden is None:
+        phase("hinge", schedule.finetune_epochs)
     else:
         phase("logistic", schedule.epochs)
-        w = xavier_init((1, d), d, derive_seed(schedule.seed, "fc.reinit"))[0]
-        b = 0.0
+        params[-1] = [xavier_init((1, hidden), hidden, derive_seed(schedule.seed, "fc2.reinit")),
+                      np.zeros(1)]
         phase("hinge", schedule.finetune_epochs)
-    return curve, w, b
+    return curve, [(w, b) for w, b in params]
 
 
 def reference_zscore_normalize(series):

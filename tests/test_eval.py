@@ -133,7 +133,7 @@ class TestMakeSplit:
         assert test_ids(12, 5, 0.9, 2) == ("o1", "o10")
         assert test_ids(10, 4, 0.7, 1) == ("o2", "o6", "o8")
 
-    @pytest.mark.parametrize("ratio", [0.0, 1.0, 1.5, 2.0, -0.1, float("nan")])
+    @pytest.mark.parametrize("ratio", [0.0, 1.0, 1.5, 2.0, -0.1, float("nan"), "x", None])
     def test_ratio_outside_the_open_unit_interval_rejected(self, ratio):
         objects = [f"o{i}" for i in range(10)]
         labels = {o: {"bumpy": i < 5} for i, o in enumerate(objects)}

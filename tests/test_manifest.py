@@ -106,6 +106,18 @@ class TestLoadManifest:
             load_manifest(path)
         assert str(path) in str(err.value)
 
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_trials_per_object_below_one_rejected(self, tree, tmp_path, count):
+        # with no trial entries, such a manifest expects no haptic data at all
+        data = json.loads(tree.read_text())
+        data["trials_per_object"] = count
+        data["trials"] = []
+        path = write_json(tmp_path / "m.json", data)
+        with pytest.raises(InvalidInputError) as err:
+            load_manifest(path)
+        assert str(err.value) == (f"{path}: manifest field trials_per_object "
+                                  f"must be at least 1, got {count}")
+
     def test_unreadable_json_rejected(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text("{not json")
@@ -294,6 +306,14 @@ class TestValidate:
         manifest = load_manifest(tree)
         setattr(manifest, attr, value)
         assert validate(manifest, tree.parent) == [Finding("manifest", field, message)]
+
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_trials_per_object_below_one_is_a_finding(self, tree, count):
+        manifest = load_manifest(tree)
+        manifest.trials_per_object = count
+        manifest.trials = []
+        assert validate(manifest, tree.parent) == [
+            Finding("manifest", "trials_per_object", f"must be at least 1, got {count}")]
 
     def test_entry_with_a_bad_field_is_a_finding(self, tree):
         manifest = load_manifest(tree)

@@ -1,13 +1,14 @@
 """Model graphs, two-phase training, feature extraction, and fusion."""
 
+import dataclasses
 import inspect
 import re
 
 import numpy as np
 import pytest
 
-from hapticnet import features
-from hapticnet.engine import inner_product, lstm_backward, lstm_forward, relu
+from hapticnet import features, training
+from hapticnet.engine import derive_seed, inner_product, lstm_backward, lstm_forward, relu
 from hapticnet.errors import InvalidInputError, InvalidSpecError
 from hapticnet.features import (
     FeatureVector,
@@ -34,6 +35,13 @@ from oracles import max_rel_error, naive_conv1d, numerical_gradient, reference_t
 
 def random_instances(rng, n):
     return rng.standard_normal((n, 32, 150))
+
+
+def two_layer_net(in_dim, hidden, seed):
+    """fc1 (ReLU) then fc2, seeded as ``reference_two_phase_sgd`` draws them."""
+    return Model([DenseLayer("fc1", (in_dim,), hidden, derive_seed(seed, "fc1.weights"),
+                             activation="relu"),
+                  DenseLayer("fc2", (hidden,), 1, derive_seed(seed, "fc2.weights"))])
 
 
 class TestHapticCnnGraph:
@@ -259,7 +267,7 @@ class TestModelGraph:
     def test_every_layer_has_parameters_and_the_last_classifies(self, kind):
         model = BUILDERS[kind](**({"feature_dim": 5} if kind == "fusion" else {}))
         assert all(l.param_items() for l in model.layers)
-        assert model.classifier_layer() is model.layers[-1]
+        assert model.layers[-1].out_dim == 1
 
     @pytest.mark.parametrize("shape", [(5, 64, 18), (64, 19, 1), (1216,)])
     def test_dense_layer_rejects_another_trailing_shape(self, shape):
@@ -311,44 +319,47 @@ class TestTraining:
         for name in runs[0]:
             assert np.array_equal(runs[0][name], runs[1][name])
 
-    def test_two_phase_boundaries_and_reinit(self):
+    def test_a_deep_model_runs_both_phases_and_the_classifier_alone_only_hinge(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((50, 6))
         y = np.where(rng.random(50) < 0.5, 1.0, -1.0)
-        model = build_linear_classifier(6, seed=1)
-        result = train(model, x, y, TrainSchedule(epochs=5, finetune_epochs=7,
-                                                  batch_size=25, seed=3))
-        assert result.phase_boundaries["logistic"] == (0, 5)
-        assert result.phase_boundaries["hinge"] == (5, 12)
+        schedule = TrainSchedule(epochs=5, finetune_epochs=7, batch_size=25, seed=3)
+        result = train(two_layer_net(6, 4, seed=1), x, y, schedule)
+        assert result.phase_boundaries == {"logistic": (0, 5), "hinge": (5, 12)}
         assert len(result.loss_curve) == 12
+        result = train(build_linear_classifier(6, seed=1), x, y, schedule)
+        assert result.phase_boundaries == {"hinge": (0, 7)}
+        assert len(result.loss_curve) == 7
 
-    @pytest.mark.parametrize("phase", ["two-phase", "hinge-finetune"])
-    def test_matches_the_plain_numpy_loop(self, phase):
+    @pytest.mark.parametrize("hidden", [None, 4])
+    def test_matches_the_plain_numpy_loop(self, hidden):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((70, 6))
         y = np.where(x @ rng.standard_normal(6) + 0.5 * rng.standard_normal(70) > 0, 1.0, -1.0)
-        schedule = TrainSchedule(epochs=9, finetune_epochs=6, batch_size=16, lr=0.05,
-                                 momentum=0.8, seed=11, phase=phase)
-        result = train(build_linear_classifier(6, seed=3), x, y, schedule)
-        curve, w, b = reference_two_phase_sgd(x, y, 3, schedule)
-        fc = result.model.layer("fc").params
-        assert len(result.loss_curve) == (15 if phase == "two-phase" else 9)
+        schedule = TrainSchedule(epochs=9, finetune_epochs=6, batch_size=16, seed=11)
+        model = build_linear_classifier(6, seed=3) if hidden is None \
+            else two_layer_net(6, hidden, seed=3)
+        result = train(model, x, y, schedule)
+        curve, params = reference_two_phase_sgd(x, y, 3, schedule, hidden=hidden)
+        assert len(result.loss_curve) == (6 if hidden is None else 15)
         assert np.allclose(result.loss_curve, curve, rtol=1e-12, atol=1e-12)
-        assert np.allclose(fc.weights[0], w, rtol=1e-12, atol=1e-12)
-        assert np.allclose(fc.bias[0], b, rtol=1e-12, atol=1e-12)
+        assert len(model.layers) == len(params)
+        for layer, (w, b) in zip(model.layers, params):
+            assert np.allclose(layer.params.weights, w, rtol=1e-12, atol=1e-12), layer.name
+            assert np.allclose(layer.params.bias, b, rtol=1e-12, atol=1e-12), layer.name
 
     def test_divergence_restores_last_finite_state(self):
         rng = np.random.default_rng(4)
-        x = rng.standard_normal((20, 4)) * 1e3
+        x = rng.standard_normal((20, 4)) * 1e306
         y = np.where(rng.random(20) < 0.5, 1.0, -1.0)
         model = build_linear_classifier(4, seed=2)
-        # lr large enough to overflow the velocity: the next epoch's loss
-        # is non-finite and training must roll back to the last good epoch
-        schedule = TrainSchedule(epochs=40, batch_size=20, lr=1e305,
-                                 seed=0, phase="hinge-finetune")
+        # inputs large enough that one epoch's step overflows the next
+        # epoch's scores: its loss is non-finite and training must roll back
+        # to the last good epoch
         with np.errstate(all="ignore"):
-            result = train(model, x, y, schedule)
+            result = train(model, x, y, TrainSchedule(epochs=40, batch_size=20, seed=0))
         assert result.diverged
+        assert len(result.loss_curve) >= 1
         for _, value in model.named_params():
             assert np.all(np.isfinite(value))
 
@@ -359,8 +370,7 @@ class TestTraining:
         fc = model.layer("fc").params
         fc.weights[:] = 4e307
         bias = fc.bias.copy()
-        result = train(model, np.ones((4, 2)), -np.ones(4),
-                       TrainSchedule(epochs=3, phase="hinge-finetune"))
+        result = train(model, np.ones((4, 2)), -np.ones(4), TrainSchedule(epochs=3))
         assert result.diverged and result.loss_curve == []
         assert np.all(fc.weights == 4e307) and np.array_equal(fc.bias, bias)
 
@@ -370,8 +380,7 @@ class TestTraining:
         model.layer("fc1").params.weights[:] = 1e-300
         model.layer("fc2").params.weights[:] = 1e300
         before = [value.copy() for _, value in model.named_params()]
-        result = train(model, np.full((2, 1), 1e10), -np.ones(2),
-                       TrainSchedule(epochs=3, phase="hinge-finetune"))
+        result = train(model, np.full((2, 1), 1e10), -np.ones(2), TrainSchedule(epochs=3))
         assert result.diverged and result.loss_curve == []
         for (name, value), old in zip(model.named_params(), before):
             assert np.array_equal(value, old), name
@@ -424,25 +433,15 @@ class TestTraining:
                            match=re.escape(f"bad schedule: seed must be an integer, got {seed!r}")):
             TrainSchedule(seed=seed)
 
-    def test_numpy_counts_and_zero_momentum_accepted(self):
-        schedule = TrainSchedule(epochs=np.int64(3), batch_size=np.int32(8), momentum=0.0)
+    def test_numpy_counts_accepted(self):
+        schedule = TrainSchedule(epochs=np.int64(3), batch_size=np.int32(8))
         assert schedule.finetune_epochs == 3
 
-    @pytest.mark.parametrize("field, value", [
-        ("lr", float("nan")), ("lr", float("inf")), ("lr", -0.01), ("lr", 0.0), ("lr", "0.01"),
-        ("momentum", float("nan")), ("momentum", -3.0), ("momentum", 1.0), ("momentum", None),
-    ])
-    def test_step_size_or_momentum_out_of_range_rejected(self, field, value):
-        # a NaN or inf would train an epoch and then report divergence, and a
-        # negative momentum would train every epoch
-        rule = {"lr": "be finite and positive", "momentum": "lie in [0, 1)"}[field]
-        with pytest.raises(InvalidSpecError,
-                           match=re.escape(f"bad schedule: {field} must {rule}, got {value!r}")):
-            TrainSchedule(**{field: value})
-
-    def test_unknown_phase_rejected(self):
-        with pytest.raises(InvalidSpecError, match="unknown phase 'logistic-only'"):
-            TrainSchedule(phase="logistic-only")
+    def test_schedule_sets_only_counts_and_the_seed(self):
+        # the step size and momentum are the recipe's, and the model decides the phases
+        assert [f.name for f in dataclasses.fields(TrainSchedule)] == [
+            "epochs", "batch_size", "seed", "finetune_epochs"]
+        assert (training.LR, training.MOMENTUM) == (0.01, 0.9)
 
 
 class TestExtraction:
@@ -609,6 +608,25 @@ class TestFusion:
         w = model.layer("fc").params.weights[0]
         expected = float(h @ w[:6] + model.layer("fc").params.bias[0])
         assert model.forward(a) == pytest.approx(expected, abs=1e-12)
+
+    def test_matches_the_plain_numpy_hinge_loop(self):
+        haptic, visual = self.make_modalities(np.random.default_rng(7))
+        labels = {f"o{i}": 1.0 if i % 3 else -1.0 for i in range(20)}
+        schedule = TrainSchedule(epochs=9, batch_size=8, seed=4)
+        result = fuse_and_train(haptic, visual, labels, schedule)
+        fused = fuse_features(haptic, visual)
+        x = np.stack([f.values for f in fused])
+        y = np.array([labels[f.object_id] for f in fused])
+        curve, [(w, b)] = reference_two_phase_sgd(x, y, 4, schedule)
+        fc = result.model.layer("fc").params
+        assert result.phase_boundaries == {"hinge": (0, 9)}
+        assert np.allclose(result.loss_curve, curve, rtol=1e-12, atol=1e-12)
+        assert np.allclose(fc.weights, w, rtol=1e-12, atol=1e-12)
+        assert np.allclose(fc.bias, b, rtol=1e-12, atol=1e-12)
+
+    def test_no_objects_rejected(self):
+        with pytest.raises(InvalidInputError, match="no objects to fuse"):
+            fuse_and_train([], [], {}, TrainSchedule(epochs=1))
 
     def test_missing_labels_rejected(self):
         haptic, visual = self.make_modalities(np.random.default_rng(6), n=4)

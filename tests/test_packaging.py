@@ -2,11 +2,15 @@
 every public definition is reached from somewhere."""
 
 import ast
+import dataclasses
 import importlib
 import re
 from pathlib import Path
 
 import pytest
+
+from hapticnet.synth import SynthConfig
+from hapticnet.training import TrainSchedule
 
 ROOT = Path(__file__).resolve().parent.parent
 PYPROJECT = ROOT / "pyproject.toml"
@@ -198,3 +202,32 @@ def test_every_cache_is_bounded():
                       if _cache_factory(node, imported) and id(node) not in bounded]
     assert cached >= {"_templates", "_subsample_index"}
     assert not unbounded, f"caches without an integer maxsize: {unbounded}"
+
+
+def _callee(call):
+    """The name a call's function goes by: ``f`` of ``f(...)`` and ``m.f(...)``."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_every_config_field_has_a_caller_that_sets_it():
+    """Each field of TrainSchedule and SynthConfig is set by keyword, in a
+    call of the class or of ``dataclasses.replace``, somewhere in src/ or in
+    the benchmark's own code (perfbench/ outside its test_*.py).  A setting
+    only tests vary is a constant of the package, and one it can work out
+    is derived."""
+    sources = [*(ROOT / "src").rglob("*.py"),
+               *(path for path in (ROOT / "perfbench").rglob("*.py")
+                 if not path.name.startswith("test_"))]
+    configs = {cls.__name__: {f.name for f in dataclasses.fields(cls)}
+               for cls in (TrainSchedule, SynthConfig)}
+    set_by_keyword = {name: set() for name in configs}
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            callee = _callee(node) if isinstance(node, ast.Call) else None
+            # a replace() may be of either class; its keywords count for both
+            for name in configs if callee == "replace" else {callee} & configs.keys():
+                set_by_keyword[name] |= {k.arg for k in node.keywords}
+    unset = {name: sorted(fields - set_by_keyword[name]) for name, fields in configs.items()
+             if fields - set_by_keyword[name]}
+    assert not unset, f"config fields no caller sets: {unset}"

@@ -35,16 +35,23 @@ def assert_same_trial(trial, expected):
     ({"n_objects": 1}, "need >=2 objects and >=1 trial, got SynthConfig(n_objects=1, n_trials=3"),
     ({"n_trials": 0}, "need >=2 objects and >=1 trial, got SynthConfig(n_objects=20, n_trials=0"),
     ({"noise": -0.5}, "noise must be >= 0, got -0.5"),
-    ({"n_factors": 3}, "one entry per factor (3), got haptic_leak (1.0, 0.15) "
-                       "and visual_leak (0.15, 1.0)"),
-    ({"visual_leak": (1.0,)}, "one entry per factor (2), got haptic_leak (1.0, 0.15) "
-                              "and visual_leak (1.0,)"),
-    ({"n_factors": 0, "haptic_leak": (), "visual_leak": ()}, "n_factors must be >= 1, got 0"),
+    ({"visual_leak": (1.0,)}, "one entry per factor and at least one factor, got "
+                              "haptic_leak (1.0, 0.15) and visual_leak (1.0,)"),
+    ({"haptic_leak": (1.0, 0.15, 0.5)}, "one entry per factor and at least one factor, got "
+                                        "haptic_leak (1.0, 0.15, 0.5) and visual_leak (0.15, 1.0)"),
+    ({"haptic_leak": (), "visual_leak": ()}, "one entry per factor and at least one factor, "
+                                             "got haptic_leak () and visual_leak ()"),
+    ({"haptic_leak": (float("nan"), 0.1)}, "haptic_leak[0] must be a finite real number, got nan"),
+    ({"visual_leak": (0.1, float("inf"))}, "visual_leak[1] must be a finite real number, got inf"),
+    ({"haptic_leak": ("a", 0.1)}, "haptic_leak[0] must be a finite real number, got 'a'"),
+    ({"haptic_leak": (0.1, 2**1024)}, "haptic_leak[1] must be a finite real number, got 179769313486"),
+    ({"visual_leak": (0.1, None)}, "visual_leak[1] must be a finite real number, got None"),
+    ({"haptic_leak": None}, "haptic_leak must be a sequence of numbers, got None"),
+    ({"visual_leak": 1.0}, "visual_leak must be a sequence of numbers, got 1.0"),
     ({"noise": float("nan")}, "noise must be finite, got nan"),
     ({"noise": float("inf")}, "noise must be finite, got inf"),
     ({"n_objects": 2.5}, "n_objects must be an int, got 2.5"),
     ({"n_trials": True}, "n_trials must be an int, got True"),
-    ({"n_factors": 2.0}, "n_factors must be an int, got 2.0"),
     ({"seed": 1.0}, "seed must be an integer, got 1.0"),
     ({"seed": True}, "seed must be an integer, got True"),
     ({"seed": "a"}, "seed must be an integer, got 'a'"),
@@ -53,6 +60,15 @@ def assert_same_trial(trial, expected):
 def test_config_checks_name_the_bad_field(kwargs, message):
     with pytest.raises(InvalidInputError, match=re.escape(message)):
         synth.SynthConfig(**kwargs)
+
+
+@pytest.mark.parametrize("haptic_leak, visual_leak", [
+    ((1.0,), (1.0,)), ([0.5, 0, 1], (0.1, 0.2, 0.3)), ((np.float64(0.2), np.int64(1)), (1, 0)),
+])
+def test_the_leak_vectors_give_the_factor_count(haptic_leak, visual_leak):
+    config = synth.SynthConfig(haptic_leak=haptic_leak, visual_leak=visual_leak)
+    assert config.n_factors == len(haptic_leak)
+    assert synth.object_factors(config)[1].shape == (config.n_objects, len(haptic_leak))
 
 
 def test_numpy_integer_counts_give_the_factors_of_python_ints():
@@ -95,8 +111,7 @@ def test_tree_holds_only_what_the_manifest_lists(tmp_path):
        z=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
 def test_trials_are_bitwise_the_reference(n_factors, seed, object_id, trial_index, noise,
                                           leak, z):
-    config = synth.SynthConfig(n_factors=n_factors, noise=noise, seed=seed,
-                               haptic_leak=tuple(leak[:n_factors]),
+    config = synth.SynthConfig(noise=noise, seed=seed, haptic_leak=tuple(leak[:n_factors]),
                                visual_leak=(1.0,) * n_factors)
     z = np.array(z[:n_factors])
     assert_same_trial(synth.make_trial(config, object_id, z, trial_index),
