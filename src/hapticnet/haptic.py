@@ -21,6 +21,7 @@ shares memory with the cache.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,8 @@ RESAMPLE_LEN = 150
 PCA_COMPONENTS = 4
 # the shortest 100 Hz block that every subsampling offset fits in
 MIN_BLOCK_LEN = RESAMPLE_LEN + max(OFFSETS)  # 154
+# a row whose std exceeds this times its |mean| is not constant; see zscore_normalize
+_FLAT_BOUND = 1e-6
 
 INSTANCE_CHANNELS = (len(BASE_CHANNELS) + PCA_COMPONENTS) * len(EPS)  # 32
 
@@ -150,23 +153,53 @@ def zscore_normalize(series: np.ndarray) -> np.ndarray:
     """(s - mean) / population std along the last axis.
 
     Each 1-D series (each row of a stack) is normalized on its own; a
-    constant one, or one whose std is zero, normalizes to all zeros.
+    constant one, or one whose std is zero, normalizes to all zeros.  The
+    result is bitwise that of ``ndarray.mean`` and ``ndarray.std``.
+
+    Only a constant row needs the max/min "flat" test, and a row whose std
+    is finite and above ``_FLAT_BOUND`` (1e-6) times its |mean| is provably
+    not constant, so it is divided at once.  The reason: n copies of a value
+    v sum to n*v within a relative (n - 1) * 2**-53 in any summation order
+    (Higham, "The accuracy of floating point summation", SIAM J. Sci.
+    Comput. 1993).  So a constant row's mean is off v by at most
+    n * 2**-53 * |v|, every centred sample is that one error, and the std is
+    that error again: below 2.5e-7 * |mean| for any row of fewer than 2**31
+    samples.  Where the mean rounds to a subnormal its error can be larger
+    next to v, but the error's square then rounds to zero, and so does the
+    std.  The std must be finite too: near overflow a constant row's error
+    can square to inf, and dividing by that gives -0.0 where the flat test
+    gives 0.0.  Every other row (a constant, a NaN or an infinity, a square
+    that overflows, a spread under 1e-6 of a large mean) takes the flat
+    test.  A 1-D series computes its mean, std and guard on Python floats,
+    whose division and ``math.sqrt`` round as numpy's do.
     """
-    s = np.asarray(series, dtype=np.float64)
+    try:
+        s = np.asarray(series, dtype=np.float64)
+    except (TypeError, ValueError) as e:
+        kind = (f"dtype {series.dtype}" if isinstance(series, np.ndarray)
+                else f"type {type(series).__name__}")
+        raise InvalidInputError(f"cannot normalize a series of {kind}: {e}") from None
     if s.ndim == 0 or s.size == 0:
         raise InvalidInputError(f"cannot normalize an empty series (shape {s.shape})")
     # one mean serves the centring and the std; the sums, the divisions by n
     # and the squaring are ndarray.mean's and ndarray.std's own, so the
     # result is bitwise theirs
     n = s.shape[-1]
-    centred = s - np.add.reduce(s, axis=-1, keepdims=True) / n
+    if s.ndim == 1:
+        mean = float(np.add.reduce(s)) / n
+        centred = s - mean
+        std = math.sqrt(float(np.add.reduce(np.square(centred))) / n)
+        if _FLAT_BOUND * abs(mean) < std < math.inf:
+            return np.divide(centred, std, out=centred)
+    mean = np.add.reduce(s, axis=-1, keepdims=True) / n
+    centred = s - mean
     std = np.sqrt(np.add.reduce(np.square(centred), axis=-1, keepdims=True) / n)
+    if ((_FLAT_BOUND * np.abs(mean) < std) & (std < math.inf)).all():
+        return np.divide(centred, std, out=centred)
     # the mean of a constant such as 0.1 can round off it, which leaves a
     # std of ~1e-17 and would blow the rounding error up to +/-1
     flat = (std == 0.0) | (np.maximum.reduce(s, axis=-1, keepdims=True)
                            == np.minimum.reduce(s, axis=-1, keepdims=True))
-    if not flat.any():
-        return np.divide(centred, std, out=centred)
     return np.where(flat, 0.0, centred / np.where(flat, 1.0, std))
 
 
@@ -177,6 +210,8 @@ def decimate_pac(series: np.ndarray) -> np.ndarray:
     anti-alias filter for the high-frequency vibration channel.
     """
     s = np.asarray(series, dtype=np.float64)
+    if s.ndim != 1:
+        raise InvalidInputError(f"cannot decimate a series of shape {s.shape}; it must be 1-D")
     n = s.size // DECIMATION
     if n == 0:
         raise InvalidInputError(

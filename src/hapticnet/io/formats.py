@@ -22,6 +22,7 @@ by the channel, and an empty meta.  The sample rates are fixed by the format
 """
 
 import inspect
+import itertools
 import json
 import math
 import struct
@@ -106,11 +107,12 @@ def read_container(path, magic: bytes):
         raise UnsupportedFormatError(f"{path}: bad header JSON: {e}") from None
     entries, meta = _container_header(path, header)
     offset = start + header_len
-    bounds = [0]  # tensor k is values bounds[k]:bounds[k + 1] of the payload
-    for name, shape in entries:
-        bounds.append(bounds[-1] + math.prod(shape))  # Python ints: a huge shape cannot wrap
-        if offset + 4 * bounds[-1] > len(raw):
-            raise UnsupportedFormatError(f"{path}: truncated tensor {name!r}")
+    # tensor k is values bounds[k]:bounds[k + 1] of the payload; Python ints,
+    # so a huge shape cannot wrap
+    bounds = list(itertools.accumulate((math.prod(shape) for _, shape in entries), initial=0))
+    if offset + 4 * bounds[-1] > len(raw):
+        k = next(k for k, end in enumerate(bounds[1:]) if offset + 4 * end > len(raw))
+        raise UnsupportedFormatError(f"{path}: truncated tensor {entries[k][0]!r}")
     if offset + 4 * bounds[-1] != len(raw):
         raise UnsupportedFormatError(f"{path}: {len(raw) - offset - 4 * bounds[-1]} trailing bytes")
     # the whole payload in one pass; each tensor is a view of it
@@ -122,7 +124,8 @@ def read_container(path, magic: bytes):
             f"{path}: tensor {entries[k][0]!r} holds {stored[i]} at flat index "
             f"{i - bounds[k]}, which is not finite")
     values = stored.astype(np.float64)
-    tensors = {name: values[a:b].reshape(shape)
+    # a 1-D tensor's slice is already its view
+    tensors = {name: values[a:b] if len(shape) == 1 else values[a:b].reshape(shape)
                for (name, shape), a, b in zip(entries, bounds, bounds[1:])}
     return tensors, meta
 
@@ -144,7 +147,13 @@ def _container_header(path, header):
         if name in entries:
             raise UnsupportedFormatError(f"{path}: tensor {name!r} is listed twice")
         shape = entry.get("shape")
-        if not (isinstance(shape, list) and all(type(s) is int and s >= 0 for s in shape)):
+        valid = isinstance(shape, list)
+        if valid:
+            for s in shape:  # a plain loop: a generator per entry costs more than the checks
+                if type(s) is not int or s < 0:  # a bool is not a dimension
+                    valid = False
+                    break
+        if not valid:
             raise UnsupportedFormatError(f"{path}: tensor {name!r} has no valid shape: {shape!r}")
         entries[name] = tuple(shape)
     return list(entries.items()), header["meta"]

@@ -30,7 +30,6 @@ changes every dataset.  Two kinds of stream make a trial:
 
 import functools
 import math
-import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from numbers import Integral, Real
@@ -65,6 +64,15 @@ _CARRIER = 0.5 * np.sin(
 _CARRIER.setflags(write=False)
 
 
+def _finite(value: Real) -> bool:
+    """Whether the real number ``value`` is finite as a float: an int beyond
+    float range, which ``math.isfinite`` cannot convert, is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass
 class SynthConfig:
     """Dataset size, noise, and each modality's leak: one weight per latent
@@ -87,7 +95,9 @@ class SynthConfig:
             raise InvalidInputError(f"seed must be an integer, got {self.seed!r}")
         if self.n_objects < 2 or self.n_trials < 1:
             raise InvalidInputError(f"need >=2 objects and >=1 trial, got {self}")
-        if not math.isfinite(self.noise):
+        if isinstance(self.noise, bool) or not isinstance(self.noise, Real):
+            raise InvalidInputError(f"noise must be a real number, got {self.noise!r}")
+        if not _finite(self.noise):
             raise InvalidInputError(f"noise must be finite, got {self.noise}")
         if self.noise < 0:
             raise InvalidInputError(f"noise must be >= 0, got {self.noise}")
@@ -96,8 +106,7 @@ class SynthConfig:
             if not isinstance(leak, Sequence):
                 raise InvalidInputError(f"{field} must be a sequence of numbers, got {leak!r}")
             for i, weight in enumerate(leak):
-                # a comparison, unlike math.isfinite, takes an int beyond float range
-                if not (isinstance(weight, Real) and abs(weight) <= sys.float_info.max):
+                if not (isinstance(weight, Real) and _finite(weight)):
                     raise InvalidInputError(
                         f"{field}[{i}] must be a finite real number, got {weight!r}")
         if not self.haptic_leak or len(self.haptic_leak) != len(self.visual_leak):

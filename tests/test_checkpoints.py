@@ -144,6 +144,29 @@ class TestContainerReader:
         assert meta == {"note": "x"}
         assert np.array_equal(tensors["w"], np.arange(6.0).reshape(2, 3))
 
+    def test_tensors_of_every_rank_read_back(self, tmp_path):
+        rng = np.random.default_rng(5)
+        tensors = {"scalar": np.array(2.5), "empty": np.zeros(0), "none": np.zeros((2, 0, 3)),
+                   "cube": rng.standard_normal((2, 3, 4)).astype("<f4").astype(np.float64),
+                   "row": np.array([1.0, -0.0, 3.0])}
+        write_container(tmp_path / "c.bin", CHECKPOINT_MAGIC, tensors, {})
+        got, _ = read_container(tmp_path / "c.bin", CHECKPOINT_MAGIC)
+        assert sorted(got) == sorted(tensors)
+        for name, want in tensors.items():
+            assert got[name].shape == want.shape, name
+            assert got[name].dtype == np.float64, name
+            assert np.array_equal(got[name].view(np.int64), want.view(np.int64)), name
+
+    @pytest.mark.parametrize("stored, name", [(0, "a"), (1, "a"), (2, "b"), (4, "b")])
+    def test_truncation_names_the_first_tensor_past_the_end(self, tmp_path, stored, name):
+        blob = json.dumps({"meta": {}, "tensors": [
+            {"name": "a", "shape": [2]}, {"name": "none", "shape": [0]},
+            {"name": "b", "shape": [1, 3]}, {"name": "c", "shape": [2]}]}).encode()
+        path = tmp_path / "c.bin"
+        path.write_bytes(container_bytes(blob) + np.ones(stored, "<f4").tobytes())
+        with pytest.raises(UnsupportedFormatError, match=f"truncated tensor '{name}'"):
+            read_container(path, CHECKPOINT_MAGIC)
+
     @pytest.mark.parametrize("keep", [10, 30, -8, -1])  # in the head, header, tensors
     def test_truncation_rejected(self, tmp_path, keep):
         raw = self.write_valid(tmp_path / "c.bin")
@@ -175,6 +198,9 @@ class TestContainerReader:
         ([1, 2], "header is a JSON list"),
         ({"meta": {}, "tensors": [{"name": "w"}]}, "tensor 'w' has no valid shape"),
         ({"meta": {}, "tensors": [{"name": "w", "shape": [2, -1]}]}, "tensor 'w' has no valid shape"),
+        ({"meta": {}, "tensors": [{"name": "w", "shape": [True]}]}, "tensor 'w' has no valid shape"),
+        ({"meta": {}, "tensors": [{"name": "w", "shape": [2.0]}]}, "tensor 'w' has no valid shape"),
+        ({"meta": {}, "tensors": [{"name": "w", "shape": 2}]}, "tensor 'w' has no valid shape"),
         ({"meta": {}, "tensors": [{"shape": [2]}]}, "tensor entry 0 has no name"),
         ({"meta": {}, "tensors": [{"name": "w", "shape": [1]}, {"name": "w", "shape": [1]}]},
          "tensor 'w' is listed twice"),

@@ -93,7 +93,21 @@ class TestZscore:
         for value in (0.1, 2.7, -7.77):
             assert not zscore_normalize(np.full(340, value)).any()
 
-    @pytest.mark.parametrize("shape", [(3, 7), (22, 341), (2, 9001)])
+    @pytest.mark.parametrize("length", [1, 2, 7, 128, 129, 3620, 100_000])
+    def test_constants_of_any_magnitude_become_zeros(self, length):
+        # from the smallest subnormal to near overflow, where the sum or the
+        # squares of the centred samples are inf; every output is +0.0
+        magnitudes = (5e-324, 1e-320, 2.2e-308, 1e-300, 1e-162, 0.1, 2.7, 1e154, 1e300, 1.7e308)
+        values = [sign * m for m in magnitudes for sign in (1.0, -1.0)] + [0.0, -0.0]
+        rows = np.repeat(np.array(values)[:, None], length, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for row in rows:
+                out = zscore_normalize(row)
+                assert out.shape == (length,) and not out.view(np.int64).any(), row[0]
+            out = zscore_normalize(rows)
+        assert out.shape == rows.shape and not out.view(np.int64).any()
+
+    @pytest.mark.parametrize("shape", [(3, 7), (22, 341), (4, 3620), (2, 9001)])
     def test_rows_match_1d_calls(self, shape):
         rng = np.random.default_rng(shape[1])
         rows = rng.standard_normal(shape) * rng.uniform(0.1, 50.0, (shape[0], 1))
@@ -106,11 +120,14 @@ class TestZscore:
         assert not out[1].any()
 
     @settings(max_examples=60)
-    @given(rows=st.integers(1, 4), length=st.integers(1, 400),
-           scale=st.sampled_from([1e-100, 1e-8, 1.0, 3e4, 1e100]),
-           kinds=st.lists(st.sampled_from(["noise", "offset", "constant", "ulp"]),
+    @given(rows=st.integers(1, 4), length=st.integers(1, 4000),
+           scale=st.sampled_from([1e-300, 1e-100, 1e-8, 1.0, 3e4, 1e100, 1e154, 1e300]),
+           kinds=st.lists(st.sampled_from(["noise", "offset", "constant", "ulp", "nan", "inf"]),
                           min_size=4, max_size=4),
            seed=st.integers(0, 2**32 - 1))
+    @example(rows=4, length=3620, scale=1e300, kinds=["noise", "offset", "constant", "ulp"],
+             seed=0)
+    @example(rows=4, length=4000, scale=1e-300, kinds=["offset", "ulp", "nan", "inf"], seed=1)
     def test_bitwise_the_std_formula(self, rows, length, scale, kinds, seed):
         rng = np.random.default_rng(seed)
         series = np.empty((rows, length))
@@ -122,12 +139,28 @@ class TestZscore:
                 row[:] = value + rng.standard_normal(length) * scale * 1e-6
             elif kind == "constant":
                 row[:] = value
-            else:  # one ulp apart, so the mean can round off every sample
+            elif kind == "ulp":  # one ulp apart, so the mean can round off every sample
                 row[:] = value
                 row[rng.integers(0, length)] = np.nextafter(value, np.inf)
-        for s in (series, series[0]):
-            expected = reference_zscore_normalize(s)
-            assert np.array_equal(zscore_normalize(s).view(np.int64), expected.view(np.int64))
+            else:  # noise with one sample that is not finite
+                row[:] = rng.standard_normal(length) * scale
+                row[rng.integers(0, length)] = np.nan if kind == "nan" else -np.inf
+        # at the largest scales the squares overflow, and a non-finite
+        # sample makes the centring invalid
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s in (series, series[0]):
+                expected = reference_zscore_normalize(s)
+                got = zscore_normalize(s)
+                assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("series, message", [
+        (np.array(["a", "b"]), "dtype <U1"),
+        ([[1.0, 2.0], [3.0]], "type list"),
+        ("ab", "type str"),
+    ])
+    def test_non_numeric_rejected(self, series, message):
+        with pytest.raises(InvalidInputError, match=f"cannot normalize a series of {message}"):
+            zscore_normalize(series)
 
     def test_empty_rejected(self):
         for empty in (np.array([]), np.zeros((3, 0)), np.zeros((0, 5)), np.float64(1.0)):
@@ -159,6 +192,11 @@ class TestDecimate:
     def test_too_short_rejected(self):
         with pytest.raises(InvalidInputError):
             decimate_pac(np.arange(21.0))
+
+    @pytest.mark.parametrize("shape", [(2, 44), (1, 44), (44, 1), ()])
+    def test_a_series_that_is_not_1d_rejected(self, shape):
+        with pytest.raises(InvalidInputError, match=re.escape(f"series of shape {shape}")):
+            decimate_pac(np.ones(shape))
 
     @settings(max_examples=60)
     @given(length=st.integers(DECIMATION, 5000),

@@ -56,14 +56,25 @@ def assert_same_trial(trial, expected):
     ({"seed": True}, "seed must be an integer, got True"),
     ({"seed": "a"}, "seed must be an integer, got 'a'"),
     ({"n_objects": True}, "n_objects must be an int, got True"),
+    ({"noise": "x"}, "noise must be a real number, got 'x'"),
+    ({"noise": None}, "noise must be a real number, got None"),
+    ({"noise": True}, "noise must be a real number, got True"),
+    ({"noise": 10**400}, "noise must be finite, got 1000000000"),
+    ({"noise": -(2**1024)}, "noise must be finite, got -179769313486"),
 ])
 def test_config_checks_name_the_bad_field(kwargs, message):
     with pytest.raises(InvalidInputError, match=re.escape(message)):
         synth.SynthConfig(**kwargs)
 
 
+@pytest.mark.parametrize("noise", [0, 0.0, np.float64(0.05), np.float32(0.5), np.int64(2)])
+def test_noise_of_any_real_type_accepted(noise):
+    assert synth.SynthConfig(noise=noise).noise == noise
+
+
 @pytest.mark.parametrize("haptic_leak, visual_leak", [
     ((1.0,), (1.0,)), ([0.5, 0, 1], (0.1, 0.2, 0.3)), ((np.float64(0.2), np.int64(1)), (1, 0)),
+    ((np.float32(0.5),), (np.float16(1.0),)),
 ])
 def test_the_leak_vectors_give_the_factor_count(haptic_leak, visual_leak):
     config = synth.SynthConfig(haptic_leak=haptic_leak, visual_leak=visual_leak)
