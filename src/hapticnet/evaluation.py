@@ -48,12 +48,19 @@ def make_split(objects, labels, adjective, ratio=0.9, seed=0) -> SplitPlan:
     rounded share, else one more or one fewer; failing those, it keeps the
     rounded share (at least 2) and caps the test positives at one below it.
     The counts do not depend on the seed, which only picks the objects.
+    The ids are sorted first, so the split depends on the set of objects
+    and not on the order they are listed in; ids that cannot be sorted
+    raise InvalidInputError.
     """
-    objects = list(objects)
     if not (isinstance(ratio, Real) and 0.0 < ratio < 1.0):  # NaN fails this too
         raise InvalidInputError(f"split ratio must lie strictly between 0 and 1, got {ratio!r}")
     if adjective not in ADJECTIVES:
         raise InvalidInputError(f"unknown adjective {adjective!r}")
+    objects = list(objects)
+    try:
+        objects.sort()
+    except TypeError as e:
+        raise InvalidInputError(f"{adjective}: object ids cannot be sorted: {e}") from None
     repeated = [o for o, count in Counter(objects).items() if count > 1]
     if repeated:
         raise InvalidInputError(f"{adjective}: objects {repeated} are listed more than once")

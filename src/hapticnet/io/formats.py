@@ -76,7 +76,7 @@ def write_container(path, magic: bytes, tensors: dict, meta: dict) -> None:
         stored.append(values)
     header = {
         "meta": meta,
-        "tensors": [{"name": n, "shape": list(tensors[n].shape)} for n in names],
+        "tensors": [{"name": n, "shape": list(v.shape)} for n, v in zip(names, stored)],
     }
     blob = _canonical_json(header)
     with open(path, "wb") as fh:

@@ -159,8 +159,9 @@ def pair_count_auc(scores, labels):
 def eigh_pca(samples, k):
     """PCA reference via dense symmetric eigendecomposition of the covariance.
 
-    Returns (mean, components (D, k), explained_variance_ratio (k,)), with
-    each component's largest-magnitude entry made positive.
+    This is ``pca_fit``'s own method, so ``svd_pca`` is the independent
+    reference.  Returns (mean, components (D, k), explained_variance_ratio
+    (k,)), with each component's largest-magnitude entry made positive.
     """
     x = np.asarray(samples, dtype=np.float64)
     mean = x.mean(axis=0)
@@ -178,6 +179,26 @@ def eigh_pca(samples, k):
     total = eigvals.sum()
     ratios = eigvals[:k] / total
     return mean, comps, ratios
+
+
+def svd_pca(samples, k):
+    """PCA reference via the SVD of the centred samples, which never forms
+    their Gram matrix and so keeps its accuracy at a large sigma_1 / sigma_k.
+
+    Returns (mean, components (D, k), explained_variance_ratio (k,)), with
+    each component's largest-magnitude entry made positive.  No rank check:
+    a rank-deficient input gives noise components and ratios near zero.
+    """
+    x = np.asarray(samples, dtype=np.float64)
+    mean = x.mean(axis=0)
+    _, svals, vt = np.linalg.svd(x - mean, full_matrices=False)
+    comps = vt[:k].T.copy()
+    for j in range(k):
+        i = np.argmax(np.abs(comps[:, j]))
+        if comps[i, j] < 0:
+            comps[:, j] = -comps[:, j]
+    variances = svals ** 2
+    return mean, comps, variances[:k] / variances.sum()
 
 
 def reference_instance(trial, finger, offset, pca):

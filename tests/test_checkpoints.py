@@ -157,6 +157,16 @@ class TestContainerReader:
             assert got[name].dtype == np.float64, name
             assert np.array_equal(got[name].view(np.int64), want.view(np.int64)), name
 
+    def test_python_float_and_list_tensors_read_back(self, tmp_path):
+        # each header shape is the converted array's, not the caller's object's
+        tensors = {"a": 1.5, "b": [1.0, 2.0], "c": [[0.5], [-2.0], [3.0]]}
+        write_container(tmp_path / "c.bin", CHECKPOINT_MAGIC, tensors, {})
+        got, _ = read_container(tmp_path / "c.bin", CHECKPOINT_MAGIC)
+        assert sorted(got) == ["a", "b", "c"]
+        for name, want in tensors.items():
+            assert got[name].shape == np.shape(want), name
+            assert np.array_equal(got[name], want), name
+
     @pytest.mark.parametrize("stored, name", [(0, "a"), (1, "a"), (2, "b"), (4, "b")])
     def test_truncation_names_the_first_tensor_past_the_end(self, tmp_path, stored, name):
         blob = json.dumps({"meta": {}, "tensors": [

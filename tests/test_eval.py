@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hapticnet.errors import (
     InfeasibleSplitError,
@@ -125,13 +127,28 @@ class TestMakeSplit:
 
     def test_seeded_splits_are_pinned(self):
         # splits that were feasible before the last-resort test size existed
-        # keep the objects they were drawn with
+        # keep the objects they were drawn with, from the ids in sorted
+        # order ("o10" before "o2")
         def test_ids(n, n_pos, ratio, seed):
             objects = [f"o{i}" for i in range(n)]
             labels = {o: {"bumpy": i < n_pos} for i, o in enumerate(objects)}
             return make_split(objects, labels, "bumpy", ratio=ratio, seed=seed).test_ids
-        assert test_ids(12, 5, 0.9, 2) == ("o1", "o10")
+        assert test_ids(12, 5, 0.9, 2) == ("o1", "o8")
         assert test_ids(10, 4, 0.7, 1) == ("o2", "o6", "o8")
+
+    @settings(max_examples=60, deadline=None)
+    @given(order=st.permutations([f"o{i}" for i in range(14)]), seed=st.integers(0, 2**32))
+    def test_split_does_not_depend_on_the_list_order(self, order, seed):
+        objects = sorted(order)
+        labels = label_table(np.random.default_rng(6), objects, p_positive=0.5)
+        assert (make_split(order, labels, "soft", seed=seed)
+                == make_split(objects, labels, "soft", seed=seed))
+
+    def test_ids_that_cannot_be_sorted_rejected(self):
+        objects = [f"o{i}" for i in range(9)] + [9]
+        labels = label_table(np.random.default_rng(3), objects, p_positive=0.5)
+        with pytest.raises(InvalidInputError, match="soft: object ids cannot be sorted"):
+            make_split(objects, labels, "soft", seed=0)
 
     @pytest.mark.parametrize("ratio", [0.0, 1.0, 1.5, 2.0, -0.1, float("nan"), "x", None])
     def test_ratio_outside_the_open_unit_interval_rejected(self, ratio):

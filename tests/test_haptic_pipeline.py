@@ -1,7 +1,11 @@
 """Haptic preprocessing: normalization, decimation, resampling, PCA, assembly."""
 
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +36,7 @@ from hapticnet.haptic import (
     zscore_normalize,
 )
 
-from oracles import eigh_pca, reference_instance, reference_zscore_normalize, subsample
+from oracles import eigh_pca, reference_instance, reference_zscore_normalize, subsample, svd_pca
 
 
 def synth_channels(rng, base_len=340):
@@ -72,11 +76,16 @@ def electrode_samples(trials, ep):
         for t in trials for f in FINGERS])
 
 
+def synth_trials(config):
+    """Every trial of a synth config."""
+    ids, z, _ = synth.object_factors(config)
+    return [synth.make_trial(config, o, zo, t)
+            for o, zo in zip(ids, z) for t in range(config.n_trials)]
+
+
 def synth_set(config):
     """Trials of a synth config, with PCA fitted on all of their electrodes."""
-    ids, z, _ = synth.object_factors(config)
-    trials = [synth.make_trial(config, o, zo, t)
-              for o, zo in zip(ids, z) for t in range(config.n_trials)]
+    trials = synth_trials(config)
     return trials, {ep: pca_fit(electrode_samples(trials, ep)) for ep in EPS}
 
 
@@ -395,6 +404,100 @@ class TestPca:
         model = pca_fit(np.random.default_rng(10).standard_normal((50, 19)))
         with pytest.raises(InvalidInputError, match="vector dim 18 != model dim 19"):
             pca_project(model, np.zeros((3, 18)))
+
+
+class TestPcaAgainstSvd:
+    """The Gram-matrix fit against the SVD of the centred samples."""
+
+    @pytest.mark.parametrize("n_objects", [5, 17])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_synth_electrodes_match_the_svd_form(self, n_objects, seed):
+        trials = synth_trials(synth.two_cue_config(n_objects=n_objects, seed=seed))
+        for ep in EPS:
+            samples = electrode_samples(trials, ep)
+            model = pca_fit(samples)
+            mean, comps, ratios = svd_pca(samples, k=4)
+            assert np.array_equal(model.mean, mean)
+            signs = np.sign(np.sum(model.components * comps, axis=0))
+            assert np.abs(model.components - comps * signs).max() <= 1e-12, ep
+            assert np.abs(model.explained_variance_ratio - ratios).max() <= 1e-14, ep
+
+    def test_offset_rank_3_data_has_no_4th_component(self):
+        # the SVD form fits a 4th component of pure noise here; on the
+        # squared scale that noise is below the rank tolerance
+        r = np.random.default_rng(4)
+        n = r.integers(50, 40000)
+        rank = r.integers(0, 4)
+        x = (r.standard_normal((n, rank)) @ r.standard_normal((rank, 19))
+             * 10 ** r.uniform(-3, 3) + r.uniform(-1e3, 1e3, 19))
+        assert (n, rank) == (29071, 3)
+        assert svd_pca(x, k=4)[2][3] < 1e-15
+        with pytest.raises(InvalidInputError, match="rank 3;"):
+            pca_fit(x)
+
+    @pytest.mark.parametrize("first, second", [
+        (np.nan, np.nan), (np.inf, np.inf), (-np.inf, np.inf), (np.inf, 1e308)])
+    def test_non_finite_sample_named_by_row_and_column(self, first, second):
+        x = np.random.default_rng(11).standard_normal((30, 19))
+        x[17, 5] = first
+        x[23, 2] = second
+        with pytest.raises(InvalidInputError,
+                           match=re.escape(f"electrode sample row 17 column 5 is {first}, not finite")):
+            pca_fit(x)
+
+    @pytest.mark.parametrize("samples, kind", [
+        (np.full((5, 19), "a"), "dtype <U1"),
+        (np.full((5, 19), "a", dtype=object), "dtype object"),
+        ([[{}] * 19] * 5, "type list"),
+    ])
+    def test_non_numeric_samples_rejected(self, samples, kind):
+        with pytest.raises(InvalidInputError,
+                           match=re.escape(f"cannot fit a PCA to samples of {kind}: ")):
+            pca_fit(samples)
+
+    @pytest.mark.parametrize("x", [
+        # the Gram matrix overflows
+        np.random.default_rng(12).standard_normal((30, 19)) * 1e200,
+        # every entry of the Gram matrix is finite, the sum of its eigenvalues is not
+        np.random.default_rng(3).standard_normal((50, 19)) * 1e153,
+        # the column sums overflow
+        np.full((30, 19), 1.7e308),
+    ])
+    def test_samples_whose_squares_overflow_rejected(self, x):
+        with pytest.raises(InvalidInputError, match="too large: their squares overflow"):
+            pca_fit(x)
+
+
+_FIT_DIGESTS = """
+import hashlib, sys
+import numpy as np
+from hapticnet.haptic import pca_fit
+samples = np.load(sys.argv[1])
+for key in sorted(samples.files):
+    model = pca_fit(samples[key])
+    digest = hashlib.sha256()
+    for a in (model.mean, model.components, model.explained_variance_ratio):
+        digest.update(a.tobytes())
+    print(key, digest.hexdigest())
+"""
+
+
+def test_pca_fit_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # about 50k rows per EP; the variable is set only in each child's environment
+    trials = synth_trials(synth.two_cue_config(n_objects=48, n_trials=3))
+    path = tmp_path / "electrodes.npz"
+    np.savez(path, **{ep: electrode_samples(trials, ep) for ep in EPS})
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    pythonpath = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
+        done = subprocess.run([sys.executable, "-c", _FIT_DIGESTS, str(path)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0].count("\n") == len(EPS)
+    assert outputs[0] == outputs[1]
 
 
 class TestAssemble:
