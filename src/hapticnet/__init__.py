@@ -1,7 +1,7 @@
 """Multimodal haptic-adjective classification pipeline.
 
 Subpackages/modules:
-    engine      -- tensors-as-ndarrays, conv/LSTM/dense kernels, losses, SGD step
+    engine      -- tensors-as-ndarrays, conv/LSTM/dense kernels, losses
     haptic      -- raw trial -> 32x150 instance preprocessing
     visual      -- pooled, per-object visual features from trunk feature maps
     models      -- parameterized layers and the three networks' builders (grouped CNN, LSTM, fusion classifier)

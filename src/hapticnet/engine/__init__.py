@@ -1,8 +1,7 @@
 """Minimal deterministic neural-network engine.
 
 Plain float64 numpy arrays are the tensor type throughout; every operation
-is a pure function (except the optimizer step, which mutates its parameter
-in place) so forward passes are reentrant and safe to parallelize.
+is a pure function, so forward passes are reentrant and safe to parallelize.
 """
 
 from .conv import ConvSpec, LayerParams, conv1d_backward, conv1d_forward
@@ -17,7 +16,6 @@ from .ops import (
     relu,
     relu_backward,
 )
-from .optim import sgd_momentum_step
 
 __all__ = [
     "ConvSpec",
@@ -37,7 +35,6 @@ __all__ = [
     "lstm_forward",
     "relu",
     "relu_backward",
-    "sgd_momentum_step",
     "sigmoid",
     "xavier_init",
 ]

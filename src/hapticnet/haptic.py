@@ -14,8 +14,8 @@ and the gather work along the last axis, so the 22 channels at the common
 rate go through them as one (22, T) array; row by row the result is
 bitwise that of normalizing and subsampling each channel on its own.
 
-An index table depends only on the series length and the offsets, and
-block lengths repeat across trials, so the tables are cached.  A cached
+An index table depends only on the series length, and block lengths
+repeat across trials, so the tables are cached.  A cached
 table is read-only; every gather from it makes a new array, so no output
 shares memory with the cache.
 """
@@ -23,6 +23,7 @@ shares memory with the cache.
 import functools
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -149,12 +150,21 @@ class InstanceMatrix:
             raise InvalidInputError("instance contains non-finite values")
 
 
-def _kind_of(values) -> str:
-    """The dtype of an array, else the type, for an error about values that
-    do not convert to float64."""
-    if isinstance(values, np.ndarray):
-        return f"dtype {values.dtype}"
-    return f"type {type(values).__name__}"
+def _real_array(values, action: str) -> np.ndarray:
+    """``values`` as a float64 array: the one input conversion of the public
+    functions here.  Values that are not real numbers, complex ones included
+    (the conversion would keep their real part and only warn), raise
+    InvalidInputError naming their dtype, or their type if not an array."""
+    try:
+        array = np.asarray(values)
+        if array.dtype.kind != "c":
+            return array.astype(np.float64, copy=False)
+        reason = "complex values have an imaginary part"
+    except (TypeError, ValueError) as e:
+        reason = str(e)
+    kind = (f"dtype {values.dtype}" if isinstance(values, np.ndarray)
+            else f"type {type(values).__name__}")
+    raise InvalidInputError(f"cannot {action} of {kind}: {reason}")
 
 
 def zscore_normalize(series: np.ndarray) -> np.ndarray:
@@ -181,10 +191,7 @@ def zscore_normalize(series: np.ndarray) -> np.ndarray:
     test.  A 1-D series computes its mean, std and guard on Python floats,
     whose division and ``math.sqrt`` round as numpy's do.
     """
-    try:
-        s = np.asarray(series, dtype=np.float64)
-    except (TypeError, ValueError) as e:
-        raise InvalidInputError(f"cannot normalize a series of {_kind_of(series)}: {e}") from None
+    s = _real_array(series, "normalize a series")
     if s.ndim == 0 or s.size == 0:
         raise InvalidInputError(f"cannot normalize an empty series (shape {s.shape})")
     # one mean serves the centring and the std; the sums, the divisions by n
@@ -215,7 +222,7 @@ def decimate_pac(series: np.ndarray) -> np.ndarray:
     A trailing partial window is dropped; window means double as a crude
     anti-alias filter for the high-frequency vibration channel.
     """
-    s = np.asarray(series, dtype=np.float64)
+    s = _real_array(series, "decimate a series")
     if s.ndim != 1:
         raise InvalidInputError(f"cannot decimate a series of shape {s.shape}; it must be 1-D")
     n = s.size // DECIMATION
@@ -228,20 +235,17 @@ def decimate_pac(series: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=256)
-def _subsample_index(n: int, offsets: tuple) -> np.ndarray:
-    """(len(offsets), RESAMPLE_LEN) int64 table, read-only: row i holds the
+def _subsample_index(n: int) -> np.ndarray:
+    """(len(OFFSETS), RESAMPLE_LEN) int64 table, read-only: row i holds the
     indices ``o + round(j * (n - 1 - o) / (RESAMPLE_LEN - 1))``, j = 0..149,
-    into a series of length ``n`` at offset ``o = offsets[i]``.  Rounding is
+    into a series of length ``n`` at offset ``o = OFFSETS[i]``.  Rounding is
     half-to-even, so every row starts at ``o`` and ends at the last sample.
     A call that raises caches nothing."""
-    low, high = min(offsets), max(offsets)
-    if low < 0:
-        raise InvalidInputError(f"offset must be non-negative, got {low}")
-    if n < RESAMPLE_LEN + high:
+    if n < MIN_BLOCK_LEN:
         raise InvalidInputError(
-            f"series of length {n} too short for length={RESAMPLE_LEN}, offset={high}"
+            f"series of length {n} too short for length={RESAMPLE_LEN}, offset={max(OFFSETS)}"
         )
-    off = np.asarray(offsets, dtype=np.int64)[:, None]
+    off = np.asarray(OFFSETS, dtype=np.int64)[:, None]
     j = np.arange(RESAMPLE_LEN, dtype=np.float64)
     # int64 spans convert to float64 exactly, so each row is bitwise the
     # scalar-offset arithmetic
@@ -270,15 +274,11 @@ def pca_fit(samples: np.ndarray) -> PcaModel:
     An eigenvalue at or below lambda_max * max(N, 19) * eps is rounding
     noise: numpy.linalg.matrix_rank's tolerance on the squared scale.
     Fewer than PCA_COMPONENTS above it raise InvalidInputError naming the
-    rank, as do samples that are not numbers, hold a NaN or an infinity
+    rank, as do samples that are not real numbers, hold a NaN or an infinity
     (named by row and column), or are so large that their squares overflow.
     """
     k = PCA_COMPONENTS
-    try:
-        x = np.asarray(samples, dtype=np.float64)
-    except (TypeError, ValueError) as e:
-        raise InvalidInputError(
-            f"cannot fit a PCA to samples of {_kind_of(samples)}: {e}") from None
+    x = _real_array(samples, "fit a PCA to samples")
     if x.ndim != 2:
         raise InvalidInputError(f"samples must be 2-D, got shape {x.shape}")
     n, d = x.shape
@@ -318,7 +318,7 @@ def pca_fit(samples: np.ndarray) -> PcaModel:
 
 def pca_project(model: PcaModel, vec: np.ndarray) -> np.ndarray:
     """Project a 19-vector (or (..., 19) stack) onto the fitted components."""
-    v = np.asarray(vec, dtype=np.float64)
+    v = _real_array(vec, "project a vector")
     if v.shape[-1] != model.mean.shape[0]:
         raise InvalidInputError(
             f"vector dim {v.shape[-1]} != model dim {model.mean.shape[0]}"
@@ -340,6 +340,10 @@ def _full_length_blocks(trial: HapticTrial, finger: int, pca: dict) -> list:
         raise InvalidInputError(f"no PCA model for EPs: {missing}")
     blocks = []
     for ep in EPS:
+        shape = pca[ep].components.shape
+        if shape != (len(ELECTRODES), PCA_COMPONENTS):
+            raise InvalidInputError(f"PCA model for EP {ep} has components of shape {shape}, "
+                                    f"not {(len(ELECTRODES), PCA_COMPONENTS)}")
         chans = trial.checked_channels(finger, ep)
         pac = decimate_pac(zscore_normalize(chans["P_AC"]))
         # (22, T)
@@ -347,42 +351,42 @@ def _full_length_blocks(trial: HapticTrial, finger: int, pca: dict) -> list:
         # a C-contiguous (T, 19) operand keeps the projection bitwise equal
         # to projecting the per-channel stack; it is a copy, so the
         # projection overwrites the electrode rows it was read from
-        projected = pca_project(pca[ep], np.ascontiguousarray(z[3:].T))  # (T, k)
-        k = projected.shape[1]
-        z[3:3 + k] = projected.T
-        blocks.append((pac, z[:3 + k]))
+        projected = pca_project(pca[ep], np.ascontiguousarray(z[3:].T))  # (T, 4)
+        z[3:3 + PCA_COMPONENTS] = projected.T
+        blocks.append((pac, z[:3 + PCA_COMPONENTS]))
     return blocks
 
 
-def _subsampled_instances(trial: HapticTrial, finger: int, offsets, blocks: list) -> list:
-    """One finger's instances at each offset of the tuple ``offsets``, from
-    its ``blocks``.
+def _subsampled_instances(trial: HapticTrial, finger: int, blocks: list) -> list:
+    """One finger's instances at each offset of OFFSETS, from its ``blocks``.
 
-    Each block is read by one gather over every offset's index table, into
-    one (len(offsets), 32, 150) array whose rows, disjoint, are the values.
+    Each block is read by one gather over its length's index table, into
+    one (len(OFFSETS), 32, 150) array whose rows, disjoint, are the values.
     """
-    values = np.empty((len(offsets), INSTANCE_CHANNELS, RESAMPLE_LEN))
+    values = np.empty((len(OFFSETS), INSTANCE_CHANNELS, RESAMPLE_LEN))
     rows = INSTANCE_CHANNELS // len(EPS)
     for start, (pac, others) in zip(range(0, INSTANCE_CHANNELS, rows), blocks):
-        values[:, start] = pac[_subsample_index(pac.shape[-1], offsets)]
-        idx = _subsample_index(others.shape[-1], offsets)
+        values[:, start] = pac[_subsample_index(pac.shape[-1])]
+        idx = _subsample_index(others.shape[-1])
         values[:, start + 1:start + rows] = others[:, idx].swapaxes(0, 1)
     return [InstanceMatrix(values=v, object_id=trial.object_id, trial_index=trial.trial_index,
                            finger=finger, offset=offset)
-            for v, offset in zip(values, offsets)]
+            for v, offset in zip(values, OFFSETS)]
 
 
 def assemble_instance(trial: HapticTrial, finger: int, offset: int, pca: dict) -> InstanceMatrix:
-    """Build the 32x150 input for one (finger, offset) view of a trial.
+    """The 32x150 input for one (finger, offset) view of a trial: that
+    finger's instance at ``offset`` from ``augment``'s gather.
 
     ``pca`` maps EP name -> fitted PcaModel.  Channel order per EP is
     (P_AC, P_DC, T_AC, T_DC, E-pc1..E-pc4), EPs stacked in EPS order.  An
-    offset that is not an integer raises InvalidInputError before the cached
-    index tables are looked up, where 2.0 would find offset 2's table.
+    offset that is not an integer of OFFSETS, 2.0 and True included, raises
+    InvalidInputError.
     """
-    if isinstance(offset, bool) or not isinstance(offset, (int, np.integer)):
-        raise InvalidInputError(f"offset must be an integer, got {offset!r}")
-    return _subsampled_instances(trial, finger, (offset,), _full_length_blocks(trial, finger, pca))[0]
+    if isinstance(offset, bool) or not isinstance(offset, Integral) or offset not in OFFSETS:
+        raise InvalidInputError(f"offset must be an integer of {OFFSETS}, got {offset!r}")
+    blocks = _full_length_blocks(trial, finger, pca)
+    return _subsampled_instances(trial, finger, blocks)[OFFSETS.index(offset)]
 
 
 def augment(trial: HapticTrial, pca: dict) -> list:
@@ -391,5 +395,5 @@ def augment(trial: HapticTrial, pca: dict) -> list:
     Each finger's blocks are preprocessed once and subsampled at every offset.
     """
     return [inst for finger in FINGERS
-            for inst in _subsampled_instances(trial, finger, OFFSETS,
+            for inst in _subsampled_instances(trial, finger,
                                               _full_length_blocks(trial, finger, pca))]

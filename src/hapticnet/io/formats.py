@@ -212,10 +212,6 @@ def _built_model(path, meta, stored):
     initial weights; the entry is popped from ``meta``.  ``stored`` is the
     number of values the checkpoint's tensors hold."""
     if "model" not in meta:
-        if "graph" in meta:
-            raise UnsupportedFormatError(
-                f"{path}: checkpoint predates builder-named checkpoints: its meta "
-                f"holds a 'graph' and no 'model' builder entry")
         raise UnsupportedFormatError(f"{path}: checkpoint meta has no 'model' builder entry")
     entry = meta.pop("model")
     name = entry.get("builder") if isinstance(entry, dict) else None

@@ -2,8 +2,10 @@
 
 A Model is an ordered list of layers.  Layers are parameter holders with
 pure forward/backward functions (the cache returned by forward carries
-everything backward needs), so forward passes are reentrant; only the
-optimizer mutates parameters.  All layers accept a leading batch axis.
+everything backward needs), so forward passes are reentrant.  Once a model
+is built or loaded, only ``training`` changes its parameters, and its SGD
+step, ``training.sgd_momentum_step``, is the one update rule.  All layers
+accept a leading batch axis.
 
 Every layer has parameters, ``forward(x, cache=True) -> (out, cache)`` and
 ``backward(cache, grad_out, input_grad=True) -> (grad_in, param_grads)``.

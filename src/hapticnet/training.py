@@ -9,7 +9,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .engine import LOSSES, derive_seed, sgd_momentum_step
+from .engine import LOSSES, derive_seed
 from .errors import InvalidInputError, InvalidSpecError, NonFiniteGradientError
 
 LR = 0.01        # SGD step size of both phases
@@ -44,6 +44,22 @@ class TrainResult:
     loss_curve: list            # per-epoch mean training loss, both phases
     phase_boundaries: dict      # phase name -> (start epoch, end epoch)
     diverged: bool = False
+
+
+def sgd_momentum_step(value: np.ndarray, velocity: np.ndarray, grad: np.ndarray,
+                      name: str) -> None:
+    """In-place update: v <- MOMENTUM*v - LR*g; w <- w + v.
+
+    The update rule of both phases.  Requires exclusive access to (value,
+    velocity).  Non-finite gradients abort with a diagnostic naming the
+    parameter.
+    """
+    if not np.all(np.isfinite(grad)):
+        bad = int(np.size(grad) - np.count_nonzero(np.isfinite(grad)))
+        raise NonFiniteGradientError(f"non-finite gradient for {name}: {bad} bad entries")
+    velocity *= MOMENTUM
+    velocity -= LR * grad
+    value += velocity
 
 
 def _check_training_inputs(instances, labels):
@@ -96,9 +112,9 @@ def _run_phase(model, x, y, loss_name, epochs, schedule, rng, curve):
                 score, caches = model.forward_cached(xb)
                 losses, grad_s = loss_fn(score, yb)
                 grads = model.backward(caches, grad_s / idx.size)
+                # a module-level lookup per step, so a wrapper set on it sees each call
                 for (name, value), vel in zip(params, velocities):
-                    sgd_momentum_step(value, vel, grads[name], lr=LR, momentum=MOMENTUM,
-                                      name=name)
+                    sgd_momentum_step(value, vel, grads[name], name)
                 epoch_loss += float(np.sum(losses))
         except NonFiniteGradientError:
             _restore(params, snap)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hapticnet.errors import InvalidInputError, UnsupportedFormatError
-from hapticnet.io import (
+from hapticnet.io.formats import (
     CHECKPOINT_MAGIC,
     load_model,
     read_container,
@@ -267,11 +267,12 @@ class TestCheckpointReader:
         path = write_checkpoint(tmp_path / "m.ckpt", {"epochs": 2}, fusion_tensors())
         self.load_rejects(path, "meta has no 'model' builder entry")
 
-    def test_graph_only_meta_predates_builder_entries(self, tmp_path):
+    def test_graph_only_meta_has_no_builder_entry(self, tmp_path):
+        # the format before builder entries described the graph instead
         graph = {"kind": "fusion", "input_shape": [4], "layers": [
             {"kind": "dense", "name": "fc", "in_dim": 4, "out_dim": 1, "activation": None}]}
         path = write_checkpoint(tmp_path / "old.ckpt", {"graph": graph}, fusion_tensors())
-        self.load_rejects(path, "predates builder-named checkpoints")
+        self.load_rejects(path, "meta has no 'model' builder entry")
 
     @pytest.mark.parametrize("entry", [
         {"builder": "attention"}, {"builder": "model"}, {"feature_dim": 4}, "fusion", None])

@@ -1,4 +1,4 @@
-"""Initialization, elementwise ops, losses, and the momentum optimizer."""
+"""Initialization, elementwise ops and losses."""
 
 import math
 import re
@@ -18,10 +18,9 @@ from hapticnet.engine import (
     logistic_loss,
     relu,
     relu_backward,
-    sgd_momentum_step,
     xavier_init,
 )
-from hapticnet.errors import InvalidInputError, InvalidSpecError, NonFiniteGradientError
+from hapticnet.errors import InvalidInputError, InvalidSpecError
 from hapticnet.models import build_haptic_cnn, build_linear_classifier
 from hapticnet.training import TrainSchedule, train
 
@@ -230,32 +229,3 @@ class TestLosses:
         losses, grads = hinge_loss(np.array([2.0, 0.5]), np.array([1.0, 1.0]))
         assert np.array_equal(losses, [0.0, 0.5])
         assert np.array_equal(grads, [0.0, -1.0])
-
-
-class TestSgdMomentum:
-    def test_first_step(self):
-        w = np.array([1.0])
-        v = np.zeros(1)
-        sgd_momentum_step(w, v, np.array([1.0]), lr=0.01, momentum=0.9, name="w")
-        assert v == pytest.approx([-0.01])
-        assert w == pytest.approx([0.99])
-
-    def test_two_steps_compound(self):
-        # v1 = -0.01; v2 = 0.9*v1 - 0.01 = -0.019; total decrease 0.029
-        w = np.array([1.0])
-        v = np.zeros(1)
-        for _ in range(2):
-            sgd_momentum_step(w, v, np.array([1.0]), lr=0.01, momentum=0.9, name="w")
-        assert w == pytest.approx([1.0 - 0.029])
-
-    def test_momentum_coast_with_zero_grad(self):
-        w = np.array([1.0])
-        v = np.array([-0.01])
-        sgd_momentum_step(w, v, np.array([0.0]), lr=0.01, momentum=0.9, name="w")
-        assert w == pytest.approx([1.0 - 0.009])
-
-    def test_non_finite_gradient_aborts(self):
-        with pytest.raises(NonFiniteGradientError,
-                           match="non-finite gradient for fc.weights: 1 bad entries"):
-            sgd_momentum_step(np.zeros(2), np.zeros(2), np.array([1.0, np.nan]),
-                              lr=0.01, momentum=0.9, name="fc.weights")

@@ -188,6 +188,46 @@ class TestZscore:
         assert abs(out.std() - 1.0) < 1e-12
 
 
+# each public function's action, as its input error names it, the function,
+# and the shape of an input it takes
+REAL_INPUT = {
+    "zscore_normalize": ("normalize a series", zscore_normalize, (100,)),
+    "decimate_pac": ("decimate a series", decimate_pac, (44,)),
+    "pca_fit": ("fit a PCA to samples", pca_fit, (30, 19)),
+    "pca_project": ("project a vector",
+                    lambda v: pca_project(pca_fit(np.eye(19)), v), (19,)),
+}
+
+
+class TestRealInput:
+    """Every public function converts its input through one helper: input
+    that is not real numbers, complex included, raises InvalidInputError
+    naming its dtype instead of a bare ValueError or a dropped imaginary part."""
+
+    @pytest.mark.parametrize("name", REAL_INPUT)
+    @pytest.mark.parametrize("case, dtype, reason", [
+        ("strings", "<U1", "could not convert string to float"),
+        ("complex", "complex128", "complex values have an imaginary part"),
+    ])
+    def test_rejected_naming_the_dtype(self, name, case, dtype, reason):
+        action, call, shape = REAL_INPUT[name]
+        rng = np.random.default_rng(33)
+        values = np.full(shape, "a") if case == "strings" else (
+            rng.standard_normal(shape) * (1 + 1j))
+        with pytest.raises(InvalidInputError,
+                           match=re.escape(f"cannot {action} of dtype {dtype}: {reason}")):
+            call(values)
+
+    @pytest.mark.parametrize("name", REAL_INPUT)
+    def test_integers_convert(self, name):
+        _, call, shape = REAL_INPUT[name]
+        values = np.random.default_rng(34).integers(-9, 9, shape)
+        got, expected = call(values), call(values.astype(np.float64))
+        if name == "pca_fit":
+            got, expected = got.components, expected.components
+        assert np.array_equal(got, expected)
+
+
 class TestDecimate:
     def test_constant_windows(self):
         assert np.array_equal(decimate_pac(np.full(44, 3.0)), [3.0, 3.0])
@@ -222,73 +262,65 @@ class TestResample:
     """The index rule, row by row of ``_subsample_index``'s tables, and the
     offset check of ``assemble_instance``, the one entry that takes an offset."""
 
-    def test_identity_when_already_at_length(self):
-        assert np.array_equal(_subsample_index(RESAMPLE_LEN, (0,))[0], np.arange(RESAMPLE_LEN))
+    def test_last_offset_of_the_shortest_block_takes_every_sample(self):
+        assert np.array_equal(_subsample_index(MIN_BLOCK_LEN)[-1],
+                              np.arange(max(OFFSETS), MIN_BLOCK_LEN))
 
     def test_stride_two_indices(self):
-        assert np.array_equal(_subsample_index(299, (0,))[0], np.arange(0, 299, 2))
+        assert np.array_equal(_subsample_index(299)[0], np.arange(0, 299, 2))
 
     def test_offsets_pick_different_samples(self):
-        table = _subsample_index(400, OFFSETS)
+        table = _subsample_index(400)
         for a in range(5):
             for b in range(a + 1, 5):
                 assert np.any(table[a] != table[b])
 
     def test_endpoint_always_included(self):
-        for o, row in zip(OFFSETS, _subsample_index(200, OFFSETS)):
+        for o, row in zip(OFFSETS, _subsample_index(200)):
             assert row[-1] == 199
             assert row[0] == o
 
     def test_too_short_rejected(self):
-        with pytest.raises(InvalidInputError, match="series of length 152 too short"):
-            _subsample_index(152, (3,))
         with pytest.raises(InvalidInputError, match="series of length 153 too short"):
-            _subsample_index(153, OFFSETS)
+            _subsample_index(MIN_BLOCK_LEN - 1)
 
-    def test_negative_offset_rejected(self):
-        with pytest.raises(InvalidInputError, match="offset must be non-negative, got -1"):
-            _subsample_index(200, (2, -1))
-
-    @pytest.mark.parametrize("offset", [2.5, True])
-    def test_offset_that_is_not_an_integer_rejected(self, offset):
+    @pytest.mark.parametrize("offset", [2.5, 2.0, True, -1, 5, "2", None])
+    def test_offset_not_in_offsets_rejected(self, offset):
         rng = np.random.default_rng(27)
         trial, pca = synth_trial(rng), fit_all_eps(rng)
-        with pytest.raises(InvalidInputError,
-                           match=re.escape(f"offset must be an integer, got {offset!r}")):
+        with pytest.raises(InvalidInputError, match=re.escape(
+                f"offset must be an integer of {OFFSETS}, got {offset!r}")):
             assemble_instance(trial, 0, offset, pca)
 
-    def test_float_offset_is_not_served_the_integer_offsets_table(self):
-        # 2.0 hashes like 2, so the check must come before the cache lookup
+    def test_numpy_integer_offset_served(self):
         rng = np.random.default_rng(28)
         trial, pca = synth_trial(rng), fit_all_eps(rng)
-        assemble_instance(trial, 0, 2, pca)
-        with pytest.raises(InvalidInputError, match="offset must be an integer, got 2.0"):
-            assemble_instance(trial, 0, 2.0, pca)
-        assert assemble_instance(trial, 0, np.int64(2), pca).offset == 2
+        inst = assemble_instance(trial, 0, np.int64(2), pca)
+        assert inst.offset == 2 and type(inst.offset) is int
+        assert np.array_equal(inst.values, assemble_instance(trial, 0, 2, pca).values)
 
     @settings(max_examples=60)
-    @given(n=st.integers(2, 2000), offsets=st.lists(st.integers(0, 5), min_size=1, max_size=5))
-    def test_indices_are_the_scalar_formula(self, n, offsets):
-        offsets = tuple(offsets)
-        if n < RESAMPLE_LEN + max(offsets):
+    @given(n=st.integers(2, 2000))
+    def test_indices_are_the_scalar_formula(self, n):
+        if n < MIN_BLOCK_LEN:
             with pytest.raises(InvalidInputError, match=f"length {n} too short"):
-                _subsample_index(n, offsets)
+                _subsample_index(n)
             return
-        table = _subsample_index(n, offsets)
-        assert table.shape == (len(offsets), RESAMPLE_LEN)
-        for o, row in zip(offsets, table):
+        table = _subsample_index(n)
+        assert table.shape == (len(OFFSETS), RESAMPLE_LEN)
+        for o, row in zip(OFFSETS, table):
             span = n - 1 - o
             assert row.tolist() == [o + round(j * span / (RESAMPLE_LEN - 1))
                                     for j in range(RESAMPLE_LEN)]
 
 
 class TestSubsampleIndexCache:
-    """The index tables are cached per (series length, offsets); a table is
-    read-only and no instance shares its memory."""
+    """The index tables are cached per series length; a table is read-only
+    and no instance shares its memory."""
 
     def test_cached_table_is_read_only(self):
-        table = _subsample_index(400, OFFSETS)
-        assert table is _subsample_index(400, OFFSETS)
+        table = _subsample_index(400)
+        assert table is _subsample_index(400)
         assert table.shape == (len(OFFSETS), RESAMPLE_LEN)
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 1
@@ -300,7 +332,7 @@ class TestSubsampleIndexCache:
         first = augment(trial, pca)
         lengths = {len(c["P_DC"]) for c in trial.signals.values()} | {
             len(c["P_AC"]) // DECIMATION for c in trial.signals.values()}
-        tables = [_subsample_index(n, OFFSETS) for n in lengths]
+        tables = [_subsample_index(n) for n in lengths]
         for inst in first:
             assert not any(np.shares_memory(inst.values, t) for t in tables)
         kept = [inst.values.copy() for inst in first]
@@ -311,9 +343,7 @@ class TestSubsampleIndexCache:
     def test_errors_are_raised_on_every_call(self):
         for _ in range(2):
             with pytest.raises(InvalidInputError, match="series of length 152 too short"):
-                _subsample_index(152, (3,))
-            with pytest.raises(InvalidInputError, match="offset must be non-negative, got -1"):
-                _subsample_index(200, (-1,))
+                _subsample_index(152)
 
     def test_augmenting_a_trial_again_builds_no_table(self):
         rng = np.random.default_rng(31)
@@ -685,6 +715,16 @@ class TestAugment:
         pca = fit_all_eps(rng)
         del pca["fast_slide"]
         with pytest.raises(InvalidInputError, match=r"no PCA model for EPs: \['fast_slide'\]"):
+            augment(trial, pca)
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_pca_model_of_another_component_count_is_named(self, k):
+        rng = np.random.default_rng(29)
+        trial, pca = synth_trial(rng), fit_all_eps(rng)
+        comps = np.linalg.qr(rng.standard_normal((19, k)))[0]
+        pca["hold"] = PcaModel(pca["hold"].mean, comps, np.full(k, 1.0 / 19))
+        with pytest.raises(InvalidInputError, match=re.escape(
+                f"PCA model for EP hold has components of shape (19, {k}), not (19, 4)")):
             augment(trial, pca)
 
     def test_53_objects_10_trials_give_5300(self):

@@ -12,22 +12,21 @@ from hapticnet import synth
 from hapticnet.errors import InvalidInputError, UnsupportedFormatError
 from hapticnet.evaluation import ADJECTIVES
 from hapticnet.haptic import EPS
-from hapticnet.io import (
+from hapticnet.io.formats import (
     CHECKPOINT_MAGIC,
     FEATUREMAP_MAGIC,
     TRIAL_MAGIC,
-    load_manifest,
     load_model,
     read_container,
     read_feature_maps,
     read_labels_csv,
     read_trial_file,
-    validate,
     write_container,
     write_feature_maps,
     write_labels_csv,
     write_trial_file,
 )
+from hapticnet.io.manifest import load_manifest, validate
 
 def small_trial():
     config = synth.separable_config(n_objects=2, n_trials=1, seed=5)

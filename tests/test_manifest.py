@@ -11,19 +11,15 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hapticnet import synth
 from hapticnet.errors import InvalidInputError, UnsupportedFormatError
 from hapticnet.haptic import CHANNELS, DECIMATION, HapticTrial
-from hapticnet.io import (
-    DatasetManifest,
-    Finding,
-    load_manifest,
+from hapticnet.io.formats import (
     read_feature_maps,
     read_labels_csv,
     read_trial_file,
-    save_manifest,
-    validate,
     write_feature_maps,
     write_labels_csv,
     write_trial_file,
 )
+from hapticnet.io.manifest import DatasetManifest, Finding, load_manifest, save_manifest, validate
 
 
 @pytest.fixture(scope="module")

@@ -9,7 +9,7 @@ import pytest
 
 from hapticnet import features, training
 from hapticnet.engine import derive_seed, inner_product, lstm_backward, lstm_forward, relu
-from hapticnet.errors import InvalidInputError, InvalidSpecError
+from hapticnet.errors import InvalidInputError, InvalidSpecError, NonFiniteGradientError
 from hapticnet.features import (
     FeatureVector,
     combine_instances,
@@ -28,7 +28,7 @@ from hapticnet.models import (
     build_linear_classifier,
     conv_stack_out_len,
 )
-from hapticnet.training import TrainSchedule, train
+from hapticnet.training import TrainSchedule, sgd_momentum_step, train
 
 from oracles import max_rel_error, naive_conv1d, numerical_gradient, reference_two_phase_sgd
 
@@ -290,6 +290,36 @@ class TestModelGraph:
     def test_model_put_together_by_hand_records_no_builder(self):
         model = Model([DenseLayer("fc", (4,), 1, seed=0)], kind="fusion")
         assert model.builder_args is None
+
+
+class TestSgdMomentum:
+    """The step at training.LR = 0.01 and training.MOMENTUM = 0.9."""
+
+    def test_first_step(self):
+        w = np.array([1.0])
+        v = np.zeros(1)
+        sgd_momentum_step(w, v, np.array([1.0]), "w")
+        assert v == pytest.approx([-0.01])
+        assert w == pytest.approx([0.99])
+
+    def test_two_steps_compound(self):
+        # v1 = -0.01; v2 = 0.9*v1 - 0.01 = -0.019; total decrease 0.029
+        w = np.array([1.0])
+        v = np.zeros(1)
+        for _ in range(2):
+            sgd_momentum_step(w, v, np.array([1.0]), "w")
+        assert w == pytest.approx([1.0 - 0.029])
+
+    def test_momentum_coast_with_zero_grad(self):
+        w = np.array([1.0])
+        v = np.array([-0.01])
+        sgd_momentum_step(w, v, np.array([0.0]), "w")
+        assert w == pytest.approx([1.0 - 0.009])
+
+    def test_non_finite_gradient_aborts(self):
+        with pytest.raises(NonFiniteGradientError,
+                           match="non-finite gradient for fc.weights: 1 bad entries"):
+            sgd_momentum_step(np.zeros(2), np.zeros(2), np.array([1.0, np.nan]), "fc.weights")
 
 
 class TestTraining:

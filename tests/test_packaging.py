@@ -27,7 +27,7 @@ def test_console_scripts_import():
         assert callable(obj), f"console script {name} -> {target} is not callable"
 
 
-@pytest.mark.parametrize("module", ["hapticnet", "hapticnet.engine", "hapticnet.io"])
+@pytest.mark.parametrize("module", ["hapticnet", "hapticnet.engine"])
 def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     assert mod.__all__, f"{module} exports nothing"
@@ -92,14 +92,19 @@ TEST_ONLY = {
     "separable_config": "the tests' one-factor dataset, which both modalities see near-noiselessly",
     "assemble_instance": "perfbench/test_perfbench.py checks its instance against the "
                          "benchmark's re-derivation, so it stays while that test calls it",
+    "save_model": "item 10's replay and item 1b's runner write checkpoints",
+    "load_model": "item 10's replay and item 1b's runner write checkpoints",
 }
 
 
 def test_public_defs_only_tests_reach_are_listed():
     """The public definitions that nothing in src/ or in the benchmark's own
     code (perfbench/ outside its test_*.py) names are exactly TEST_ONLY.  A
-    new one is wired in, deleted, or listed here with its reason."""
-    reached_from = [*(ROOT / "src").rglob("*.py"),
+    new one is wired in, deleted, or listed here with its reason.  A
+    package's ``__init__.py`` re-exports names for other code to call, so
+    its mention reaches nothing."""
+    reached_from = [*(path for path in (ROOT / "src").rglob("*.py")
+                      if path.name != "__init__.py"),
                     *(path for path in (ROOT / "perfbench").rglob("*.py")
                       if not path.name.startswith("test_"))]
     found = _unreferenced(reached_from)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from hapticnet import synth
 from hapticnet.errors import InvalidInputError
-from hapticnet.io import load_manifest
+from hapticnet.io.manifest import load_manifest
 
 from oracles import reference_make_trial
 

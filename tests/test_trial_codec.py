@@ -14,21 +14,20 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hapticnet import synth
 from hapticnet.errors import InvalidInputError, UnsupportedFormatError
 from hapticnet.haptic import CHANNELS, EPS
-from hapticnet.io import (
+from hapticnet.io import formats
+from hapticnet.io.formats import (
     CHECKPOINT_MAGIC,
     FEATUREMAP_MAGIC,
     TRIAL_MAGIC,
-    load_manifest,
     load_model,
     read_container,
     read_feature_maps,
     read_trial_file,
-    validate,
     write_container,
     write_feature_maps,
     write_trial_file,
 )
-from hapticnet.io import formats
+from hapticnet.io.manifest import load_manifest, validate
 
 # Every example overwrites the same files under tmp_path, so sharing it is
 # safe.
