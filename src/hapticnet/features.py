@@ -25,15 +25,15 @@ def extract_activations(model: Model, instances, tap_layer="conv3") -> list:
     """Flattened tap-layer outputs for a list of InstanceMatrix.
 
     Pure function of (model parameters, instance values); taps on fused
-    conv+ReLU layers are post-activation, so conv features are >= 0.
+    conv+ReLU layers are post-activation, so conv features are >= 0.  Each
+    forward stops at the tap, so no layer after it runs.
     """
     model.layer(tap_layer)  # fail fast on unknown taps
     out = []
     for start in range(0, len(instances), EXTRACT_BATCH):
         chunk = instances[start:start + EXTRACT_BATCH]
         x = np.stack([inst.values for inst in chunk])
-        _, tapped = model.forward(x, tap=tap_layer)
-        flat = tapped.reshape(len(chunk), -1)
+        flat = model.forward(x, tap=tap_layer).reshape(len(chunk), -1)
         for inst, vec in zip(chunk, flat):
             out.append(FeatureVector(
                 object_id=inst.object_id,
@@ -45,6 +45,8 @@ def extract_activations(model: Model, instances, tap_layer="conv3") -> list:
 
 def combine_instances(features, expected_count) -> FeatureVector:
     """Concatenate one object's per-instance features in canonical index order."""
+    if expected_count < 1:
+        raise InvalidInputError(f"expected_count must be at least 1, got {expected_count}")
     if len(features) != expected_count:
         raise InvalidInputError(
             f"expected {expected_count} features to combine, got {len(features)}"

@@ -326,26 +326,28 @@ def pca_project(model: PcaModel, vec: np.ndarray) -> np.ndarray:
     return (v - model.mean) @ model.components
 
 
-def _full_length_blocks(trial: HapticTrial, finger: int, pca: dict) -> list:
-    """The offset-independent work for one finger, done once per EP.
+def _finger_instances(trial: HapticTrial, finger: int, pca: dict) -> list:
+    """One finger's instances at each offset of OFFSETS.
 
-    Returns, in EPS order, (P_AC, rows): the z-scored, decimated P_AC and the
-    (7, T) rows P_DC, T_AC, T_DC, E-pc1..E-pc4, none of them subsampled yet:
-    the first rows of the z-scored (22, T) stack, with the projection
-    written over its first electrode rows.  P_AC keeps its own length,
-    which may be one sample off T.
+    Per EP, in EPS order: P_AC is z-scored and decimated, and the (22, T)
+    stack of the other channels is z-scored, with the projection written
+    over its first electrode rows.  One gather over each length's index
+    table then fills that EP's rows of one (len(OFFSETS), 32, 150) array;
+    P_AC keeps its own length, which may be one sample off T.
     """
     missing = [ep for ep in EPS if ep not in pca]
     if missing:
         raise InvalidInputError(f"no PCA model for EPs: {missing}")
-    blocks = []
-    for ep in EPS:
+    values = np.empty((len(OFFSETS), INSTANCE_CHANNELS, RESAMPLE_LEN))
+    rows = INSTANCE_CHANNELS // len(EPS)
+    for start, ep in zip(range(0, INSTANCE_CHANNELS, rows), EPS):
         shape = pca[ep].components.shape
         if shape != (len(ELECTRODES), PCA_COMPONENTS):
             raise InvalidInputError(f"PCA model for EP {ep} has components of shape {shape}, "
                                     f"not {(len(ELECTRODES), PCA_COMPONENTS)}")
         chans = trial.checked_channels(finger, ep)
         pac = decimate_pac(zscore_normalize(chans["P_AC"]))
+        values[:, start] = pac[_subsample_index(pac.shape[-1])]
         # (22, T)
         z = zscore_normalize(np.array([chans[c] for c in CHANNELS[1:]], dtype=np.float64))
         # a C-contiguous (T, 19) operand keeps the projection bitwise equal
@@ -353,22 +355,8 @@ def _full_length_blocks(trial: HapticTrial, finger: int, pca: dict) -> list:
         # projection overwrites the electrode rows it was read from
         projected = pca_project(pca[ep], np.ascontiguousarray(z[3:].T))  # (T, 4)
         z[3:3 + PCA_COMPONENTS] = projected.T
-        blocks.append((pac, z[:3 + PCA_COMPONENTS]))
-    return blocks
-
-
-def _subsampled_instances(trial: HapticTrial, finger: int, blocks: list) -> list:
-    """One finger's instances at each offset of OFFSETS, from its ``blocks``.
-
-    Each block is read by one gather over its length's index table, into
-    one (len(OFFSETS), 32, 150) array whose rows, disjoint, are the values.
-    """
-    values = np.empty((len(OFFSETS), INSTANCE_CHANNELS, RESAMPLE_LEN))
-    rows = INSTANCE_CHANNELS // len(EPS)
-    for start, (pac, others) in zip(range(0, INSTANCE_CHANNELS, rows), blocks):
-        values[:, start] = pac[_subsample_index(pac.shape[-1])]
-        idx = _subsample_index(others.shape[-1])
-        values[:, start + 1:start + rows] = others[:, idx].swapaxes(0, 1)
+        idx = _subsample_index(z.shape[-1])
+        values[:, start + 1:start + rows] = z[:3 + PCA_COMPONENTS, idx].swapaxes(0, 1)
     return [InstanceMatrix(values=v, object_id=trial.object_id, trial_index=trial.trial_index,
                            finger=finger, offset=offset)
             for v, offset in zip(values, OFFSETS)]
@@ -385,8 +373,7 @@ def assemble_instance(trial: HapticTrial, finger: int, offset: int, pca: dict) -
     """
     if isinstance(offset, bool) or not isinstance(offset, Integral) or offset not in OFFSETS:
         raise InvalidInputError(f"offset must be an integer of {OFFSETS}, got {offset!r}")
-    blocks = _full_length_blocks(trial, finger, pca)
-    return _subsampled_instances(trial, finger, blocks)[OFFSETS.index(offset)]
+    return _finger_instances(trial, finger, pca)[OFFSETS.index(offset)]
 
 
 def augment(trial: HapticTrial, pca: dict) -> list:
@@ -394,6 +381,4 @@ def augment(trial: HapticTrial, pca: dict) -> list:
 
     Each finger's blocks are preprocessed once and subsampled at every offset.
     """
-    return [inst for finger in FINGERS
-            for inst in _subsampled_instances(trial, finger,
-                                              _full_length_blocks(trial, finger, pca))]
+    return [inst for finger in FINGERS for inst in _finger_instances(trial, finger, pca)]

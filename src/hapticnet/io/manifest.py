@@ -170,7 +170,7 @@ def validate(manifest: DatasetManifest, root) -> list:
             else:
                 kept.append(entry)
     object_ids = [o["id"] for o in entries["objects"]]
-    repeated = sorted({obj for obj in object_ids if object_ids.count(obj) > 1})
+    repeated = sorted(obj for obj, n in Counter(object_ids).items() if n > 1)
     if repeated:
         findings.append(Finding("manifest", "objects", f"duplicate object ids {repeated}"))
 
@@ -202,20 +202,17 @@ def validate(manifest: DatasetManifest, root) -> list:
             findings.append(Finding("manifest", "trials",
                                     f"duplicate trial entry {obj}/{key}"))
         by_object[obj].add(key)
-    expected_keys = {
-        (t, f, ep)
-        for t in range(manifest.trials_per_object)
-        for f in FINGERS
-        for ep in EPS
-    }
+    # the keys are the whole index when they are as many and all lie in it;
+    # that costs time in the keys present, not in trials_per_object
+    tpo = manifest.trials_per_object
+    n_expected = tpo * len(FINGERS) * len(EPS)
     for obj, keys in by_object.items():
-        n_trials = len({k[0] for k in keys})
-        if keys != expected_keys:
+        if len(keys) != n_expected or not all(
+                0 <= t < tpo and f in FINGERS and ep in EPS for t, f, ep in keys):
             findings.append(Finding(
                 "manifest", "trials",
-                f"object {obj}: has {n_trials} trials / {len(keys)} files, "
-                f"expected {manifest.trials_per_object} trials "
-                f"({len(expected_keys)} files)"))
+                f"object {obj}: has {len({k[0] for k in keys})} trials / {len(keys)} files, "
+                f"expected {tpo} trials ({n_expected} files)"))
 
     for entry in entries["trials"]:
         path = root / entry["path"]
@@ -230,11 +227,11 @@ def validate(manifest: DatasetManifest, root) -> list:
     # visual feature files: one per object, N_VIEWS maps each, no map with
     # an empty axis, and one channel count across objects (pooling removes
     # H and W, so only C must agree)
-    visual_objects = [v["object_id"] for v in entries["visual"]]
+    visual_files = Counter(v["object_id"] for v in entries["visual"])
     for obj in object_ids:
-        if visual_objects.count(obj) != 1:
+        if visual_files[obj] != 1:
             findings.append(Finding("manifest", "visual",
-                                    f"object {obj}: {visual_objects.count(obj)} feature files, expected 1"))
+                                    f"object {obj}: {visual_files[obj]} feature files, expected 1"))
     channels = {}  # feature file -> channel count, for files without an empty map
     for entry in entries["visual"]:
         path = root / entry["path"]

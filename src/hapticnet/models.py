@@ -155,7 +155,7 @@ class Model:
 
     Every layer has parameters, and the last is the classifier.  A tap
     names a layer; tapping returns that layer's output, after its
-    activation.
+    activation, and stops there: no later layer runs.
     """
 
     # the arguments, other than the seed, of the builder that made the
@@ -178,8 +178,9 @@ class Model:
         raise InvalidSpecError(f"no layer named {name!r} in {self.kind}")
 
     def forward(self, x, tap=None):
-        """Score of shape lead-dims (last axis squeezed); optionally also the
-        output of the tap layer.
+        """Score of shape lead-dims (last axis squeezed) or, given a ``tap``,
+        that layer's output alone: a tapped forward stops at its tap and runs
+        no later layer.
 
         Scoring runs every layer with ``cache=False``: a layer whose cache
         costs work of its own, the LSTM with its per-step BPTT state, skips
@@ -187,14 +188,12 @@ class Model:
         """
         if tap is not None:
             self.layer(tap)  # fail fast on unknown taps
-        tapped = None
         h = x
         for l in self.layers:
             h, _ = l.forward(h, cache=False)
             if l.name == tap:
-                tapped = h
-        score = h[..., 0]
-        return (score, tapped) if tap is not None else score
+                return h
+        return h[..., 0]
 
     def forward_cached(self, x):
         """Forward pass keeping per-layer caches for a later backward."""

@@ -158,25 +158,36 @@ def adjective_weights(config) -> np.ndarray:
     return w
 
 
+_FACTOR_DRAWS = 64  # draws object_factors tries before it gives up
+
+
 def object_factors(config):
     """Object ids, latent factors (N, F), and per-object adjective labels.
 
-    Redraws (deterministically) until the first n_factors+1 adjectives have
-    at least two objects of each class, so the canonical test adjectives
-    are always split-feasible.
+    Redraws (deterministically, up to _FACTOR_DRAWS times) until the first
+    n_factors+1 adjectives have at least two objects of each class, so the
+    canonical test adjectives are always split-feasible.  With 4 or more
+    objects, no qualifying draw raises InvalidInputError naming the seed
+    and the adjective.  Below 4 objects no draw can qualify, and the last
+    one is kept, so such datasets stay as they were.
     """
     ids = [f"obj{i:03d}" for i in range(config.n_objects)]
     weights = adjective_weights(config)
     guarded = min(config.n_factors + 1, len(ADJECTIVES))
-    for attempt in range(64):
+    for attempt in range(_FACTOR_DRAWS):
         rng = _rng(config.seed, "factors", attempt)
         z = rng.uniform(-1.0, 1.0, size=(config.n_objects, config.n_factors))
         signs = z @ weights.T > 0  # (N, 24)
-        counts_ok = all(
-            2 <= signs[:, k].sum() <= config.n_objects - 2 for k in range(guarded)
-        )
-        if counts_ok:
+        positives = signs[:, :guarded].sum(axis=0)
+        short = np.flatnonzero((positives < 2) | (positives > config.n_objects - 2))
+        if not short.size:
             break
+    else:
+        if config.n_objects >= 4:
+            raise InvalidInputError(
+                f"seed {config.seed}: none of {_FACTOR_DRAWS} draws of {config.n_objects} "
+                f"objects gives the first {guarded} adjectives two objects of each class; "
+                f"the last leaves adjective {ADJECTIVES[short[0]]!r} short")
     labels = []
     for i, obj in enumerate(ids):
         labels.append((obj, f"object-{i:03d}",

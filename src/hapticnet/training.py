@@ -65,6 +65,9 @@ def sgd_momentum_step(value: np.ndarray, velocity: np.ndarray, grad: np.ndarray,
 def _check_training_inputs(instances, labels):
     x = np.asarray(instances, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
+    if x.ndim == 0:
+        raise InvalidInputError(
+            f"training instances need a leading instance axis, got shape {x.shape}")
     if x.shape[0] == 0:
         raise InvalidInputError("no training instances")
     if y.shape != (x.shape[0],):

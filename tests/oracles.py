@@ -156,31 +156,6 @@ def pair_count_auc(scores, labels):
     return wins / (len(pos) * len(neg))
 
 
-def eigh_pca(samples, k):
-    """PCA reference via dense symmetric eigendecomposition of the covariance.
-
-    This is ``pca_fit``'s own method, so ``svd_pca`` is the independent
-    reference.  Returns (mean, components (D, k), explained_variance_ratio
-    (k,)), with each component's largest-magnitude entry made positive.
-    """
-    x = np.asarray(samples, dtype=np.float64)
-    mean = x.mean(axis=0)
-    centered = x - mean
-    cov = centered.T @ centered / (x.shape[0] - 1)
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    order = np.argsort(eigvals)[::-1]
-    eigvals = eigvals[order]
-    eigvecs = eigvecs[:, order]
-    comps = eigvecs[:, :k].copy()
-    for j in range(k):
-        i = np.argmax(np.abs(comps[:, j]))
-        if comps[i, j] < 0:
-            comps[:, j] = -comps[:, j]
-    total = eigvals.sum()
-    ratios = eigvals[:k] / total
-    return mean, comps, ratios
-
-
 def svd_pca(samples, k):
     """PCA reference via the SVD of the centred samples, which never forms
     their Gram matrix and so keeps its accuracy at a large sigma_1 / sigma_k.

@@ -190,6 +190,35 @@ class TestValidate:
         assert validate(manifest, tree.parent) == [Finding(
             "manifest", "trials", f"duplicate trial entry {entry['object_id']}/{key}")]
 
+    @pytest.mark.parametrize("field, value, n_trials", [
+        ("trial", 1, 2), ("finger", 2, 1), ("ep", "wiggle", 1)])
+    def test_trial_entry_outside_the_index(self, tree, field, value, n_trials):
+        # as many keys as expected, one of them not an expected key
+        manifest = load_manifest(tree)
+        entry = manifest.trials[0]
+        manifest.trials[0] = dict(entry, **{field: value})
+        assert validate(manifest, tree.parent) == [Finding(
+            "manifest", "trials", f"object {entry['object_id']}: has {n_trials} trials "
+                                  f"/ 8 files, expected 1 trials (8 files)")]
+
+    def test_missing_trial_entry(self, tree):
+        manifest = load_manifest(tree)
+        obj = manifest.trials.pop()["object_id"]
+        assert validate(manifest, tree.parent) == [Finding(
+            "manifest", "trials", f"object {obj}: has 1 trials / 7 files, "
+                                  f"expected 1 trials (8 files)")]
+
+    def test_huge_trials_per_object_is_a_coverage_finding(self, tree):
+        # the count is checked without listing the keys it expects
+        count = 10 ** 12
+        data = json.loads(tree.read_text())
+        data["trials_per_object"] = count
+        manifest = load_manifest(write_json(tree, data))
+        assert validate(manifest, tree.parent) == [
+            Finding("manifest", "trials", f"object {obj}: has 1 trials / 8 files, "
+                                          f"expected {count} trials ({8 * count} files)")
+            for obj in manifest.object_ids()]
+
     def test_trial_entry_for_unknown_object(self, tree):
         manifest = load_manifest(tree)
         manifest.trials[0] = dict(manifest.trials[0], object_id="ghost")

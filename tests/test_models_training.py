@@ -53,20 +53,20 @@ class TestHapticCnnGraph:
     def test_forward_shape_and_tap(self):
         model = build_haptic_cnn(seed=0)
         x = np.random.default_rng(0).standard_normal((32, 150))
-        score, tap = model.forward(x, tap="conv3")
+        score = model.forward(x)
         assert np.isscalar(score) or score.shape == ()
-        assert tap.shape == (64, conv_stack_out_len())
+        assert model.forward(x, tap="conv3").shape == (64, conv_stack_out_len())
 
     def test_group_isolation_probe(self):
         # perturbing one input channel may change conv3 only within its group
         model = build_haptic_cnn(seed=1)
         rng = np.random.default_rng(1)
         x = rng.standard_normal((32, 150))
-        _, base = model.forward(x, tap="conv3")
+        base = model.forward(x, tap="conv3")
         for chan in (0, 7, 31):
             bumped = x.copy()
             bumped[chan] += rng.standard_normal(150)
-            _, tapped = model.forward(bumped, tap="conv3")
+            tapped = model.forward(bumped, tap="conv3")
             changed = np.unique(np.nonzero(np.any(tapped != base, axis=1))[0])
             assert set(changed) <= {2 * chan, 2 * chan + 1}
 
@@ -96,9 +96,9 @@ class TestHapticCnnGraph:
         # one instance alone gives bitwise its conv3 row of a batch of 1, 7 or 128
         model = build_haptic_cnn(seed=4)
         xs = random_instances(np.random.default_rng(4), 128)
-        singles = [model.forward(x, tap="conv3")[1] for x in xs]
+        singles = [model.forward(x, tap="conv3") for x in xs]
         for n in (1, 7, 128):
-            _, batched = model.forward(xs[:n], tap="conv3")
+            batched = model.forward(xs[:n], tap="conv3")
             for i in range(n):
                 assert np.array_equal(batched[i], singles[i]), (n, i)
 
@@ -107,6 +107,19 @@ class TestHapticCnnGraph:
         model = build_haptic_cnn(seed=0)
         with pytest.raises(InvalidInputError, match=re.escape(str(shape))):
             model.forward(np.zeros(shape))
+
+    def test_tapped_forward_runs_no_later_layer(self):
+        model = build_haptic_cnn(seed=0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("fc ran after the conv3 tap")
+
+        model.layer("fc").forward = refuse
+        x = np.random.default_rng(0).standard_normal((2, 32, 150))
+        assert model.forward(x, tap="conv3").shape == (2, 64, conv_stack_out_len())
+        instances = [InstanceMatrix(values=v, object_id="o", trial_index=i, finger=0, offset=0)
+                     for i, v in enumerate(x)]
+        assert len(extract_activations(model, instances, "conv3")) == 2
 
     def test_unknown_tap_rejected(self):
         model = build_haptic_cnn(seed=0)
@@ -419,6 +432,11 @@ class TestTraining:
         with pytest.raises(InvalidInputError, match="no training instances"):
             train(build_linear_classifier(3), np.zeros((0, 3)), np.zeros(0), TrainSchedule(epochs=1))
 
+    def test_rejects_instances_without_an_instance_axis(self):
+        with pytest.raises(InvalidInputError, match=re.escape(
+                "training instances need a leading instance axis, got shape ()")):
+            train(build_linear_classifier(1), np.float64(1.0), np.ones(1), TrainSchedule(epochs=1))
+
     @pytest.mark.parametrize("shape", [(3,), (4, 1)])
     def test_rejects_labels_of_another_shape(self, shape):
         with pytest.raises(InvalidInputError, match=re.escape(f"labels shape {shape} != (4,)")):
@@ -559,6 +577,12 @@ class TestCombineInstances:
         feats = self.make_features(np.random.default_rng(3), 9)
         with pytest.raises(InvalidInputError):
             combine_instances(feats, expected_count=10)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_expected_count_below_one_rejected(self, count):
+        with pytest.raises(InvalidInputError, match=re.escape(
+                f"expected_count must be at least 1, got {count}")):
+            combine_instances([], count)
 
     def test_features_of_several_objects_rejected(self):
         feats = self.make_features(np.random.default_rng(4), 4)

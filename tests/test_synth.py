@@ -89,6 +89,39 @@ def test_numpy_integer_counts_give_the_factors_of_python_ints():
     assert z.shape == ref_z.shape and np.array_equal(z.view(np.int64), ref_z.view(np.int64))
 
 
+def test_no_qualifying_draw_raises_naming_seed_and_adjective():
+    # every draw at this seed leaves an adjective with fewer than 2 of a class
+    with pytest.raises(InvalidInputError, match=re.escape(
+            "seed 1010: none of 64 draws of 4 objects gives the first 3 adjectives two "
+            "objects of each class; the last leaves adjective 'absorbent' short")):
+        synth.object_factors(synth.two_cue_config(n_objects=4, seed=1010))
+
+
+def test_below_four_objects_the_last_draw_is_kept():
+    # no draw of 3 objects can hold two of each class
+    config = synth.two_cue_config(n_objects=3, seed=1010)
+    last = synth._rng(config.seed, "factors", synth._FACTOR_DRAWS - 1).uniform(
+        -1.0, 1.0, size=(3, config.n_factors))
+    assert np.array_equal(synth.object_factors(config)[1], last)
+
+
+@settings(max_examples=60)
+@given(n_objects=st.integers(4, 12), n_factors=st.integers(1, 3),
+       seed=st.integers(0, 2**31 - 1))
+def test_returned_labels_give_the_guarded_adjectives_two_of_each_class(n_objects, n_factors,
+                                                                        seed):
+    config = synth.SynthConfig(n_objects=n_objects, seed=seed, haptic_leak=(1.0,) * n_factors,
+                               visual_leak=(1.0,) * n_factors)
+    try:
+        _, _, labels = synth.object_factors(config)
+    except InvalidInputError as e:
+        assert f"seed {seed}: none of 64 draws" in str(e)
+        return
+    for adjective in synth.ADJECTIVES[:n_factors + 1]:
+        positives = sum(row[adjective] for _, _, row in labels)
+        assert 2 <= positives <= n_objects - 2, adjective
+
+
 def test_two_runs_write_byte_identical_trees(tmp_path):
     config = synth.separable_config(n_objects=2, n_trials=1, seed=7)
     first = synth.synth_generate(config, tmp_path / "a")
